@@ -525,6 +525,9 @@ def main(argv: list[str] | None = None) -> int:
     except SentibenchError as exc:
         print(f"error[{exc.category}]: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # a bug, not bad input: still one line, no traceback
+        print(f"error[internal]: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -102,7 +102,7 @@ def load_dataset(
     offending row).
     """
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DatasetError(f"cannot open dataset {path!r}: {exc}") from exc
 

@@ -24,10 +24,15 @@ def check_vectors(X, dims: int | None = None):
     """Coerce a vector collection to CSR, verifying dimensionality.
 
     Accepts a sequence of SparseVector or any scipy sparse / dense 2-d
-    matrix. When ``dims`` is given the width must match exactly.
+    matrix. When ``dims`` is given the width must match exactly. Sparse
+    input with unsorted indices or duplicate entries is canonicalized
+    (duplicates summed) in a copy; the caller's matrix is never modified.
     """
     if sparse.issparse(X):
         csr = X.tocsr()
+        if not csr.has_canonical_format:
+            csr = csr.copy()
+            csr.sum_duplicates()
     elif isinstance(X, np.ndarray):
         csr = sparse.csr_matrix(np.atleast_2d(X))
     else:

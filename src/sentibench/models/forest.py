@@ -10,10 +10,13 @@ impurity of the two children; ties go to the lower feature index, then
 the lower threshold. The forest predicts by majority vote over the
 trees' leaf classes, ties resolved by the fixed class order.
 
-The split scan works on the node's nonzero entries only, grouped by
-feature, with one virtual zero-entry per feature carrying the class
-histogram of the implicit zeros. That keeps per-node cost proportional
-to the node's stored entries instead of rows x features.
+Each tree keeps a column-major copy of its bootstrap matrix with the
+class label of every stored entry. A node gathers only the entry ranges
+of its sampled columns and keeps those whose row is in the node. The
+scan then works on those entries, grouped by feature, with one virtual
+zero-entry per feature carrying the class histogram of the implicit
+zeros. Per-node cost thus scales with the stored entries of the sampled
+columns, not with rows x features.
 """
 
 from __future__ import annotations
@@ -47,28 +50,30 @@ def _sample_features(rng, dims: int, k: int) -> np.ndarray:
     return rng.choice(dims, size=k, replace=False, shuffle=False)
 
 
-def _best_split(X, y, rows, node_hist, sampled, feat_flags, row_flags):
+def _best_split(columns, rows, node_hist, sampled, row_flags):
     """Return (feature, threshold, left_rows, right_rows) or None.
 
-    ``feat_flags`` / ``row_flags`` are reusable boolean scratch buffers of
-    size n_features / n_rows.
+    ``columns`` is the tree's column-major copy: (indptr, entry row, entry
+    value, entry label). ``row_flags`` is a reusable boolean scratch buffer
+    of size n_rows.
     """
-    sub = X[rows]
-    feats = sub.indices
-    vals = sub.data
-    per_row = np.diff(sub.indptr)
-    entry_row = np.repeat(rows, per_row)
-    entry_lab = np.repeat(y[rows], per_row)
+    indptr, col_row, col_val, col_lab = columns
+    starts = indptr[sampled]
+    lengths = indptr[sampled + 1] - starts
+    # Positions of the sampled columns' entries, column after column.
+    owner = np.repeat(np.arange(sampled.size), lengths)
+    entries = np.arange(owner.size) + (starts - np.cumsum(lengths) + lengths)[owner]
 
-    feat_flags[sampled] = True
-    keep = feat_flags[feats]
-    feat_flags[sampled] = False
+    row_flags[rows] = True
+    keep = row_flags[col_row[entries]]
+    row_flags[rows] = False
     if not keep.any():
         return None
-    feats = feats[keep]
-    vals = vals[keep]
-    entry_row = entry_row[keep]
-    entry_lab = entry_lab[keep]
+    entries = entries[keep]
+    feats = sampled[owner[keep]]
+    vals = col_val[entries]
+    entry_row = col_row[entries]
+    entry_lab = col_lab[entries]
 
     # Per-feature class histogram of the nonzero entries.
     ufeat, inv = np.unique(feats, return_inverse=True)
@@ -156,7 +161,8 @@ def _grow_tree(X, y, k, max_depth, rng) -> _Tree:
         counts.append(None)
         return len(feature) - 1
 
-    feat_flags = np.zeros(dims, dtype=bool)
+    csc = X.tocsc()
+    columns = (csc.indptr, csc.indices, csc.data, y[csc.indices])
     row_flags = np.zeros(n, dtype=bool)
     stack = [(np.arange(n), 0, alloc())]
     while stack:
@@ -169,7 +175,7 @@ def _grow_tree(X, y, k, max_depth, rng) -> _Tree:
         if depth_reached or hist.max() == rows.size or rows.size < 2:
             continue
         sampled = _sample_features(rng, dims, k)
-        found = _best_split(X, y, rows, hist, sampled, feat_flags, row_flags)
+        found = _best_split(columns, rows, hist, sampled, row_flags)
         if found is None:
             continue
         f, thr, left_rows, right_rows = found
@@ -218,7 +224,6 @@ class RandomForest(BaseClassifier):
 
     def fit(self, X, y) -> "RandomForest":
         csr, y_idx = check_X_y(X, y)
-        csr.sort_indices()
         n, dims = csr.shape
         if self.max_features is None:
             k = math.isqrt(dims - 1) + 1  # ceil(sqrt(dims))

@@ -137,6 +137,16 @@ def model_to_dict(model: BaseClassifier) -> dict:
 
 
 def model_from_dict(doc: Mapping) -> BaseClassifier:
+    """Rebuild a model; any malformed document raises ArtifactError."""
+    try:
+        return _decode_model(doc)
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        raise ArtifactError(
+            f"malformed model artifact: {type(exc).__name__}: {exc}"
+        ) from exc
+
+
+def _decode_model(doc: Mapping) -> BaseClassifier:
     if doc.get("format") != _MODEL_FORMAT:
         raise ArtifactError("not a model artifact (bad format field)")
     if doc.get("version") != _MODEL_VERSION:

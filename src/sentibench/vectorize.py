@@ -251,6 +251,16 @@ def vectorizer_to_dict(vec: BowVectorizer | TfidfVectorizer) -> dict:
 
 
 def vectorizer_from_dict(doc: Mapping) -> BowVectorizer | TfidfVectorizer:
+    """Rebuild a vectorizer; any malformed document raises ArtifactError."""
+    try:
+        return _decode_vectorizer(doc)
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        raise ArtifactError(
+            f"malformed vectorizer artifact: {type(exc).__name__}: {exc}"
+        ) from exc
+
+
+def _decode_vectorizer(doc: Mapping) -> BowVectorizer | TfidfVectorizer:
     if doc.get("format") != _VECTORIZER_FORMAT:
         raise ArtifactError("not a vectorizer artifact (bad format field)")
     if doc.get("version") != _VECTORIZER_VERSION:

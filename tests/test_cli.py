@@ -148,6 +148,28 @@ class TestEvaluate:
         assert code == 1
         assert capsys.readouterr().err.startswith("error[artifact]")
 
+    @pytest.mark.parametrize("artifact, key", [
+        ("model_svm_bow.json", "weights"), ("vectorizer_bow.json", "terms"),
+    ])
+    def test_malformed_artifact_is_one_line(self, tmp_path, capsys, artifact, key):
+        out = tmp_path / "out"
+        base = ["--data", FIXTURE_CSV, "--out-dir", out]
+        assert run(["train", *base, "--model", "svm", "--vectorizer", "bow",
+                    "--svm-epochs", 2]) == 0
+        doc = json.loads((out / artifact).read_text())
+        del (doc["params"] if "params" in doc else doc)[key]
+        (out / artifact).write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run([
+            "evaluate", *base,
+            "--model-artifact", out / "model_svm_bow.json",
+            "--vectorizer-artifact", out / "vectorizer_bow.json",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[artifact]") and key in err
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestCompare:
     def grid(self, tmp_path, out_name, extra=()):
@@ -281,6 +303,14 @@ class TestConfigHandling:
         assert run(["compare", "--config", config]) == 0
         payload = json.loads((tmp_path / "o" / "comparison.json").read_text())
         assert [r["model"] for r in payload["rows"]] == ["mnb", "logreg"]
+
+    def test_unexpected_exception_is_internal_error(self, monkeypatch, capsys):
+        def broken(config):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("sentibench.cli.cmd_stats", broken)
+        assert run(["stats", "--data", FIXTURE_CSV]) == 1
+        assert capsys.readouterr().err == "error[internal]: RuntimeError: boom\n"
 
 
 class TestSubprocessInterface:

@@ -100,6 +100,15 @@ class TestLoadDataset:
         assert corpus.records[0].text == "hello world"
         assert corpus.records[0].label == "positive"
 
+    def test_utf8_bom_before_first_column(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(
+            b"\xef\xbb\xbftext,airline_sentiment\nhello world,positive\ncaf\xc3\xa9 delay,negative\n"
+        )
+        corpus = load_dataset(str(path))
+        assert [r.text for r in corpus.records] == ["hello world", "café delay"]
+        assert corpus.labels() == ["positive", "negative"]
+
 
 class TestLabelFrequencies:
     def test_fixture_hand_tally(self):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from sentibench import (
     ArtifactError,
@@ -15,6 +16,7 @@ from sentibench import (
     model_from_dict,
     model_to_dict,
     save_model,
+    vectors_to_csr,
 )
 from helpers import sv
 
@@ -105,6 +107,36 @@ class TestPersistence:
             save_model(load_model(str(first)), str(second))
             assert first.read_bytes() == second.read_bytes(), kind
 
+    @pytest.mark.parametrize("kind, key", [
+        ("svm", "weights"), ("logreg", "bias"), ("mnb", "class_log_prior"), ("rf", "trees"),
+    ])
+    def test_missing_params_key_is_artifact_error(self, fitted_models, kind, key):
+        doc = model_to_dict(fitted_models[kind])
+        del doc["params"][key]
+        with pytest.raises(ArtifactError, match=key):
+            model_from_dict(doc)
+
+    def test_wrong_field_types_are_artifact_errors(self, fitted_models):
+        for kind, corrupt in (
+            ("svm", lambda d: d.update(dims="many")),
+            ("rf", lambda d: d["params"].update(trees=5)),
+            ("rf", lambda d: d["params"]["trees"].__setitem__(0, {"feature": "f"})),
+            ("logreg", lambda d: d.update(hyperparameters=[1, 2])),
+            ("mnb", lambda d: d["params"].update(class_log_prior=[[0.5], 1.0])),
+        ):
+            doc = model_to_dict(fitted_models[kind])
+            corrupt(doc)
+            with pytest.raises(ArtifactError):
+                model_from_dict(doc)
+        with pytest.raises(ArtifactError):
+            model_from_dict(["not", "a", "mapping"])
+
+    def test_unknown_hyperparameter_is_artifact_error(self, fitted_models):
+        doc = model_to_dict(fitted_models["logreg"])
+        doc["hyperparameters"]["bogus"] = 1
+        with pytest.raises(ArtifactError, match="bogus"):
+            model_from_dict(doc)
+
     def test_bad_artifacts_rejected(self, fitted_models, tmp_path):
         model = fitted_models["mnb"]
         doc = model_to_dict(model)
@@ -164,3 +196,36 @@ class TestValidationHelpers:
         model = make_model("mnb")
         with pytest.raises(RuntimeError, match="not fitted"):
             model.predict([sv(2, [(0, 1.0)])])
+
+
+def messy_copy(csr):
+    """Same matrix with each row's entries reversed (unsorted indices) and
+    its first entry stored twice as two halves (a duplicate entry)."""
+    data, indices, indptr = [], [], [0]
+    for i in range(csr.shape[0]):
+        lo, hi = csr.indptr[i], csr.indptr[i + 1]
+        vals, cols = list(csr.data[lo:hi][::-1]), list(csr.indices[lo:hi][::-1])
+        if vals:
+            vals[-1] /= 2.0
+            vals.append(vals[-1])
+            cols.append(cols[-1])
+        data += vals
+        indices += cols
+        indptr.append(len(data))
+    return sparse.csr_matrix((data, indices, indptr), shape=csr.shape)
+
+
+class TestNonCanonicalInput:
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_duplicates_are_summed_and_input_is_untouched(self, kind):
+        X, y = training_set()
+        clean = vectors_to_csr(X)
+        messy = messy_copy(clean)
+        assert not messy.has_canonical_format
+        before = [a.copy() for a in (messy.data, messy.indices, messy.indptr)]
+        hp = small_hyperparams(kind)
+        got = make_model(kind, seed=3, hyperparams=hp).fit(messy, y)
+        want = make_model(kind, seed=3, hyperparams=hp).fit(clean, y)
+        assert model_to_dict(got) == model_to_dict(want)
+        for after, original in zip((messy.data, messy.indices, messy.indptr), before):
+            assert np.array_equal(after, original)

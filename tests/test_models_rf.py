@@ -1,9 +1,22 @@
-"""Random forest: memorization, split choice vs brute-force Gini, determinism."""
+"""Random forest: memorization, split choice vs brute-force Gini, determinism,
+and equality with the row-gather reference split search."""
+
+import contextlib
+import hashlib
+import json
+import signal
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
+import forest_reference
 from sentibench import RandomForest, model_to_dict
+from sentibench.models import forest
+from sentibench.models.base import check_X_y
 from helpers import sv
 
 
@@ -167,3 +180,131 @@ class TestDeterminism:
             RandomForest(max_depth=0)
         with pytest.raises(ValueError):
             RandomForest(max_features=0)
+
+
+LABELS = ("negative", "neutral", "positive")
+# Repeated values, negatives, explicit zeros and a 1-ulp gap above 1.0.
+VALUES = st.sampled_from([-2.0, -0.5, 0.0, 0.5, 1.0, float(np.nextafter(1.0, 2.0)), 3.0])
+
+
+@st.composite
+def sparse_problems(draw, duplicates: bool):
+    """A small CSR matrix with unsorted indices and possibly empty rows,
+    its labels and forest hyperparameters."""
+    n = draw(st.integers(1, 12))
+    dims = draw(st.integers(1, 7))
+    entry = st.tuples(st.integers(0, dims - 1), VALUES | st.floats(-4, 4, width=16))
+    unique_by = None if duplicates else (lambda e: e[0])
+    rows = [
+        draw(st.lists(entry, max_size=2 * dims, unique_by=unique_by)) for _ in range(n)
+    ]
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    indices = np.array([j for r in rows for j, _ in r], dtype=np.int32)
+    data = np.array([v for r in rows for _, v in r], dtype=np.float64)
+    X = sparse.csr_matrix((data, indices, indptr), shape=(n, dims))
+    y = [LABELS[i] for i in draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))]
+    hp = {
+        "n_trees": draw(st.integers(1, 3)),
+        "max_depth": draw(st.sampled_from([None, 1, 3])),
+        "max_features": draw(st.none() | st.integers(1, dims + 2)),
+        "bootstrap": draw(st.booleans()),
+        "seed": draw(st.integers(0, 2**16)),
+    }
+    return X, y, hp
+
+
+def assert_same_tree(a, b):
+    for name in forest._Tree.__slots__:
+        got, want = getattr(a, name), getattr(b, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+
+
+class TestMatchesRowGatherReference:
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_problems(duplicates=True))
+    def test_fit_builds_the_reference_trees(self, problem):
+        X, y, hp = problem
+        new = RandomForest(**hp).fit(X, y)
+        with mock.patch.object(forest, "_grow_tree", forest_reference._grow_tree):
+            ref = RandomForest(**hp).fit(X, y)
+        assert len(new.trees_) == len(ref.trees_)
+        for a, b in zip(new.trees_, ref.trees_):
+            assert_same_tree(a, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_problems(duplicates=False))
+    def test_grow_tree_on_raw_unsorted_csr(self, problem):
+        X, y, hp = problem
+        y_idx = np.array([LABELS.index(label) for label in y])
+        k = X.shape[1] if hp["max_features"] is None else hp["max_features"]
+        tree = forest._grow_tree(X, y_idx, k, hp["max_depth"], np.random.default_rng(hp["seed"]))
+        ref = forest_reference._grow_tree(
+            X, y_idx, k, hp["max_depth"], np.random.default_rng(hp["seed"])
+        )
+        assert_same_tree(tree, ref)
+
+
+def golden_matrix():
+    rng = np.random.default_rng(20211001)
+    dense = rng.choice([-1.5, 0.25, 0.5, 1.0, 2.0], size=(90, 24))
+    dense[rng.random((90, 24)) < 0.7] = 0.0
+    dense[:, :6] += rng.normal(size=(90, 6)) * (rng.random((90, 6)) < 0.3)
+    labels = [LABELS[i] for i in rng.integers(0, 3, 90)]
+    return sparse.csr_matrix(dense), labels
+
+
+class TestGoldenArtifact:
+    # sha256 of the artifact JSON, taken with the row-gather split search.
+    @pytest.mark.parametrize("hp, digest", [
+        ({"n_trees": 6, "max_depth": None, "seed": 5},
+         "1b8365a86e3124c9f351a7f336b959b3d672a4363d76acf46487bfc803aeaa03"),
+        ({"n_trees": 6, "max_depth": 3, "bootstrap": False, "max_features": 30, "seed": 2},
+         "145d3738ba00283bc2ef3235723dabca9434b9ef9554cce7cf18a8e746e2efc9"),
+    ])
+    def test_artifact_digest(self, hp, digest):
+        X, y = golden_matrix()
+        text = json.dumps(model_to_dict(RandomForest(**hp).fit(X, y)), sort_keys=True, indent=1)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    def expire(signum, frame):
+        raise TimeoutError(f"not finished within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestNonCanonicalInput:
+    def test_duplicate_entries_are_summed_and_fit_terminates(self):
+        # Row 0 stores feature 0 five times (sum 8), row 1 four times (sum 1).
+        X = sparse.csr_matrix(
+            ([1.0, 2.0, 2.0, 2.0, 1.0, -1.0, 1.0, -1.0, 2.0], np.zeros(9, dtype=np.int32),
+             [0, 5, 9]),
+            shape=(2, 1),
+        )
+        y = ["neutral", "negative"]
+        with time_limit(10.0):
+            model = RandomForest(n_trees=2, max_depth=None, seed=0).fit(X, y)
+        summed = RandomForest(n_trees=2, max_depth=None, seed=0).fit(
+            sparse.csr_matrix([[8.0], [1.0]]), y
+        )
+        assert model_to_dict(model) == model_to_dict(summed)
+
+    def test_check_x_y_leaves_the_callers_matrix_alone(self):
+        X = sparse.csr_matrix(
+            ([3.0, 1.0, 2.0, 2.0], [2, 0, 1, 1], [0, 2, 4]), shape=(2, 3)
+        )
+        before = [a.copy() for a in (X.data, X.indices, X.indptr)]
+        csr, _ = check_X_y(X, ["negative", "positive"])
+        for got, want in zip((X.data, X.indices, X.indptr), before):
+            assert np.array_equal(got, want)
+        assert csr.has_canonical_format
+        assert csr.toarray().tolist() == [[1.0, 0.0, 3.0], [0.0, 4.0, 0.0]]

@@ -278,6 +278,28 @@ class TestSerialization:
         with pytest.raises(ArtifactError):
             load_vectorizer(str(path))
 
+    @pytest.mark.parametrize("kind, key", [
+        ("bow", "terms"), ("tfidf", "terms"), ("tfidf", "df"), ("tfidf", "idf"),
+    ])
+    def test_missing_key_is_artifact_error(self, tmp_path, kind, key):
+        path = tmp_path / "vec.json"
+        save_vectorizer(make_vectorizer(kind).fit(DOCS), str(path))
+        doc = json.loads(path.read_text())
+        del doc[key]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ArtifactError, match=key):
+            load_vectorizer(str(path))
+
+    def test_wrong_field_types_are_artifact_errors(self, tmp_path):
+        path = tmp_path / "vec.json"
+        save_vectorizer(TfidfVectorizer().fit(DOCS), str(path))
+        good = json.loads(path.read_text())
+        for bad in ({**good, "terms": 7}, {**good, "doc_count": "many"},
+                    {**good, "idf": [None]}, ["not", "a", "mapping"]):
+            path.write_text(json.dumps(bad))
+            with pytest.raises(ArtifactError):
+                load_vectorizer(str(path))
+
     def test_make_vectorizer(self):
         assert make_vectorizer("bow").kind == "bow"
         assert make_vectorizer("tfidf").kind == "tfidf"
