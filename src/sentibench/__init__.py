@@ -39,7 +39,6 @@ from .metrics import (
     weighted_metrics,
 )
 from .models import (
-    LabeledMatrix,
     LinearSvm,
     MODEL_KINDS,
     MultinomialNaiveBayes,

@@ -4,11 +4,17 @@ Follows the scikit-learn convention: every constructor argument is a
 hyperparameter stored under its own name, introspectable through
 ``get_params`` / ``set_params`` so instances compose with generic
 tooling (grid drivers, cloning, pipelines).
+
+Also home of the one JSON file writer and reader behind every artifact
+and report.
 """
 
 from __future__ import annotations
 
 import inspect
+import json
+
+from .errors import SentibenchError
 
 
 class ParamsMixin:
@@ -48,3 +54,21 @@ def check_fitted(obj, attribute: str) -> None:
         raise RuntimeError(
             f"{type(obj).__name__} is not fitted yet; call fit() before use"
         )
+
+
+def write_json(path, payload) -> None:
+    """Deterministic JSON file: sorted keys, indent 1, trailing newline."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, sort_keys=True, indent=1)
+        handle.write("\n")
+
+
+def read_json(path, what: str, error: type[SentibenchError]):
+    """Parse a JSON file; an unreadable file or invalid JSON raises ``error``."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise error(f"cannot read {what} {path!r}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: invalid JSON: {exc}") from exc

@@ -13,11 +13,11 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .base import read_json, write_json
 from .corpus import (
     DEFAULT_LABEL_COLUMN,
     DEFAULT_TEXT_COLUMN,
@@ -33,7 +33,6 @@ from .metrics import MetricsReport, evaluate
 from .models import MODEL_KINDS, load_model, make_model, save_model
 from .preprocess import (
     Lemmatizer,
-    StopWordList,
     TweetPreprocessor,
     load_lemma_exceptions,
     load_stopwords,
@@ -206,13 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     values: dict = {}
     if getattr(args, "config", None):
-        try:
-            with open(args.config, encoding="utf-8") as handle:
-                loaded = json.load(handle)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{args.config}: invalid JSON: {exc}") from exc
+        loaded = read_json(args.config, "config file", ConfigError)
         if not isinstance(loaded, dict):
             raise ConfigError(f"{args.config}: config must be a JSON object")
         values.update(loaded)
@@ -274,35 +267,32 @@ def _test_ids_digest(test: Corpus) -> str:
     return hashlib.sha256("\n".join(test.ids()).encode("utf-8")).hexdigest()
 
 
-def _preprocessing_extra(preprocessor: TweetPreprocessor) -> dict:
-    return {
-        "preprocessing": {
-            "stopwords": sorted(preprocessor.stoplist.words),
-            "lemma_exceptions": dict(sorted(preprocessor.lemmatizer.exceptions.items())),
-        }
-    }
-
-
-def _preprocessor_from_artifact(doc: dict) -> TweetPreprocessor:
-    section = doc.get("preprocessing")
-    if not section:
-        return TweetPreprocessor()
-    return TweetPreprocessor(
-        stoplist=StopWordList(words=frozenset(section["stopwords"])),
-        lemmatizer=Lemmatizer(section.get("lemma_exceptions", {})),
-    )
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=1)
-        handle.write("\n")
-
-
 def _ensure_out_dir(config: ExperimentConfig) -> Path:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+# Output file suffix -> the --format name that selects it.
+_SUFFIX_FORMATS = {".json": "json", ".csv": "csv", ".txt": "table"}
+
+
+def _write_outputs(config: ExperimentConfig, files: dict[str, object]) -> None:
+    """Write every file whose format is selected: a .json file takes a JSON
+    payload, a .csv file a list of rows, a .txt file a rendered table."""
+    out = _ensure_out_dir(config)
+    for name, content in files.items():
+        path = out / name
+        fmt = _SUFFIX_FORMATS[path.suffix]
+        if fmt not in config.formats:
+            continue
+        if fmt == "json":
+            write_json(path, content)
+        elif fmt == "csv":
+            with open(path, "w", newline="", encoding="utf-8") as handle:
+                csv.writer(handle).writerows(content)
+        else:
+            path.write_text(content + "\n", encoding="utf-8")
 
 
 def _report_metadata(config: ExperimentConfig, test: Corpus) -> dict:
@@ -333,23 +323,16 @@ def cmd_stats(config: ExperimentConfig) -> int:
     table = "\n".join(lines)
     print(table)
 
-    out = _ensure_out_dir(config)
     payload = {
         "dataset": str(config.data),
         "total": total,
         "counts": freqs,
         "percent": {c: freqs[c] / total for c in POLARITIES},
     }
-    if "json" in config.formats:
-        _write_json(out / "stats.json", payload)
-    if "csv" in config.formats:
-        with open(out / "stats.csv", "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["class", "count", "percent"])
-            for label in POLARITIES:
-                writer.writerow([label, freqs[label], repr(freqs[label] / total)])
-    if "table" in config.formats:
-        (out / "stats.txt").write_text(table + "\n", encoding="utf-8")
+    rows = [["class", "count", "percent"]] + [
+        [label, freqs[label], repr(freqs[label] / total)] for label in POLARITIES
+    ]
+    _write_outputs(config, {"stats.json": payload, "stats.csv": rows, "stats.txt": table})
     return 0
 
 
@@ -378,7 +361,7 @@ def cmd_train(config: ExperimentConfig, model_kind: str, vectorizer_kind: str) -
     out = _ensure_out_dir(config)
     vec_path = out / f"vectorizer_{vectorizer_kind}.json"
     model_path = out / f"model_{model_kind}_{vectorizer_kind}.json"
-    save_vectorizer(vectorizer, str(vec_path), extra=_preprocessing_extra(preprocessor))
+    save_vectorizer(vectorizer, str(vec_path), preprocessor)
     save_model(model, str(model_path))
     print(f"vectorizer: {vec_path}")
     print(f"model: {model_path}")
@@ -386,41 +369,38 @@ def cmd_train(config: ExperimentConfig, model_kind: str, vectorizer_kind: str) -
 
 
 def cmd_evaluate(config: ExperimentConfig, model_path: str, vectorizer_path: str) -> int:
-    vectorizer, doc = load_vectorizer(vectorizer_path)
+    vectorizer, preprocessor = load_vectorizer(vectorizer_path)
     model = load_model(model_path)
-    preprocessor = _preprocessor_from_artifact(doc)
     _, test = _split(config)
 
     report = evaluate(
         model, vectorizer, test, preprocessor, metadata=_report_metadata(config, test)
     )
-    print(report.render_table())
+    table = report.render_table()
+    print(table)
 
-    out = _ensure_out_dir(config)
     stem = f"report_{model.variant}_{vectorizer.kind}"
-    if "json" in config.formats:
-        _write_json(out / f"{stem}.json", report.to_json_dict())
-    if "csv" in config.formats:
-        _write_report_csv(out / f"{stem}.csv", report)
-    if "table" in config.formats:
-        (out / f"{stem}.txt").write_text(report.render_table() + "\n", encoding="utf-8")
+    _write_outputs(config, {
+        f"{stem}.json": report.to_json_dict(),
+        f"{stem}.csv": _report_csv_rows(report),
+        f"{stem}.txt": table,
+    })
     return 0
 
 
-def _write_report_csv(path: Path, report: MetricsReport) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["class", "precision", "recall", "f1", "support"])
-        for label in POLARITIES:
-            m = report.per_class[label]
-            writer.writerow(
-                [label, repr(m.precision), repr(m.recall), repr(m.f1), report.support[label]]
-            )
-        w = report.weighted
-        writer.writerow(
-            ["weighted", repr(w.precision), repr(w.recall), repr(w.f1), report.confusion.total]
+def _report_csv_rows(report: MetricsReport) -> list[list]:
+    rows = [["class", "precision", "recall", "f1", "support"]]
+    for label in POLARITIES:
+        m = report.per_class[label]
+        rows.append(
+            [label, repr(m.precision), repr(m.recall), repr(m.f1), report.support[label]]
         )
-        writer.writerow(["accuracy", repr(report.accuracy), "", "", ""])
+    w = report.weighted
+    rows.append(
+        ["weighted", repr(w.precision), repr(w.recall), repr(w.f1), report.confusion.total]
+    )
+    rows.append(["accuracy", repr(report.accuracy), "", "", ""])
+    return rows
 
 
 def _render_comparison(rows: list[dict]) -> str:
@@ -446,16 +426,15 @@ def cmd_compare(config: ExperimentConfig) -> int:
     train_docs = preprocessor.preprocess_corpus(train.texts())
     metadata = _report_metadata(config, test)
 
-    out = _ensure_out_dir(config)
     rows = []
-    reports: dict[tuple[str, str], MetricsReport] = {}
+    report_files = {}
     for vectorizer_kind in config.vectorizers:
         vectorizer = make_vectorizer(vectorizer_kind).fit(train_docs)
         train_vectors = vectorizer.transform(train_docs)
         for model_kind in config.models:
             model = _train_cell(config, model_kind, train_vectors, train.labels())
             report = evaluate(model, vectorizer, test, preprocessor, metadata=metadata)
-            reports[(model_kind, vectorizer_kind)] = report
+            report_files[f"report_{model_kind}_{vectorizer_kind}.json"] = report.to_json_dict()
             rows.append(
                 {
                     "model": model_kind,
@@ -483,28 +462,18 @@ def cmd_compare(config: ExperimentConfig) -> int:
         "test_ids_sha256": metadata["test_ids_sha256"],
         "rows": rows,
     }
-    if "json" in config.formats:
-        _write_json(out / "comparison.json", payload)
-        for (model_kind, vectorizer_kind), report in reports.items():
-            _write_json(
-                out / f"report_{model_kind}_{vectorizer_kind}.json",
-                report.to_json_dict(),
-            )
-    if "csv" in config.formats:
-        with open(out / "comparison.csv", "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(
-                ["model", "vectorizer", "accuracy", "weighted_precision",
-                 "weighted_recall", "weighted_f1"]
-            )
-            for row in rows:
-                writer.writerow(
-                    [row["model"], row["vectorizer"], repr(row["accuracy"]),
-                     repr(row["weighted_precision"]), repr(row["weighted_recall"]),
-                     repr(row["weighted_f1"])]
-                )
-    if "table" in config.formats:
-        (out / "comparison.txt").write_text(table + "\n", encoding="utf-8")
+    columns = ["model", "vectorizer", "accuracy", "weighted_precision",
+               "weighted_recall", "weighted_f1"]
+    csv_rows = [columns] + [
+        [row["model"], row["vectorizer"]] + [repr(row[c]) for c in columns[2:]]
+        for row in rows
+    ]
+    _write_outputs(config, {
+        "comparison.json": payload,
+        "comparison.csv": csv_rows,
+        "comparison.txt": table,
+        **report_files,
+    })
     return 0
 
 

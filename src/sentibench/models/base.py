@@ -9,14 +9,14 @@ tie-break [negative, neutral, positive].
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
 
 from ..base import ParamsMixin, check_fitted
 from ..corpus import POLARITIES, POLARITY_INDEX
-from ..errors import DimensionMismatchError, TrainingError
+from ..errors import ArtifactError, DimensionMismatchError, TrainingError
 from ..vectorize import SparseVector, vectors_to_csr
 
 
@@ -65,23 +65,17 @@ def check_X_y(X, y):
     return csr, y_idx
 
 
-class LabeledMatrix:
-    """Validated (vectors, labels) pair with uniform dimensionality."""
-
-    def __init__(self, vectors: Sequence[SparseVector], labels: Sequence[str]):
-        self.X, self.y_idx = check_X_y(vectors, labels)
-        self.labels = list(labels)
-
-    @property
-    def dims(self) -> int:
-        return self.X.shape[1]
-
-    def __len__(self) -> int:
-        return self.X.shape[0]
+def decode_array(values, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """Float array from artifact JSON that must have exactly ``shape``."""
+    array = np.array(values, dtype=np.float64)
+    if array.shape != shape:
+        raise ArtifactError(f"{name} has shape {array.shape}, expected {shape}")
+    return array
 
 
 class BaseClassifier(ParamsMixin):
-    """fit / predict / predict_scores over polarity classes."""
+    """fit / predict / predict_scores over polarity classes, plus the
+    fitted state that the model artifact stores."""
 
     variant = "base"
 
@@ -105,9 +99,6 @@ class BaseClassifier(ParamsMixin):
         scores = self._score_matrix(csr)
         return [POLARITIES[i] for i in np.argmax(scores, axis=1)]
 
-    def predict_one(self, vector: SparseVector) -> str:
-        return self.predict([vector])[0]
-
     def predict_scores(self, X) -> list[dict[str, float]]:
         csr = check_vectors(X, dims=self.dims)
         scores = self._score_matrix(csr)
@@ -116,5 +107,11 @@ class BaseClassifier(ParamsMixin):
             for row in scores
         ]
 
-    def predict_scores_one(self, vector: SparseVector) -> dict[str, float]:
-        return self.predict_scores([vector])[0]
+    def state_to_dict(self) -> dict:
+        """Fitted state as the artifact's ``params`` section."""
+        raise NotImplementedError
+
+    def load_state(self, params: Mapping, dims: int) -> None:
+        """Restore fitted state from ``params``; raise ArtifactError when a
+        shape or index does not fit ``dims``."""
+        raise NotImplementedError

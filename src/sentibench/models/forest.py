@@ -25,6 +25,8 @@ import math
 
 import numpy as np
 
+from ..corpus import POLARITIES
+from ..errors import ArtifactError
 from .base import BaseClassifier, check_X_y
 
 _STREAM = 3
@@ -42,6 +44,66 @@ class _Tree:
         self.right = right
         self.label = label
         self.counts = counts
+
+    def to_record(self) -> dict:
+        """Nested artifact record: leaves carry class and counts, internal
+        nodes feature, threshold and two children."""
+        n = len(self.feature)
+        records: list[dict | None] = [None] * n
+        for i in range(n - 1, -1, -1):  # children always have higher ids
+            if self.feature[i] < 0:
+                records[i] = {
+                    "class": POLARITIES[self.label[i]],
+                    "counts": [int(c) for c in self.counts[i]],
+                }
+            else:
+                records[i] = {
+                    "feature": int(self.feature[i]),
+                    "threshold": float(self.threshold[i]),
+                    "left": records[self.left[i]],
+                    "right": records[self.right[i]],
+                }
+        return records[0]
+
+    @classmethod
+    def from_record(cls, record, dims: int) -> "_Tree":
+        """Inverse of to_record; every internal feature must be in [0, dims)."""
+        # (feature, threshold, left, right, label, counts) per node, with
+        # ids allocated as in training, so save/load/save round-trips
+        # reproduce the artifact byte for byte.
+        nodes: list = [None]
+        stack = [(record, 0)]
+        while stack:
+            rec, slot = stack.pop()
+            if "class" in rec:
+                counts = [int(c) for c in rec["counts"]]
+                if len(counts) != 3 or min(counts) < 0:
+                    raise ArtifactError(f"leaf counts {counts} are not 3 counts")
+                nodes[slot] = (-1, 0.0, -1, -1, POLARITIES.index(rec["class"]), counts)
+            else:
+                feature = int(rec["feature"])
+                if not 0 <= feature < dims:
+                    raise ArtifactError(f"tree feature {feature} outside [0, {dims})")
+                lid = len(nodes)
+                nodes += [None, None]
+                nodes[slot] = (feature, float(rec["threshold"]), lid, lid + 1, 0, [0, 0, 0])
+                stack += [(rec["right"], lid + 1), (rec["left"], lid)]
+        # Only leaves carry counts in the record; rebuild internal-node
+        # histograms and majority labels bottom-up (children have higher ids).
+        for i in range(len(nodes) - 1, -1, -1):
+            f, thr, lid, rid, _, _ = nodes[i]
+            if f >= 0:
+                hist = [a + b for a, b in zip(nodes[lid][5], nodes[rid][5])]
+                nodes[i] = (f, thr, lid, rid, hist.index(max(hist)), hist)
+        feature, threshold, left, right, label, counts = zip(*nodes)
+        return cls(
+            feature=np.array(feature, dtype=np.int32),
+            threshold=np.array(threshold, dtype=np.float64),
+            left=np.array(left, dtype=np.int32),
+            right=np.array(right, dtype=np.int32),
+            label=np.array(label, dtype=np.int8),
+            counts=np.array(counts, dtype=np.int64),
+        )
 
 
 def _sample_features(rng, dims: int, k: int) -> np.ndarray:
@@ -270,3 +332,11 @@ class RandomForest(BaseClassifier):
                     )
                 votes[start + sample_ids, tree.label[node]] += 1.0
         return votes / self.n_trees
+
+    def state_to_dict(self) -> dict:
+        return {"trees": [tree.to_record() for tree in self.trees_]}
+
+    def load_state(self, params, dims: int) -> None:
+        self.trees_ = [_Tree.from_record(record, dims) for record in params["trees"]]
+        if len(self.trees_) != self.n_trees:
+            raise ArtifactError(f"{len(self.trees_)} trees, n_trees is {self.n_trees}")

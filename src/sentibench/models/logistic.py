@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import TrainingError
-from .base import BaseClassifier, check_X_y
+from .base import BaseClassifier, check_X_y, decode_array
 
 _STREAM = 1  # keeps this model's RNG stream distinct from other variants
 
@@ -97,3 +97,15 @@ class SoftmaxRegression(BaseClassifier):
 
     def _score_matrix(self, csr) -> np.ndarray:
         return softmax(csr @ self.weights_.T + self.bias_)
+
+    def state_to_dict(self) -> dict:
+        return {
+            "weights": self.weights_.tolist(),
+            "bias": self.bias_.tolist(),
+            "epoch_losses": list(self.epoch_losses_),
+        }
+
+    def load_state(self, params, dims: int) -> None:
+        self.weights_ = decode_array(params["weights"], (3, dims), "weights")
+        self.bias_ = decode_array(params["bias"], (3,), "bias")
+        self.epoch_losses_ = [float(x) for x in params["epoch_losses"]]

@@ -12,11 +12,13 @@ log-sum-exp, so predict_scores returns true probabilities.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import logsumexp
 
 from ..errors import TrainingError
-from .base import BaseClassifier, check_X_y
+from .base import BaseClassifier, check_X_y, decode_array
 
 
 class MultinomialNaiveBayes(BaseClassifier):
@@ -59,3 +61,21 @@ class MultinomialNaiveBayes(BaseClassifier):
     def _score_matrix(self, csr) -> np.ndarray:
         jll = self._joint_log_likelihood(csr)
         return np.exp(jll - logsumexp(jll, axis=1, keepdims=True))
+
+    def state_to_dict(self) -> dict:
+        return {
+            # -inf is the log-prior of a class absent from training; JSON gets null.
+            "class_log_prior": [
+                float(x) if math.isfinite(x) else None for x in self.class_log_prior_
+            ],
+            "feature_log_likelihood": self.feature_log_likelihood_.tolist(),
+        }
+
+    def load_state(self, params, dims: int) -> None:
+        self.class_log_prior_ = decode_array(
+            [float("-inf") if x is None else x for x in params["class_log_prior"]],
+            (3,), "class_log_prior",
+        )
+        self.feature_log_likelihood_ = decode_array(
+            params["feature_log_likelihood"], (3, dims), "feature_log_likelihood"
+        )

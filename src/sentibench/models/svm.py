@@ -17,7 +17,7 @@ import numpy as np
 from scipy import sparse
 
 from ..errors import TrainingError
-from .base import BaseClassifier, check_X_y
+from .base import BaseClassifier, check_X_y, decode_array
 
 _STREAM = 2
 
@@ -98,3 +98,10 @@ class LinearSvm(BaseClassifier):
 
     def _score_matrix(self, csr) -> np.ndarray:
         return csr @ self.weights_.T + self.bias_
+
+    def state_to_dict(self) -> dict:
+        return {"weights": self.weights_.tolist(), "bias": self.bias_.tolist()}
+
+    def load_state(self, params, dims: int) -> None:
+        self.weights_ = decode_array(params["weights"], (3, dims), "weights")
+        self.bias_ = decode_array(params["bias"], (3,), "bias")

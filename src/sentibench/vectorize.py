@@ -4,12 +4,13 @@ Bag-of-words marks term presence with weight 1 (not counts). Tf-idf uses
 tf = count / document-length and idf = ln(N / df) with no smoothing, so a
 term present in every fit document has idf 0 and drops out of every
 transformed vector. Vectorizers are immutable after fit and transforms
-are pure, so fitted instances are safe to share across threads.
+are pure, so fitted instances are safe to share across threads. The
+vectorizer artifact also records the preprocessing the vectorizer was
+fitted behind, so evaluation can rebuild it.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -18,9 +19,15 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy import sparse
 
-from .base import ParamsMixin, check_fitted
-from .errors import ArtifactError, DimensionMismatchError, TrainingError
-from .preprocess import Vocabulary, build_vocabulary
+from .base import ParamsMixin, check_fitted, read_json, write_json
+from .errors import ArtifactError, ConfigError, DimensionMismatchError, TrainingError
+from .preprocess import (
+    Lemmatizer,
+    StopWordList,
+    TweetPreprocessor,
+    Vocabulary,
+    build_vocabulary,
+)
 
 
 @dataclass(frozen=True)
@@ -144,10 +151,9 @@ class IdfTable:
         return cls(doc_count=n, df=tuple(df), idf=idf)
 
 
-class BowVectorizer(ParamsMixin):
-    """Binary presence encoding over the fitted vocabulary."""
-
-    kind = "bow"
+class _Vectorizer(ParamsMixin):
+    """Shared vocabulary, dims and transform; subclasses define fit and
+    the per-document weights, and extend the artifact state."""
 
     def __init__(self):
         self.vocabulary_: Vocabulary | None = None
@@ -156,41 +162,48 @@ class BowVectorizer(ParamsMixin):
     def dims(self) -> int:
         check_fitted(self, "vocabulary_")
         return len(self.vocabulary_)
+
+    def _weights(self, doc: Sequence[str]) -> tuple[tuple[int, ...], tuple[float, ...]]:
+        """(sorted indices, nonzero weights) of one document."""
+        raise NotImplementedError
+
+    def transform(self, docs: Iterable[Sequence[str]]) -> list[SparseVector]:
+        check_fitted(self, "vocabulary_")
+        dims = len(self.vocabulary_)
+        return [SparseVector(dims, *self._weights(doc)) for doc in docs]
+
+    def transform_one(self, doc: Sequence[str]) -> SparseVector:
+        return self.transform([doc])[0]
+
+    def state_to_dict(self) -> dict:
+        """Fitted state as the artifact's top-level fields."""
+        check_fitted(self, "vocabulary_")
+        return {"terms": list(self.vocabulary_.terms)}
+
+    def load_state(self, doc: Mapping) -> None:
+        """Restore fitted state from an artifact document."""
+        self.vocabulary_ = Vocabulary(terms=tuple(doc["terms"]))
+
+
+class BowVectorizer(_Vectorizer):
+    """Binary presence encoding over the fitted vocabulary."""
+
+    kind = "bow"
 
     def fit(self, docs: Sequence[Sequence[str]]) -> "BowVectorizer":
         self.vocabulary_ = build_vocabulary(docs)
         return self
 
-    def transform_one(self, doc: Sequence[str]) -> SparseVector:
-        check_fitted(self, "vocabulary_")
+    def _weights(self, doc: Sequence[str]) -> tuple[tuple[int, ...], tuple[float, ...]]:
         index = self.vocabulary_.index
-        present = sorted({index[t] for t in doc if t in index})
-        return SparseVector(
-            dims=len(self.vocabulary_),
-            indices=tuple(present),
-            values=(1.0,) * len(present),
-        )
-
-    def transform(self, docs: Iterable[Sequence[str]]) -> list[SparseVector]:
-        return [self.transform_one(doc) for doc in docs]
-
-    def fit_transform(self, docs: Sequence[Sequence[str]]) -> list[SparseVector]:
-        return self.fit(docs).transform(docs)
+        present = tuple(sorted({index[t] for t in doc if t in index}))
+        return present, (1.0,) * len(present)
 
 
-class TfidfVectorizer(ParamsMixin):
+class TfidfVectorizer(_Vectorizer):
     """tf * ln(N/df) weighting over the fitted vocabulary."""
 
     kind = "tfidf"
-
-    def __init__(self):
-        self.vocabulary_: Vocabulary | None = None
-        self.idf_table_: IdfTable | None = None
-
-    @property
-    def dims(self) -> int:
-        check_fitted(self, "vocabulary_")
-        return len(self.vocabulary_)
 
     def fit(self, docs: Sequence[Sequence[str]]) -> "TfidfVectorizer":
         if len(docs) == 0:
@@ -199,8 +212,7 @@ class TfidfVectorizer(ParamsMixin):
         self.idf_table_ = IdfTable.from_docs(docs, self.vocabulary_)
         return self
 
-    def transform_one(self, doc: Sequence[str]) -> SparseVector:
-        check_fitted(self, "idf_table_")
+    def _weights(self, doc: Sequence[str]) -> tuple[tuple[int, ...], tuple[float, ...]]:
         freqs = term_frequency(doc, self.vocabulary_)
         idf = self.idf_table_.idf
         entries = []
@@ -208,104 +220,85 @@ class TfidfVectorizer(ParamsMixin):
             weight = freqs.counts[idx] / freqs.total_terms * idf[idx]
             if weight != 0.0:
                 entries.append((idx, weight))
-        return SparseVector(
-            dims=len(self.vocabulary_),
-            indices=tuple(i for i, _ in entries),
-            values=tuple(w for _, w in entries),
+        return tuple(i for i, _ in entries), tuple(w for _, w in entries)
+
+    def state_to_dict(self) -> dict:
+        return {
+            **super().state_to_dict(),  # first: raises if not fitted
+            "doc_count": self.idf_table_.doc_count,
+            "df": list(self.idf_table_.df),
+            "idf": list(self.idf_table_.idf),
+        }
+
+    def load_state(self, doc: Mapping) -> None:
+        super().load_state(doc)
+        self.idf_table_ = IdfTable(
+            doc_count=int(doc["doc_count"]),
+            df=tuple(int(d) for d in doc["df"]),
+            idf=tuple(float(w) for w in doc["idf"]),
         )
-
-    def transform(self, docs: Iterable[Sequence[str]]) -> list[SparseVector]:
-        return [self.transform_one(doc) for doc in docs]
-
-    def fit_transform(self, docs: Sequence[Sequence[str]]) -> list[SparseVector]:
-        return self.fit(docs).transform(docs)
+        if len(self.idf_table_.df) != len(self.vocabulary_):
+            raise ArtifactError(f"df/idf length {len(self.idf_table_.df)} != terms length")
 
 
-VECTORIZER_KINDS = ("bow", "tfidf")
+_VECTORIZERS = {cls.kind: cls for cls in (BowVectorizer, TfidfVectorizer)}
+VECTORIZER_KINDS = tuple(_VECTORIZERS)
 
 _VECTORIZER_FORMAT = "sentibench/vectorizer"
 _VECTORIZER_VERSION = 1
 
 
 def make_vectorizer(kind: str) -> BowVectorizer | TfidfVectorizer:
-    if kind == "bow":
-        return BowVectorizer()
-    if kind == "tfidf":
-        return TfidfVectorizer()
-    raise ValueError(f"unknown vectorizer kind {kind!r}")
+    if kind not in _VECTORIZERS:
+        raise ValueError(f"unknown vectorizer kind {kind!r}")
+    return _VECTORIZERS[kind]()
 
 
-def vectorizer_to_dict(vec: BowVectorizer | TfidfVectorizer) -> dict:
-    check_fitted(vec, "vocabulary_")
-    doc = {
-        "format": _VECTORIZER_FORMAT,
-        "version": _VECTORIZER_VERSION,
-        "kind": vec.kind,
-        "terms": list(vec.vocabulary_.terms),
-    }
-    if vec.kind == "tfidf":
-        doc["doc_count"] = vec.idf_table_.doc_count
-        doc["df"] = list(vec.idf_table_.df)
-        doc["idf"] = list(vec.idf_table_.idf)
-    return doc
-
-
-def vectorizer_from_dict(doc: Mapping) -> BowVectorizer | TfidfVectorizer:
-    """Rebuild a vectorizer; any malformed document raises ArtifactError."""
-    try:
-        return _decode_vectorizer(doc)
-    except (LookupError, TypeError, ValueError, AttributeError) as exc:
-        raise ArtifactError(
-            f"malformed vectorizer artifact: {type(exc).__name__}: {exc}"
-        ) from exc
-
-
-def _decode_vectorizer(doc: Mapping) -> BowVectorizer | TfidfVectorizer:
+def _decode_vectorizer(doc: Mapping) -> tuple[_Vectorizer, TweetPreprocessor]:
     if doc.get("format") != _VECTORIZER_FORMAT:
         raise ArtifactError("not a vectorizer artifact (bad format field)")
     if doc.get("version") != _VECTORIZER_VERSION:
         raise ArtifactError(f"unsupported vectorizer version {doc.get('version')!r}")
-    kind = doc.get("kind")
-    vocab = Vocabulary(terms=tuple(doc["terms"]))
-    if kind == "bow":
-        vec = BowVectorizer()
-        vec.vocabulary_ = vocab
-        return vec
-    if kind == "tfidf":
-        vec = TfidfVectorizer()
-        vec.vocabulary_ = vocab
-        vec.idf_table_ = IdfTable(
-            doc_count=int(doc["doc_count"]),
-            df=tuple(int(d) for d in doc["df"]),
-            idf=tuple(float(w) for w in doc["idf"]),
+    cls = _VECTORIZERS.get(doc.get("kind"))
+    if cls is None:
+        raise ArtifactError(f"unknown vectorizer kind {doc.get('kind')!r}")
+    vec = cls()
+    vec.load_state(doc)
+    section = doc.get("preprocessing")
+    if section is None:
+        return vec, TweetPreprocessor()
+    words, exceptions = section["stopwords"], section.get("lemma_exceptions", {})
+    if not (isinstance(words, list) and isinstance(exceptions, dict) and all(
+        isinstance(s, str) for s in (*words, *exceptions, *exceptions.values())
+    )):
+        raise ArtifactError(
+            "preprocessing needs a stopwords list and a lemma_exceptions map of strings"
         )
-        return vec
-    raise ArtifactError(f"unknown vectorizer kind {kind!r}")
+    return vec, TweetPreprocessor(StopWordList(frozenset(words)), Lemmatizer(exceptions))
 
 
-def save_vectorizer(
-    vec: BowVectorizer | TfidfVectorizer, path: str, extra: Mapping | None = None
-) -> None:
-    """Write the vectorizer artifact; ``extra`` adds sections (e.g. the
-    preprocessing configuration) without touching the core schema."""
-    doc = vectorizer_to_dict(vec)
-    if extra:
-        for key, value in extra.items():
-            if key in doc:
-                raise ValueError(f"extra key {key!r} collides with the schema")
-            doc[key] = value
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, sort_keys=True, indent=1)
-        handle.write("\n")
+def save_vectorizer(vec: _Vectorizer, path: str, preprocessor: TweetPreprocessor) -> None:
+    """Write the vectorizer artifact, with the preprocessing it was fitted behind."""
+    write_json(path, {
+        "format": _VECTORIZER_FORMAT,
+        "version": _VECTORIZER_VERSION,
+        "kind": vec.kind,
+        **vec.state_to_dict(),
+        "preprocessing": {
+            "stopwords": sorted(preprocessor.stoplist.words),
+            "lemma_exceptions": dict(sorted(preprocessor.lemmatizer.exceptions.items())),
+        },
+    })
 
 
-def load_vectorizer(path: str) -> tuple[BowVectorizer | TfidfVectorizer, dict]:
-    """Read an artifact back; returns (vectorizer, full document)."""
+def load_vectorizer(path: str) -> tuple[_Vectorizer, TweetPreprocessor]:
+    """Read an artifact back as (vectorizer, preprocessor); a malformed one
+    raises ArtifactError. Without a preprocessing section the preprocessor
+    is the default one."""
+    doc = read_json(path, "vectorizer artifact", ArtifactError)
     try:
-        with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except OSError as exc:
-        raise ArtifactError(f"cannot read vectorizer artifact {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ArtifactError(f"{path}: invalid JSON: {exc}") from exc
-    return vectorizer_from_dict(doc), doc
+        return _decode_vectorizer(doc)
+    except (LookupError, TypeError, ValueError, AttributeError, ConfigError) as exc:
+        raise ArtifactError(
+            f"malformed vectorizer artifact: {type(exc).__name__}: {exc}"
+        ) from exc

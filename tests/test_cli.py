@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: artifacts, reports, determinism, errors."""
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -71,9 +72,10 @@ class TestTrain:
         assert "model_mnb_bow.json" in stdout and "vectorizer_bow.json" in stdout
 
         model = load_model(str(out / "model_mnb_bow.json"))
-        vec, doc = load_vectorizer(str(out / "vectorizer_bow.json"))
+        vec, _ = load_vectorizer(str(out / "vectorizer_bow.json"))
         assert model.variant == "mnb"
         assert model.dims == vec.dims
+        doc = json.loads((out / "vectorizer_bow.json").read_text())
         assert "preprocessing" in doc  # artifact is self-contained
 
     def test_same_seed_byte_identical_artifacts(self, tmp_path):
@@ -168,6 +170,80 @@ class TestEvaluate:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error[artifact]") and key in err
+        assert len(err.strip().splitlines()) == 1
+
+
+def rf_root(doc, feature):
+    """Make tree 0 a single internal node that splits on ``feature``."""
+    leaf = {"class": "negative", "counts": [1, 0, 0]}
+    doc["params"]["trees"][0] = {
+        "feature": feature, "threshold": 0.5, "left": leaf, "right": leaf,
+    }
+
+
+def narrow(key):
+    return lambda d: d["params"].update({key: [row[:-1] for row in d["params"][key]]})
+
+
+def first_entry(key):
+    return lambda d: d["params"].update({key: d["params"][key][:1]})
+
+
+# (artifact, corruption, model and vectorizer passed to evaluate)
+SHAPE_CORRUPTIONS = {
+    "svm weights narrower than dims": ("model_svm_bow.json", narrow("weights"), "svm", "bow"),
+    "logreg weights narrower than dims": (
+        "model_logreg_bow.json", narrow("weights"), "logreg", "bow"),
+    "mnb likelihood narrower than dims": (
+        "model_mnb_bow.json", narrow("feature_log_likelihood"), "mnb", "bow"),
+    "rf feature equal to dims": (
+        "model_rf_bow.json", lambda d: rf_root(d, d["dims"]), "rf", "bow"),
+    "rf internal node with negative feature": (
+        "model_rf_bow.json", lambda d: rf_root(d, -1), "rf", "bow"),
+    "svm bias of one entry": ("model_svm_bow.json", first_entry("bias"), "svm", "bow"),
+    "mnb prior of one entry": (
+        "model_mnb_bow.json", first_entry("class_log_prior"), "mnb", "bow"),
+    "tfidf df and idf shorter than terms": (
+        "vectorizer_tfidf.json", lambda d: d.update(df=d["df"][:1], idf=d["idf"][:1]),
+        "mnb", "tfidf"),
+    "preprocessing without stopwords": (
+        "vectorizer_bow.json", lambda d: d["preprocessing"].pop("stopwords"), "mnb", "bow"),
+    "preprocessing stopwords not a list": (
+        "vectorizer_bow.json", lambda d: d["preprocessing"].update(stopwords=5), "mnb", "bow"),
+}
+
+
+@pytest.fixture(scope="module")
+def trained_artifacts(tmp_path_factory):
+    out = tmp_path_factory.mktemp("artifacts")
+    for model, vec in (("svm", "bow"), ("logreg", "bow"), ("mnb", "bow"), ("rf", "bow"),
+                       ("mnb", "tfidf")):
+        assert run([
+            "train", "--data", FIXTURE_CSV, "--out-dir", out, "--model", model,
+            "--vectorizer", vec, "--svm-epochs", 2, "--logreg-epochs", 2, "--rf-trees", 2,
+        ]) == 0
+    return out
+
+
+class TestArtifactShapes:
+    @pytest.mark.parametrize("case", sorted(SHAPE_CORRUPTIONS))
+    def test_shape_mismatch_is_one_artifact_error(self, trained_artifacts, tmp_path,
+                                                   capsys, case):
+        artifact, corrupt, model, vec = SHAPE_CORRUPTIONS[case]
+        for path in trained_artifacts.iterdir():
+            shutil.copy(path, tmp_path)
+        doc = json.loads((tmp_path / artifact).read_text())
+        corrupt(doc)
+        (tmp_path / artifact).write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run([
+            "evaluate", "--data", FIXTURE_CSV, "--out-dir", tmp_path / "e",
+            "--model-artifact", tmp_path / f"model_{model}_{vec}.json",
+            "--vectorizer-artifact", tmp_path / f"vectorizer_{vec}.json",
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error[artifact]"), err
         assert len(err.strip().splitlines()) == 1
 
 

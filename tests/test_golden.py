@@ -1,0 +1,306 @@
+"""Golden sha256 digests of every artifact and report the CLI writes.
+
+The digests lock behaviour byte for byte: each of the 8 model artifacts
+(svm/mnb/rf/logreg x bow/tfidf), both vectorizer artifacts, and every
+`stats`, `evaluate` and `compare` output file (json, csv, txt), on the
+fixture CSV and on a small deterministic corpus built here. Paths are
+relative to a temporary working directory, so the `dataset` field of the
+reports does not depend on where the checkout lives.
+
+Taken with numpy 2.4.6 and scipy 1.17.1 (Python 3.11); other versions may
+round the last bits of a float differently and so change a digest.
+"""
+
+import csv
+import hashlib
+import json
+import shutil
+from pathlib import Path
+
+import pytest
+
+from sentibench.cli import main
+from helpers import FIXTURE_CSV
+
+MODELS = ("svm", "mnb", "rf", "logreg")
+VECTORIZERS = ("bow", "tfidf")
+SHORT = ["--rf-trees", "4", "--svm-epochs", "3", "--logreg-epochs", "3"]
+
+_MARKERS = {
+    "negative": ["awful", "delayed", "lost", "rude", "cancelled"],
+    "neutral": ["gate", "schedule", "update", "boarding", "question"],
+    "positive": ["great", "thanks", "loved", "friendly", "smooth"],
+}
+_FILLER = ["flight", "plane", "seats", "airport", "bags", "today", "service", "crew"]
+
+
+def synthetic_rows(n: int = 120) -> list[tuple[str, str]]:
+    """Deterministic (text, label) rows: two class markers, three filler
+    words, and on every fourth row a marker of another class as noise."""
+    labels = list(_MARKERS)
+    rows = []
+    for i in range(n):
+        label = labels[(i * 5 + i // 7) % 3]
+        words = [_MARKERS[label][(i * 3) % 5], _MARKERS[label][(i * 7 + 1) % 5]]
+        words += [_FILLER[(i * 7 + k * 3) % len(_FILLER)] for k in range(3)]
+        if i % 4 == 0:
+            words.append(_MARKERS[labels[(i // 4 + 1) % 3]][i % 5])
+        rows.append((f"@Air{i % 6} " + " ".join(words) + ("!" if i % 2 else ", #trip"), label))
+    return rows
+
+
+def write_corpus(path: Path, name: str) -> None:
+    if name == "fixture":
+        shutil.copyfile(FIXTURE_CSV, path)
+        return
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["text", "airline_sentiment"])
+        writer.writerows(synthetic_rows())
+
+
+def run_everything(workdir: Path, name: str) -> dict[str, str]:
+    """Run stats, train (all 8 cells), evaluate (all 8) and compare in
+    ``workdir``; return {"command/file": sha256} over every file written."""
+    write_corpus(workdir / "tweets.csv", name)
+    base = ["--data", "tweets.csv", "--seed", "2"]
+    assert main(["stats", *base, "--out-dir", "stats"]) == 0
+    for model in MODELS:
+        for vec in VECTORIZERS:
+            cell = ["--model", model, "--vectorizer", vec]
+            assert main(["train", *base, *SHORT, *cell, "--out-dir", "train"]) == 0
+            assert main([
+                "evaluate", *base, "--out-dir", "evaluate",
+                "--model-artifact", f"train/model_{model}_{vec}.json",
+                "--vectorizer-artifact", f"train/vectorizer_{vec}.json",
+            ]) == 0
+    assert main(["compare", *base, *SHORT, "--out-dir", "compare"]) == 0
+    return {
+        f"{path.parent.name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
+        for command in ("stats", "train", "evaluate", "compare")
+        for path in sorted((workdir / command).iterdir())
+    }
+
+
+GOLDEN = {
+    "fixture": {
+        "compare/comparison.csv":
+            "6ea4b885c590b5fef064d80641afe10d8b3e8e00a1402a89bb21d1c0a4bb95e2",
+        "compare/comparison.json":
+            "9d3d82497e4adcb901f9c952a2c21d0e73da3d69e6b596dcac1f55bcfb528364",
+        "compare/comparison.txt":
+            "a11b66c8a60ad78d5d6cb69d4af0ec90342b897f3cba389b859aac0f9d63d2c8",
+        "compare/report_logreg_bow.json":
+            "7873cfda4d2d4b22a875364900115d20bfb79fb1c53fdb1cf0d89b43633ceb6a",
+        "compare/report_logreg_tfidf.json":
+            "04e858ae3c47d6e6157b00d501391a7a3cbc3bb4e59f113e4e9e90715aa71a7e",
+        "compare/report_mnb_bow.json":
+            "b306a0f8500999f7dda04c3fd86087a1f5be73ebc818e1aea9e6d4674ea65d01",
+        "compare/report_mnb_tfidf.json":
+            "a46e6388315b4337cdfec2c772a1ced0b980621d8b252487fe0d08d4816ac2ad",
+        "compare/report_rf_bow.json":
+            "6560b2225959436499876bd80c0d747e229a02c061d17496d323a5da4c4cde4d",
+        "compare/report_rf_tfidf.json":
+            "b173c295723c532e2029d2c51f08b788ae668389c4e5a8dde31d66f6868ba503",
+        "compare/report_svm_bow.json":
+            "777717679cebfdbd50b894e338a2ae8d9662b5e5ecb37a5fe55d506f42f5318a",
+        "compare/report_svm_tfidf.json":
+            "aeb8739597aa14120ea31d3656fcada88aa13e2adea5092967ec02b03c0dfae6",
+        "evaluate/report_logreg_bow.csv":
+            "27aea76169568f26de33c6315270e98da4b92b8d1208296985f804f3bc64373f",
+        "evaluate/report_logreg_bow.json":
+            "7873cfda4d2d4b22a875364900115d20bfb79fb1c53fdb1cf0d89b43633ceb6a",
+        "evaluate/report_logreg_bow.txt":
+            "8f5e4e5be61a10dc45bba87b9ebee98f200b551e051c92fa08127d3954c2d987",
+        "evaluate/report_logreg_tfidf.csv":
+            "527aef4ef2b3bc0491b827dd3e391a829b5b570b49473e686100a88406d0bbe6",
+        "evaluate/report_logreg_tfidf.json":
+            "04e858ae3c47d6e6157b00d501391a7a3cbc3bb4e59f113e4e9e90715aa71a7e",
+        "evaluate/report_logreg_tfidf.txt":
+            "85e5a31ab3495171ee77736f375cb9602b52819eb3fc831581ebdf885f9af129",
+        "evaluate/report_mnb_bow.csv":
+            "27aea76169568f26de33c6315270e98da4b92b8d1208296985f804f3bc64373f",
+        "evaluate/report_mnb_bow.json":
+            "b306a0f8500999f7dda04c3fd86087a1f5be73ebc818e1aea9e6d4674ea65d01",
+        "evaluate/report_mnb_bow.txt":
+            "8f5e4e5be61a10dc45bba87b9ebee98f200b551e051c92fa08127d3954c2d987",
+        "evaluate/report_mnb_tfidf.csv":
+            "527aef4ef2b3bc0491b827dd3e391a829b5b570b49473e686100a88406d0bbe6",
+        "evaluate/report_mnb_tfidf.json":
+            "a46e6388315b4337cdfec2c772a1ced0b980621d8b252487fe0d08d4816ac2ad",
+        "evaluate/report_mnb_tfidf.txt":
+            "85e5a31ab3495171ee77736f375cb9602b52819eb3fc831581ebdf885f9af129",
+        "evaluate/report_rf_bow.csv":
+            "55bc54ac99f0a1a935540455b3df9599fd97008a782c5d08fe15ac46118c146f",
+        "evaluate/report_rf_bow.json":
+            "6560b2225959436499876bd80c0d747e229a02c061d17496d323a5da4c4cde4d",
+        "evaluate/report_rf_bow.txt":
+            "d9bb4e30897ba798a2da7b5095aeae9720955427ad3eca66dbe7e59a7c811d4a",
+        "evaluate/report_rf_tfidf.csv":
+            "55bc54ac99f0a1a935540455b3df9599fd97008a782c5d08fe15ac46118c146f",
+        "evaluate/report_rf_tfidf.json":
+            "b173c295723c532e2029d2c51f08b788ae668389c4e5a8dde31d66f6868ba503",
+        "evaluate/report_rf_tfidf.txt":
+            "d9bb4e30897ba798a2da7b5095aeae9720955427ad3eca66dbe7e59a7c811d4a",
+        "evaluate/report_svm_bow.csv":
+            "527aef4ef2b3bc0491b827dd3e391a829b5b570b49473e686100a88406d0bbe6",
+        "evaluate/report_svm_bow.json":
+            "777717679cebfdbd50b894e338a2ae8d9662b5e5ecb37a5fe55d506f42f5318a",
+        "evaluate/report_svm_bow.txt":
+            "85e5a31ab3495171ee77736f375cb9602b52819eb3fc831581ebdf885f9af129",
+        "evaluate/report_svm_tfidf.csv":
+            "9fce934a194fac4bd4f90c9c376a49212961fd62d0eeef0247cd1255489423a0",
+        "evaluate/report_svm_tfidf.json":
+            "aeb8739597aa14120ea31d3656fcada88aa13e2adea5092967ec02b03c0dfae6",
+        "evaluate/report_svm_tfidf.txt":
+            "7a3506bcb4c602476ab3426c2a0d4485026f58676ef7310c939e9d7f5723719f",
+        "stats/stats.csv":
+            "0aef477e51aa6612bab772f9c1290fef0322daf94d00dde9f67f15857504f165",
+        "stats/stats.json":
+            "46078193ea03d3e0d9aa0c53dc46c90daaba57fe2e0de7d1a077f004df377a9c",
+        "stats/stats.txt":
+            "4ae47094ae51426612bc3d52ab07f94572ffacaa264c0f1004714c0a011037d7",
+        "train/model_logreg_bow.json":
+            "648cc2d606e12027a037ee0cde4155751b8f5149eab25039a8b6b00f4eeb1622",
+        "train/model_logreg_tfidf.json":
+            "5be518b97e22560f09a3c7f77821e474ee1a931e4206084e88622f9531fec6a4",
+        "train/model_mnb_bow.json":
+            "c590ce9651e00720eeacd7919bf4d2dcd1ed02412e44656e4a68d97ca4c7660a",
+        "train/model_mnb_tfidf.json":
+            "b1e506494fb6366feaf566abcb07e4c9e30f130d04abab515dc02064669be0c6",
+        "train/model_rf_bow.json":
+            "77ac0b2207f4df58a9031c0c59a4dcdf6949941cca91fd95b8c9a130890d66fb",
+        "train/model_rf_tfidf.json":
+            "7051a8572cafe2223716ce37c4d5c5c25328c5c24d97fa3d7e9d5caf4d41c664",
+        "train/model_svm_bow.json":
+            "df77e1f0aac23fae11e9cebe70c36a32d08c4188ebbd5c3e383446e12b974331",
+        "train/model_svm_tfidf.json":
+            "c73538fe14f04dc8ad9d677df2bc94ca7efcd9d9cbc9dfe16cf5c995e203145c",
+        "train/vectorizer_bow.json":
+            "c6f52fd46d7615c7b4271673f22f4219d9ef2351a1f30239e3768bdac8ee4318",
+        "train/vectorizer_tfidf.json":
+            "ddc45ee9fe992e29548abd93a5663c1f8e7121581d46a9ddba36b1ff2ce9fbdd",
+    },
+    "synthetic": {
+        "compare/comparison.csv":
+            "3ca5733816869f25c45f1252cd69378ceebc0391d206af843946cae353a88f95",
+        "compare/comparison.json":
+            "6cfa26c0e63b8591b9569cecbbe5909015408e20c78f00f2c2bd9f876ac2dd4c",
+        "compare/comparison.txt":
+            "e85152f8e8861d5ec801e65d26ae54221a79d108a02b690ce0451fc54315d8f4",
+        "compare/report_logreg_bow.json":
+            "5e0befc729a9a8273032497fa74cd5130f3809b45336250c89c09dec10addf04",
+        "compare/report_logreg_tfidf.json":
+            "b3d0e6b7f07e56cfc807a4b1ad64d8c5b359da69c27759def2c84827a9b63ddd",
+        "compare/report_mnb_bow.json":
+            "1ce8c38008d84d617baf9a0487d08ec1e8ae2c4b47a0a23dfea56801fc7c3659",
+        "compare/report_mnb_tfidf.json":
+            "8a479f9fc12be9a01dae4ae388038ed5cec09523412c337cd8fda0df37507061",
+        "compare/report_rf_bow.json":
+            "02363e37083ddbd83826dfe5dc39f8b2d2e13ede43f61ed6e77287ce1059d18a",
+        "compare/report_rf_tfidf.json":
+            "cbb5caaae768fddf35291cc2ee82b75840a54cdeaa60ad83f280fdf086359b69",
+        "compare/report_svm_bow.json":
+            "54225e4cbd5583be2ee0cb0ea82db98c5c0e29f857a56046bb49e2eb510ec3a2",
+        "compare/report_svm_tfidf.json":
+            "193abef03ef9a14039249b4364b4f2cd1c9abea3bd67caa0cc771a2254452b2c",
+        "evaluate/report_logreg_bow.csv":
+            "895536c94200123c682f1f3e7c11fd30507b5785faa351549e87343be61f9f53",
+        "evaluate/report_logreg_bow.json":
+            "5e0befc729a9a8273032497fa74cd5130f3809b45336250c89c09dec10addf04",
+        "evaluate/report_logreg_bow.txt":
+            "476dc3701d9242acd4a0ed3d9cc589c6eb56d6dc44e29380a4258c6822b1b416",
+        "evaluate/report_logreg_tfidf.csv":
+            "73b624cbdae12aefd555bb1f0b7ff1f026b90fe6e9bb15d8b29ce4bee989b3aa",
+        "evaluate/report_logreg_tfidf.json":
+            "b3d0e6b7f07e56cfc807a4b1ad64d8c5b359da69c27759def2c84827a9b63ddd",
+        "evaluate/report_logreg_tfidf.txt":
+            "5c3d60fba55b0f911fc909dd2bc96f6a9e6752ab1afe1a29628be43974a4ab32",
+        "evaluate/report_mnb_bow.csv":
+            "acc10223c122517a5d0f485f059326afb8a5a50dd7357361d7c66dbddfaa2aef",
+        "evaluate/report_mnb_bow.json":
+            "1ce8c38008d84d617baf9a0487d08ec1e8ae2c4b47a0a23dfea56801fc7c3659",
+        "evaluate/report_mnb_bow.txt":
+            "0a4e36f4c0c8fc9b4f6f21f3a05b3753f8ad23e648d9de226236b4428893eb29",
+        "evaluate/report_mnb_tfidf.csv":
+            "2b7101d1ec67bcdbb0cda98ea82e17d9984b71c3bb0124cc2772b06997def133",
+        "evaluate/report_mnb_tfidf.json":
+            "8a479f9fc12be9a01dae4ae388038ed5cec09523412c337cd8fda0df37507061",
+        "evaluate/report_mnb_tfidf.txt":
+            "8e87ed49fb8c6d2362a34618aa63ffd617a1437e43767974852d7f16ad1642c9",
+        "evaluate/report_rf_bow.csv":
+            "47fc305723246ad7c58db084c580b04affdf031da10d2d323856d9df94de33e7",
+        "evaluate/report_rf_bow.json":
+            "02363e37083ddbd83826dfe5dc39f8b2d2e13ede43f61ed6e77287ce1059d18a",
+        "evaluate/report_rf_bow.txt":
+            "b36eff05062c007e430de05764fa50d60b6b023be012e5fb4258c3af07ab3eea",
+        "evaluate/report_rf_tfidf.csv":
+            "47fc305723246ad7c58db084c580b04affdf031da10d2d323856d9df94de33e7",
+        "evaluate/report_rf_tfidf.json":
+            "cbb5caaae768fddf35291cc2ee82b75840a54cdeaa60ad83f280fdf086359b69",
+        "evaluate/report_rf_tfidf.txt":
+            "b36eff05062c007e430de05764fa50d60b6b023be012e5fb4258c3af07ab3eea",
+        "evaluate/report_svm_bow.csv":
+            "2b7101d1ec67bcdbb0cda98ea82e17d9984b71c3bb0124cc2772b06997def133",
+        "evaluate/report_svm_bow.json":
+            "54225e4cbd5583be2ee0cb0ea82db98c5c0e29f857a56046bb49e2eb510ec3a2",
+        "evaluate/report_svm_bow.txt":
+            "8e87ed49fb8c6d2362a34618aa63ffd617a1437e43767974852d7f16ad1642c9",
+        "evaluate/report_svm_tfidf.csv":
+            "2b7101d1ec67bcdbb0cda98ea82e17d9984b71c3bb0124cc2772b06997def133",
+        "evaluate/report_svm_tfidf.json":
+            "193abef03ef9a14039249b4364b4f2cd1c9abea3bd67caa0cc771a2254452b2c",
+        "evaluate/report_svm_tfidf.txt":
+            "8e87ed49fb8c6d2362a34618aa63ffd617a1437e43767974852d7f16ad1642c9",
+        "stats/stats.csv":
+            "3c58237a501eb87d523cbe8b64cbf4dab8b90eba4e77104a39ff591828111e7a",
+        "stats/stats.json":
+            "57ebf970c5fc434adc9bfcea9f8a2ef05af5cb0462d079bc89620a49a3f4471f",
+        "stats/stats.txt":
+            "d6211ac1cf448191b798226881fe198379982244dd8da24a1011bd03a28ff3ff",
+        "train/model_logreg_bow.json":
+            "4bafbfb9365f3e93e6b8b538928575c26557715c45d4866350c8111f51025303",
+        "train/model_logreg_tfidf.json":
+            "59b0119458cc05eccfc51305a497d9aa455938af17642f3c9f14b20d1c94d04b",
+        "train/model_mnb_bow.json":
+            "012dfc3fd512fcf38e4e3578e8ab756a21d023a419b803796a18d7fddb59ca7c",
+        "train/model_mnb_tfidf.json":
+            "058eb31aaa588caf8cc40866b80da00d9fe5591d0eae722a888a115a64a03e85",
+        "train/model_rf_bow.json":
+            "29669692a2557629040066569817ea1c6a85110994ec73f12ddb35e8417136a4",
+        "train/model_rf_tfidf.json":
+            "daa3c3d7d7d625a31532d06fede43ee1c1346c0f5fc693184c0baa0003f1ae54",
+        "train/model_svm_bow.json":
+            "182eca6c9ec2ec0c1e1fd4dd6fcdca9a143a9928967dcfe02e5331aa8ad7b779",
+        "train/model_svm_tfidf.json":
+            "d48e4d3340eae6a3e94c6a638c713e5f14cb2c9ab1042c22dce2719648331d96",
+        "train/vectorizer_bow.json":
+            "8487dbc26845470cd93976b8d98f46f05140edfc5a508d671968826dfbbddbd1",
+        "train/vectorizer_tfidf.json":
+            "676722b3774d59d73a76b3b88f2c2544124f16f63d1fff995cb5929a2046e7a3",
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    """{corpus name: (workdir, digests)}, computed once for the module."""
+    runs = {}
+    for name in ("fixture", "synthetic"):
+        workdir = tmp_path_factory.mktemp(name)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.chdir(workdir)
+            runs[name] = workdir, run_everything(workdir, name)
+    return runs
+
+
+@pytest.mark.parametrize("name", ["fixture", "synthetic"])
+def test_every_output_file_matches_its_golden_digest(outputs, name):
+    assert outputs[name][1] == GOLDEN[name]
+
+
+def test_synthetic_forest_trees_have_more_than_one_node(outputs):
+    workdir = outputs["synthetic"][0]
+    for vec in VECTORIZERS:
+        doc = json.loads((workdir / "train" / f"model_rf_{vec}.json").read_text())
+        assert all("feature" in tree for tree in doc["params"]["trees"])

@@ -7,7 +7,6 @@ from scipy import sparse
 from sentibench import (
     ArtifactError,
     DimensionMismatchError,
-    LabeledMatrix,
     MODEL_KINDS,
     POLARITIES,
     TrainingError,
@@ -18,6 +17,7 @@ from sentibench import (
     save_model,
     vectors_to_csr,
 )
+from sentibench.models import check_X_y
 from helpers import sv
 
 DIMS = 6
@@ -150,6 +150,21 @@ class TestPersistence:
             with pytest.raises(ArtifactError):
                 model_from_dict(bad)
 
+    def test_forest_tree_count_and_leaf_counts_are_checked(self, fitted_models):
+        leaf = {"class": "neutral", "counts": [1, 2, 0]}
+        for corrupt in (
+            lambda d: d["params"]["trees"].pop(),
+            lambda d: d["params"]["trees"].__setitem__(0, {**leaf, "counts": [1, 2]}),
+            lambda d: d["params"]["trees"].__setitem__(0, {**leaf, "counts": [1, -2, 0]}),
+        ):
+            doc = model_to_dict(fitted_models["rf"])
+            corrupt(doc)
+            with pytest.raises(ArtifactError):
+                model_from_dict(doc)
+        doc = model_to_dict(fitted_models["rf"])
+        doc["params"]["trees"][0] = leaf
+        assert model_from_dict(doc).trees_[0].counts.tolist() == [[1, 2, 0]]
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ArtifactError):
             load_model(str(tmp_path / "none.json"))
@@ -167,17 +182,17 @@ class TestValidationHelpers:
             with pytest.raises(DimensionMismatchError):
                 model.predict([sv(DIMS + 1, [(0, 1.0)])])
 
-    def test_labeled_matrix_contract(self):
+    def test_check_x_y_contract(self):
         X, y = training_set(10)
-        data = LabeledMatrix(X, y)
-        assert len(data) == 10
-        assert data.dims == DIMS
+        csr, y_idx = check_X_y(X, y)
+        assert csr.shape == (10, DIMS)
+        assert [POLARITIES[i] for i in y_idx] == y
         with pytest.raises(TrainingError):
-            LabeledMatrix(X, y[:-1])
+            check_X_y(X, y[:-1])
         with pytest.raises(TrainingError):
-            LabeledMatrix([], [])
+            check_X_y([], [])
         with pytest.raises(TrainingError):
-            LabeledMatrix(X[:1], ["meh"])
+            check_X_y(X[:1], ["meh"])
 
     def test_make_model_rejects_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -12,9 +12,12 @@ from sentibench import (
     BowVectorizer,
     DimensionMismatchError,
     IdfTable,
+    Lemmatizer,
     SparseVector,
+    StopWordList,
     TfidfVectorizer,
     TrainingError,
+    TweetPreprocessor,
     build_vocabulary,
     load_vectorizer,
     make_vectorizer,
@@ -25,6 +28,7 @@ from sentibench import (
 from helpers import EXAMPLE_TOKENS_1, EXAMPLE_TOKENS_2, sv
 
 DOCS = [EXAMPLE_TOKENS_1, EXAMPLE_TOKENS_2]
+DEFAULT_PREPROCESSOR = TweetPreprocessor()
 
 
 class TestSparseVector:
@@ -233,16 +237,16 @@ class TestSerialization:
     def test_round_trip_bow(self, tmp_path):
         bow = BowVectorizer().fit(DOCS)
         path = tmp_path / "vec.json"
-        save_vectorizer(bow, str(path))
-        loaded, doc = load_vectorizer(str(path))
+        save_vectorizer(bow, str(path), DEFAULT_PREPROCESSOR)
+        loaded, _ = load_vectorizer(str(path))
         assert loaded.kind == "bow"
         assert loaded.vocabulary_.terms == bow.vocabulary_.terms
-        assert doc["version"] == 1
+        assert json.loads(path.read_text())["version"] == 1
 
     def test_round_trip_tfidf_preserves_idf(self, tmp_path):
         tfidf = TfidfVectorizer().fit(DOCS)
         path = tmp_path / "vec.json"
-        save_vectorizer(tfidf, str(path))
+        save_vectorizer(tfidf, str(path), DEFAULT_PREPROCESSOR)
         loaded, _ = load_vectorizer(str(path))
         assert loaded.idf_table_ == tfidf.idf_table_
         assert loaded.transform_one(EXAMPLE_TOKENS_2) == tfidf.transform_one(
@@ -252,21 +256,33 @@ class TestSerialization:
     def test_save_is_deterministic(self, tmp_path):
         tfidf = TfidfVectorizer().fit(DOCS)
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        save_vectorizer(tfidf, str(p1))
-        save_vectorizer(tfidf, str(p2))
+        save_vectorizer(tfidf, str(p1), DEFAULT_PREPROCESSOR)
+        save_vectorizer(tfidf, str(p2), DEFAULT_PREPROCESSOR)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_extra_section_round_trips(self, tmp_path):
-        bow = BowVectorizer().fit(DOCS)
+    def test_preprocessing_section_round_trips(self, tmp_path):
+        words = frozenset({"he", "she", "the", "is", "that", "gate"})
+        preprocessor = TweetPreprocessor(StopWordList(words), Lemmatizer({"flew": "fly"}))
         path = tmp_path / "vec.json"
-        save_vectorizer(bow, str(path), extra={"preprocessing": {"stopwords": ["the"]}})
-        _, doc = load_vectorizer(str(path))
-        assert doc["preprocessing"] == {"stopwords": ["the"]}
+        save_vectorizer(BowVectorizer().fit(DOCS), str(path), preprocessor)
+        _, loaded = load_vectorizer(str(path))
+        assert loaded.stoplist.words == words
+        assert loaded.lemmatizer.exceptions == {"flew": "fly"}
+
+    def test_missing_preprocessing_section_means_default(self, tmp_path):
+        path = tmp_path / "vec.json"
+        save_vectorizer(BowVectorizer().fit(DOCS), str(path), DEFAULT_PREPROCESSOR)
+        doc = json.loads(path.read_text())
+        del doc["preprocessing"]
+        path.write_text(json.dumps(doc))
+        _, loaded = load_vectorizer(str(path))
+        assert loaded.stoplist.words == DEFAULT_PREPROCESSOR.stoplist.words
+        assert loaded.lemmatizer.exceptions == {}
 
     def test_bad_format_and_version(self, tmp_path):
         bow = BowVectorizer().fit(DOCS)
         path = tmp_path / "vec.json"
-        save_vectorizer(bow, str(path))
+        save_vectorizer(bow, str(path), DEFAULT_PREPROCESSOR)
         doc = json.loads(path.read_text())
         doc["format"] = "something-else"
         path.write_text(json.dumps(doc))
@@ -283,7 +299,7 @@ class TestSerialization:
     ])
     def test_missing_key_is_artifact_error(self, tmp_path, kind, key):
         path = tmp_path / "vec.json"
-        save_vectorizer(make_vectorizer(kind).fit(DOCS), str(path))
+        save_vectorizer(make_vectorizer(kind).fit(DOCS), str(path), DEFAULT_PREPROCESSOR)
         doc = json.loads(path.read_text())
         del doc[key]
         path.write_text(json.dumps(doc))
@@ -292,11 +308,23 @@ class TestSerialization:
 
     def test_wrong_field_types_are_artifact_errors(self, tmp_path):
         path = tmp_path / "vec.json"
-        save_vectorizer(TfidfVectorizer().fit(DOCS), str(path))
+        save_vectorizer(TfidfVectorizer().fit(DOCS), str(path), DEFAULT_PREPROCESSOR)
         good = json.loads(path.read_text())
         for bad in ({**good, "terms": 7}, {**good, "doc_count": "many"},
                     {**good, "idf": [None]}, ["not", "a", "mapping"]):
             path.write_text(json.dumps(bad))
+            with pytest.raises(ArtifactError):
+                load_vectorizer(str(path))
+
+    def test_malformed_preprocessing_is_artifact_error(self, tmp_path):
+        path = tmp_path / "vec.json"
+        save_vectorizer(BowVectorizer().fit(DOCS), str(path), DEFAULT_PREPROCESSOR)
+        good = json.loads(path.read_text())
+        section = good["preprocessing"]
+        for bad in ({"stopwords": ["gate"]}, {**section, "stopwords": "the"},
+                    {**section, "lemma_exceptions": {"flew": 5}},
+                    {**section, "lemma_exceptions": [["flew", "fly"]]}, 5):
+            path.write_text(json.dumps({**good, "preprocessing": bad}))
             with pytest.raises(ArtifactError):
                 load_vectorizer(str(path))
 
