@@ -66,6 +66,7 @@ from .preprocess import (
 from .vectorize import (
     BowVectorizer,
     IdfTable,
+    SparseRows,
     SparseVector,
     TermFrequencies,
     TfidfVectorizer,

@@ -17,17 +17,20 @@ from scipy import sparse
 from ..base import ParamsMixin, check_fitted
 from ..corpus import POLARITIES, POLARITY_INDEX
 from ..errors import ArtifactError, DimensionMismatchError, TrainingError
-from ..vectorize import SparseVector, vectors_to_csr
+from ..vectorize import SparseRows, SparseVector, vectors_to_csr
 
 
 def check_vectors(X, dims: int | None = None):
     """Coerce a vector collection to CSR, verifying dimensionality.
 
-    Accepts a sequence of SparseVector or any scipy sparse / dense 2-d
-    matrix. When ``dims`` is given the width must match exactly. Sparse
-    input with unsorted indices or duplicate entries is canonicalized
-    (duplicates summed) in a copy; the caller's matrix is never modified.
+    Accepts a vectorizer's SparseRows (its matrix is taken as is), a list
+    of SparseVector, or any scipy sparse / dense 2-d matrix. When ``dims``
+    is given the width must match exactly. Sparse input with unsorted
+    indices or duplicate entries is canonicalized (duplicates summed) in a
+    copy; the caller's matrix is never modified.
     """
+    if isinstance(X, SparseRows):
+        X = X.csr
     if sparse.issparse(X):
         csr = X.tocsr()
         if not csr.has_canonical_format:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigError
@@ -258,11 +259,7 @@ class Vocabulary:
 
 def build_vocabulary(docs: Iterable[Sequence[str]]) -> Vocabulary:
     """Collect unique lemmas across docs in first-occurrence order."""
-    seen: dict[str, None] = {}
-    for doc in docs:
-        for token in doc:
-            seen.setdefault(token, None)
-    return Vocabulary(terms=tuple(seen))
+    return Vocabulary(terms=tuple(dict.fromkeys(chain.from_iterable(docs))))
 
 
 class TweetPreprocessor:

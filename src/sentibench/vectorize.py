@@ -4,9 +4,17 @@ Bag-of-words marks term presence with weight 1 (not counts). Tf-idf uses
 tf = count / document-length and idf = ln(N / df) with no smoothing, so a
 term present in every fit document has idf 0 and drops out of every
 transformed vector. Vectorizers are immutable after fit and transforms
-are pure, so fitted instances are safe to share across threads. The
-vectorizer artifact also records the preprocessing the vectorizer was
-fitted behind, so evaluation can rebuild it.
+are pure, so fitted instances are safe to share across threads.
+
+``transform`` vectorizes a whole corpus in one NumPy pass: every token
+is mapped to its vocabulary id, the sorted unique (row, term) pairs are
+counted with ``np.unique``, and their weights are computed as arrays. It
+returns ``SparseRows``, a read-only sequence over the one CSR matrix
+that models take as is; a row becomes a ``SparseVector`` only when it
+is indexed or iterated.
+
+The vectorizer artifact also records the preprocessing the vectorizer
+was fitted behind, so evaluation can rebuild it.
 """
 
 from __future__ import annotations
@@ -91,6 +99,58 @@ def vectors_to_csr(vectors: Sequence[SparseVector], dims: int | None = None):
     return sparse.csr_matrix((data, indices, indptr), shape=(len(vectors), dims))
 
 
+class SparseRows(Sequence[SparseVector]):
+    """Read-only rows of one CSR matrix, each a SparseVector made on demand.
+
+    The SparseVector invariants are checked once, for the whole matrix:
+    indices strictly increasing and in [0, dims) within each row, weights
+    finite and nonzero. Models take ``csr`` as it is.
+    """
+
+    def __init__(self, csr):
+        indptr, indices, data = csr.indptr, csr.indices, csr.data
+        # wherever an index does not increase, a new row must start
+        steps = np.flatnonzero(np.diff(indices) <= 0) + 1
+        if not np.isin(steps, indptr).all():
+            raise ValueError("indices must be strictly increasing within each row")
+        if indices.size and not (0 <= indices.min() and indices.max() < csr.shape[1]):
+            raise ValueError(f"index out of range for dims={csr.shape[1]}")
+        if not np.isfinite(data).all():
+            raise ValueError("weights must be finite")
+        if not data.all():
+            raise ValueError("explicit zero weights are not allowed")
+        self.csr = csr
+
+    def __len__(self) -> int:
+        return self.csr.shape[0]
+
+    def __getitem__(self, i: int) -> SparseVector:
+        i = range(len(self))[i]  # a negative or out-of-range i as for a list
+        lo, hi = self.csr.indptr[i:i + 2].tolist()
+        return SparseVector(
+            self.csr.shape[1],
+            tuple(self.csr.indices[lo:hi].tolist()),
+            tuple(self.csr.data[lo:hi].tolist()),
+        )
+
+
+def _count_terms(docs: Sequence[Sequence[str]], index: Mapping[str, int]):
+    """Sorted unique (row, term) pairs of the docs' in-vocabulary tokens,
+    with their counts, and the length of every doc (all of its tokens).
+
+    Returns (row, term, counts, lengths) as int64 arrays.
+    """
+    lengths = np.fromiter(map(len, docs), dtype=np.int64, count=len(docs))
+    get = index.get
+    ids = np.array([get(t, -1) for doc in docs for t in doc], dtype=np.int64)
+    rows = np.repeat(np.arange(len(docs), dtype=np.int64), lengths)
+    known = ids >= 0
+    width = max(len(index), 1)
+    keys, counts = np.unique(rows[known] * width + ids[known], return_counts=True)
+    row, term = np.divmod(keys, width)
+    return row, term, counts, lengths
+
+
 @dataclass(frozen=True)
 class TermFrequencies:
     """Per-document term counts and the shared denominator.
@@ -140,20 +200,10 @@ class IdfTable:
             if (w == 0.0) != (d == self.doc_count):
                 raise ValueError("idf is zero exactly when df equals doc_count")
 
-    @classmethod
-    def from_docs(cls, docs: Sequence[Sequence[str]], vocab: Vocabulary) -> "IdfTable":
-        n = len(docs)
-        df = [0] * len(vocab)
-        for doc in docs:
-            for idx in {vocab.index[t] for t in doc if t in vocab}:
-                df[idx] += 1
-        idf = tuple(math.log(n / d) if d else 0.0 for d in df)
-        return cls(doc_count=n, df=tuple(df), idf=idf)
-
 
 class _Vectorizer(ParamsMixin):
     """Shared vocabulary, dims and transform; subclasses define fit and
-    the per-document weights, and extend the artifact state."""
+    the weights of the counted terms, and extend the artifact state."""
 
     def __init__(self):
         self.vocabulary_: Vocabulary | None = None
@@ -163,14 +213,24 @@ class _Vectorizer(ParamsMixin):
         check_fitted(self, "vocabulary_")
         return len(self.vocabulary_)
 
-    def _weights(self, doc: Sequence[str]) -> tuple[tuple[int, ...], tuple[float, ...]]:
-        """(sorted indices, nonzero weights) of one document."""
+    def _weights(self, term: np.ndarray, counts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """Weight of each counted (row, term) entry, given its term, count
+        and the length of its row's document."""
         raise NotImplementedError
 
-    def transform(self, docs: Iterable[Sequence[str]]) -> list[SparseVector]:
+    def transform(self, docs: Iterable[Sequence[str]]) -> SparseRows:
         check_fitted(self, "vocabulary_")
+        docs = list(docs)
         dims = len(self.vocabulary_)
-        return [SparseVector(dims, *self._weights(doc)) for doc in docs]
+        row, term, counts, lengths = _count_terms(docs, self.vocabulary_.index)
+        data = self._weights(term, counts, lengths[row])
+        keep = data != 0.0
+        row, term, data = row[keep], term[keep], data[keep]
+        indptr = np.zeros(len(docs) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row, minlength=len(docs)), out=indptr[1:])
+        return SparseRows(sparse.csr_matrix(
+            (data, term.astype(np.int32), indptr), shape=(len(docs), dims)
+        ))
 
     def transform_one(self, doc: Sequence[str]) -> SparseVector:
         return self.transform([doc])[0]
@@ -182,7 +242,10 @@ class _Vectorizer(ParamsMixin):
 
     def load_state(self, doc: Mapping) -> None:
         """Restore fitted state from an artifact document."""
-        self.vocabulary_ = Vocabulary(terms=tuple(doc["terms"]))
+        terms = doc["terms"]
+        if not (isinstance(terms, list) and all(isinstance(t, str) for t in terms)):
+            raise ArtifactError("terms must be a list of strings")
+        self.vocabulary_ = Vocabulary(terms=tuple(terms))
 
 
 class BowVectorizer(_Vectorizer):
@@ -194,10 +257,8 @@ class BowVectorizer(_Vectorizer):
         self.vocabulary_ = build_vocabulary(docs)
         return self
 
-    def _weights(self, doc: Sequence[str]) -> tuple[tuple[int, ...], tuple[float, ...]]:
-        index = self.vocabulary_.index
-        present = tuple(sorted({index[t] for t in doc if t in index}))
-        return present, (1.0,) * len(present)
+    def _weights(self, term, counts, lengths):
+        return np.ones(term.size)
 
 
 class TfidfVectorizer(_Vectorizer):
@@ -209,18 +270,17 @@ class TfidfVectorizer(_Vectorizer):
         if len(docs) == 0:
             raise TrainingError("tfidf requires at least one fit document")
         self.vocabulary_ = build_vocabulary(docs)
-        self.idf_table_ = IdfTable.from_docs(docs, self.vocabulary_)
+        _, term, _, _ = _count_terms(docs, self.vocabulary_.index)
+        df = np.bincount(term, minlength=len(self.vocabulary_)).tolist()
+        n = len(docs)
+        self.idf_table_ = IdfTable(
+            doc_count=n, df=tuple(df), idf=tuple(math.log(n / d) for d in df)
+        )
         return self
 
-    def _weights(self, doc: Sequence[str]) -> tuple[tuple[int, ...], tuple[float, ...]]:
-        freqs = term_frequency(doc, self.vocabulary_)
-        idf = self.idf_table_.idf
-        entries = []
-        for idx in sorted(freqs.counts):
-            weight = freqs.counts[idx] / freqs.total_terms * idf[idx]
-            if weight != 0.0:
-                entries.append((idx, weight))
-        return tuple(i for i, _ in entries), tuple(w for _, w in entries)
+    def _weights(self, term, counts, lengths):
+        # left to right: count / length first, then * idf (another order changes the last bits)
+        return counts / lengths * np.array(self.idf_table_.idf)[term]
 
     def state_to_dict(self) -> dict:
         return {

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: artifacts, reports, determinism, errors."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import sentibench
 from sentibench import load_model, load_vectorizer
 from sentibench.cli import main
 from helpers import FIXTURE_COUNTS, FIXTURE_CSV
@@ -246,6 +248,30 @@ class TestArtifactShapes:
         assert err.startswith("error[artifact]"), err
         assert len(err.strip().splitlines()) == 1
 
+    def test_terms_string_is_one_artifact_error(self, trained_artifacts, tmp_path, capsys):
+        # "usa" would load as the terms u, s, a; with a 3-wide model to match,
+        # every test vector would be empty and evaluate would still exit 0.
+        for path in trained_artifacts.iterdir():
+            shutil.copy(path, tmp_path)
+        vec_path, model_path = tmp_path / "vectorizer_tfidf.json", tmp_path / "model_mnb_tfidf.json"
+        vec = json.loads(vec_path.read_text())
+        vec.update(terms="usa", df=[1, 1, 1], idf=[1.0, 1.0, 1.0])
+        vec_path.write_text(json.dumps(vec))
+        model = json.loads(model_path.read_text())
+        model["dims"] = 3
+        params = model["params"]
+        params["feature_log_likelihood"] = [row[:3] for row in params["feature_log_likelihood"]]
+        model_path.write_text(json.dumps(model))
+        capsys.readouterr()
+        code = run([
+            "evaluate", "--data", FIXTURE_CSV, "--out-dir", tmp_path / "e",
+            "--model-artifact", model_path, "--vectorizer-artifact", vec_path,
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error[artifact]") and "terms" in err, err
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestCompare:
     def grid(self, tmp_path, out_name, extra=()):
@@ -389,12 +415,21 @@ class TestConfigHandling:
         assert capsys.readouterr().err == "error[internal]: RuntimeError: boom\n"
 
 
+def child_env() -> dict:
+    """This process's environment, with the directory ``sentibench`` was
+    imported from first on the child's PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(Path(sentibench.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestSubprocessInterface:
     def test_module_invocation_success_and_failure(self, tmp_path):
         ok = subprocess.run(
             [sys.executable, "-m", "sentibench.cli", "stats",
              "--data", FIXTURE_CSV, "--out-dir", str(tmp_path / "o")],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=child_env(),
         )
         assert ok.returncode == 0
         assert "negative" in ok.stdout
@@ -402,7 +437,7 @@ class TestSubprocessInterface:
         bad = subprocess.run(
             [sys.executable, "-m", "sentibench.cli", "stats",
              "--data", str(tmp_path / "missing.csv")],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=child_env(),
         )
         assert bad.returncode == 1
         assert bad.stderr.startswith("error[config]")

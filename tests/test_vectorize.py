@@ -5,14 +5,20 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
+import vectorize_reference
 from sentibench import (
     ArtifactError,
     BowVectorizer,
     DimensionMismatchError,
     IdfTable,
     Lemmatizer,
+    SparseRows,
     SparseVector,
     StopWordList,
     TfidfVectorizer,
@@ -25,6 +31,7 @@ from sentibench import (
     term_frequency,
     vectors_to_csr,
 )
+from sentibench.models import check_vectors
 from helpers import EXAMPLE_TOKENS_1, EXAMPLE_TOKENS_2, sv
 
 DOCS = [EXAMPLE_TOKENS_1, EXAMPLE_TOKENS_2]
@@ -96,7 +103,7 @@ class TestBow:
 
     def test_transform_matches_per_doc(self):
         bow = BowVectorizer().fit(DOCS)
-        assert bow.transform(DOCS) == [bow.transform_one(d) for d in DOCS]
+        assert list(bow.transform(DOCS)) == vectorize_reference.transform(bow, DOCS)
 
     def test_transform_deterministic(self):
         bow = BowVectorizer().fit(DOCS)
@@ -204,7 +211,7 @@ class TestTfidfTransform:
 
     def test_transform_corpus_matches_per_doc(self):
         tfidf = TfidfVectorizer().fit(DOCS)
-        assert tfidf.transform(DOCS) == [tfidf.transform_one(d) for d in DOCS]
+        assert list(tfidf.transform(DOCS)) == vectorize_reference.transform(tfidf, DOCS)
 
     def test_transform_bit_identical(self):
         tfidf = TfidfVectorizer().fit(DOCS)
@@ -231,6 +238,97 @@ class TestTfidfTransform:
                     df = sum(1 for d in docs if term in d)
                     expected = tf * math.log(n_docs / df)
                     assert abs(dense[idx] - expected) <= 1e-12
+
+
+FIT_TOKENS = st.sampled_from("abcde")
+DOC_TOKENS = st.sampled_from("abcdefgh")  # f, g and h are never fitted
+
+
+def assert_matches_reference(kind, fit_docs, docs):
+    """Fitted state and the transform's CSR equal the per-document loops,
+    bit for bit."""
+    vec = make_vectorizer(kind).fit(fit_docs)
+    vocab = vectorize_reference.vocabulary(fit_docs)
+    assert vec.vocabulary_.terms == vocab.terms
+    if kind == "tfidf":
+        table = vectorize_reference.idf_table(fit_docs, vocab)
+        assert (vec.idf_table_.doc_count, vec.idf_table_.df) == (table.doc_count, table.df)
+        assert np.array(vec.idf_table_.idf).tobytes() == np.array(table.idf).tobytes()
+    got = vec.transform(docs).csr
+    want = vectorize_reference.transform_csr(vec, docs)
+    assert got.shape == want.shape
+    for name in ("indptr", "indices"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
+    assert got.data.dtype == want.data.dtype
+    assert got.data.tobytes() == want.data.tobytes()
+
+
+class TestBulkTransform:
+    @pytest.mark.parametrize("kind", ["bow", "tfidf"])
+    @pytest.mark.parametrize("fit_docs, docs", [
+        pytest.param([["a", "b"], ["c"]], [[], ["a"], []], id="empty docs"),
+        pytest.param([["a", "b"], ["c"]], [["x", "y"], ["a", "x", "x"]], id="all-oov doc"),
+        pytest.param([["a", "a", "b"], ["b"]], [["a", "a", "a", "b"]], id="repeated tokens"),
+        pytest.param([["a", "b"], ["a", "c"], ["c", "a"]], [["a", "b", "c"], ["a"]],
+                     id="term in every fit doc"),
+        pytest.param([["a", "b", "a"]], [["a", "b", "a"], ["b"]], id="one doc"),
+        pytest.param([["a"], ["b"]], [], id="zero docs"),
+        pytest.param([[], []], [["a"], []], id="empty vocabulary"),
+    ])
+    def test_edge_cases_match_reference(self, kind, fit_docs, docs):
+        assert_matches_reference(kind, fit_docs, docs)
+
+    def test_bow_fit_on_zero_docs(self):
+        assert_matches_reference("bow", [], [["a"], []])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(["bow", "tfidf"]),
+        fit_docs=st.lists(st.lists(FIT_TOKENS, max_size=8), min_size=1, max_size=6),
+        docs=st.lists(st.lists(DOC_TOKENS, max_size=10), max_size=6),
+    )
+    def test_random_corpora_match_reference(self, kind, fit_docs, docs):
+        assert_matches_reference(kind, fit_docs, docs)
+
+
+class TestSparseRows:
+    @pytest.mark.parametrize("kind", ["bow", "tfidf"])
+    def test_row_sequence_contract(self, kind):
+        vec = make_vectorizer(kind).fit(DOCS)
+        docs = [*DOCS, [], ["pizza"], EXAMPLE_TOKENS_2 * 2]
+        out = vec.transform(docs)
+        assert len(out) == out.csr.shape[0] == len(docs)
+        assert sum(v.nnz for v in out) == out.csr.nnz
+        for i, doc in enumerate(docs):
+            assert out[i] == vec.transform_one(doc)
+        assert out[-1] == out[len(docs) - 1]
+        with pytest.raises(IndexError):
+            out[len(docs)]
+        assert check_vectors(out) is out.csr
+        assert check_vectors(out, dims=vec.dims) is out.csr
+        with pytest.raises(DimensionMismatchError):
+            check_vectors(out, dims=vec.dims + 1)
+
+    @pytest.mark.parametrize("indptr, indices, data", [
+        ([0, 2], [1, 0], [1.0, 1.0]),  # decreasing within a row
+        ([0, 2], [1, 1], [1.0, 1.0]),  # repeated within a row
+        ([0, 1], [3], [1.0]),  # out of range
+        ([0, 1], [0], [0.0]),
+        ([0, 1], [0], [float("nan")]),
+        ([0, 1], [0], [float("inf")]),
+    ])
+    def test_rejects_what_sparse_vector_rejects(self, indptr, indices, data):
+        with pytest.raises(ValueError):
+            SparseVector(3, tuple(indices), tuple(data))
+        csr = sparse.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, 3))
+        with pytest.raises(ValueError):
+            SparseRows(csr)
+
+    def test_index_may_fall_between_rows(self):
+        csr = sparse.csr_matrix(([1.0, 2.0, 3.0], [2, 0, 1], [0, 1, 1, 3]), shape=(3, 3))
+        rows = SparseRows(csr)
+        assert list(rows) == [sv(3, [(2, 1.0)]), sv(3, []), sv(3, [(0, 2.0), (1, 3.0)])]
 
 
 class TestSerialization:

@@ -1,0 +1,66 @@
+"""Per-document vectorizer loops, kept as the reference for the bulk transform.
+
+These are the bag-of-words and tf-idf weightings the vectorizers used
+before they built one CSR matrix for a whole corpus with NumPy: each
+document is counted on its own, through ``term_frequency``, and its
+(index, weight) pairs become one ``SparseVector``. ``idf_table`` is the
+per-document df count the tf-idf fit used. The bulk code must produce
+the same vocabulary, df, idf and CSR matrix, bit for bit.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Sequence
+
+from sentibench.preprocess import Vocabulary
+from sentibench.vectorize import IdfTable, SparseVector, term_frequency, vectors_to_csr
+
+
+def vocabulary(docs: Sequence[Sequence[str]]) -> Vocabulary:
+    """Unique tokens in first-occurrence order, one setdefault per token."""
+    seen: dict[str, None] = {}
+    for doc in docs:
+        for token in doc:
+            seen.setdefault(token, None)
+    return Vocabulary(terms=tuple(seen))
+
+
+def idf_table(docs: Sequence[Sequence[str]], vocab: Vocabulary) -> IdfTable:
+    n = len(docs)
+    df = [0] * len(vocab)
+    for doc in docs:
+        for idx in {vocab.index[t] for t in doc if t in vocab}:
+            df[idx] += 1
+    idf = tuple(math.log(n / d) if d else 0.0 for d in df)
+    return IdfTable(doc_count=n, df=tuple(df), idf=idf)
+
+
+def bow_weights(doc: Sequence[str], vocab: Vocabulary):
+    index = vocab.index
+    present = tuple(sorted({index[t] for t in doc if t in index}))
+    return present, (1.0,) * len(present)
+
+
+def tfidf_weights(doc: Sequence[str], vocab: Vocabulary, idf: Sequence[float]):
+    freqs = term_frequency(doc, vocab)
+    entries = []
+    for idx in sorted(freqs.counts):
+        weight = freqs.counts[idx] / freqs.total_terms * idf[idx]
+        if weight != 0.0:
+            entries.append((idx, weight))
+    return tuple(i for i, _ in entries), tuple(w for _, w in entries)
+
+
+def transform(vec, docs: Sequence[Sequence[str]]) -> list[SparseVector]:
+    """One SparseVector per document, weighted the way ``vec.kind`` does."""
+    vocab = vec.vocabulary_
+    if vec.kind == "bow":
+        pairs = [bow_weights(doc, vocab) for doc in docs]
+    else:
+        pairs = [tfidf_weights(doc, vocab, vec.idf_table_.idf) for doc in docs]
+    return [SparseVector(len(vocab), *p) for p in pairs]
+
+
+def transform_csr(vec, docs: Sequence[Sequence[str]]):
+    return vectors_to_csr(transform(vec, docs), dims=len(vec.vocabulary_))
