@@ -106,6 +106,8 @@ class ExperimentConfig:
             raise ConfigError("select at least one vectorizer")
         if not self.models:
             raise ConfigError("select at least one model")
+        if not self.formats:
+            raise ConfigError("select at least one output format")
         for kind in self.vectorizers:
             if kind not in VECTORIZER_KINDS:
                 raise ConfigError(f"unknown vectorizer {kind!r}")
@@ -372,9 +374,10 @@ def cmd_evaluate(config: ExperimentConfig, model_path: str, vectorizer_path: str
     vectorizer, preprocessor = load_vectorizer(vectorizer_path)
     model = load_model(model_path)
     _, test = _split(config)
+    test_vectors = vectorizer.transform(preprocessor.preprocess_corpus(test.texts()))
 
     report = evaluate(
-        model, vectorizer, test, preprocessor, metadata=_report_metadata(config, test)
+        model, vectorizer, test, test_vectors, metadata=_report_metadata(config, test)
     )
     table = report.render_table()
     print(table)
@@ -424,6 +427,7 @@ def cmd_compare(config: ExperimentConfig) -> int:
     train, test = _split(config)
     preprocessor = config.build_preprocessor()
     train_docs = preprocessor.preprocess_corpus(train.texts())
+    test_docs = preprocessor.preprocess_corpus(test.texts())
     metadata = _report_metadata(config, test)
 
     rows = []
@@ -431,9 +435,10 @@ def cmd_compare(config: ExperimentConfig) -> int:
     for vectorizer_kind in config.vectorizers:
         vectorizer = make_vectorizer(vectorizer_kind).fit(train_docs)
         train_vectors = vectorizer.transform(train_docs)
+        test_vectors = vectorizer.transform(test_docs)
         for model_kind in config.models:
             model = _train_cell(config, model_kind, train_vectors, train.labels())
-            report = evaluate(model, vectorizer, test, preprocessor, metadata=metadata)
+            report = evaluate(model, vectorizer, test, test_vectors, metadata=metadata)
             report_files[f"report_{model_kind}_{vectorizer_kind}.json"] = report.to_json_dict()
             rows.append(
                 {

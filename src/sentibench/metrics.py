@@ -188,11 +188,14 @@ class MetricsReport:
         return "\n".join(lines)
 
 
-def evaluate(model, vectorizer, test_corpus, preprocessor, metadata=None) -> MetricsReport:
-    """Transform the test corpus, predict, and assemble a full report.
+def evaluate(model, vectorizer, test_corpus, test_vectors, metadata=None) -> MetricsReport:
+    """Predict the test vectors and assemble a full report.
 
-    The model and vectorizer must agree on dimensionality; the test
-    corpus must be non-empty.
+    ``test_vectors`` is ``vectorizer.transform`` of the preprocessed
+    ``test_corpus``, one row per record in corpus order; the caller
+    preprocesses and transforms, so one test split can be scored by many
+    models without repeating that work. The model and vectorizer must
+    agree on dimensionality; the test corpus must be non-empty.
     """
     if len(test_corpus) == 0:
         raise DatasetError("cannot evaluate on an empty test corpus")
@@ -200,9 +203,7 @@ def evaluate(model, vectorizer, test_corpus, preprocessor, metadata=None) -> Met
         raise DimensionMismatchError(
             f"model expects {model.dims} dims, vectorizer produces {vectorizer.dims}"
         )
-    docs = preprocessor.preprocess_corpus(test_corpus.texts())
-    vectors = vectorizer.transform(docs)
-    predictions = model.predict(vectors)
+    predictions = model.predict(test_vectors)
     meta = {
         "model": model.variant,
         "vectorizer": vectorizer.kind,

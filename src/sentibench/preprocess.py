@@ -1,13 +1,15 @@
 """Raw tweet text to cleaned, lemmatized tokens, and vocabulary building.
 
 Pipeline: clean_text -> tokenize -> remove_stopwords -> lemmatize.
-All steps are pure; Lemmatizer and StopWordList are immutable after
-construction, so documents can be preprocessed concurrently.
+StopWordList and Lemmatizer are immutable after construction. A
+TweetPreprocessor runs the pipeline through one token table of its own,
+filled the first time each distinct token is seen: it maps the token to
+its lemma, or to None for a stop-word, so each distinct token is checked
+and lemmatized once per instance, not once per occurrence.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from importlib import resources
 from itertools import chain
@@ -19,13 +21,22 @@ TokenList = list[str]
 
 _VOWELS = set("aeiou")
 
-# Fast path for the overwhelmingly common ASCII junk; anything exotic
-# (superscripts, roman numerals, emoji) falls through to isalpha below.
-_ASCII_NON_LETTER = re.compile(r"[\x00-\x40\x5b-\x60\x7b-\x7f]+")
+# Byte translation table for all-ASCII text: ASCII letters stay, every
+# other byte becomes a space.
+_ASCII_LETTERS = bytes(b if b < 128 and chr(b).isalpha() else 0x20 for b in range(256))
 
 
-def _keep_letters(text: str) -> str:
-    return "".join(ch if ch.isalpha() else " " for ch in text)
+def _words(raw: str) -> TokenList:
+    """Lowercase, blank every character that is not a letter, split.
+
+    For an ASCII character, isalpha means an ASCII letter, so an all-ASCII
+    text takes one byte translation and any other text the isalpha pass;
+    both give the same tokens.
+    """
+    text = raw.lower()
+    if text.isascii():
+        return text.encode("ascii").translate(_ASCII_LETTERS).decode("ascii").split()
+    return "".join(ch if ch.isalpha() else " " for ch in text).split()
 
 
 def clean_text(raw: str) -> str:
@@ -35,10 +46,7 @@ def clean_text(raw: str) -> str:
     collapse to single spaces. Non-ASCII letters survive (lowercased);
     emoji and numeric glyphs of any script do not. Idempotent.
     """
-    text = _ASCII_NON_LETTER.sub(" ", raw.lower())
-    if not text.isascii():
-        text = _keep_letters(text)
-    return " ".join(text.split())
+    return " ".join(_words(raw))
 
 
 def tokenize(cleaned: str) -> TokenList:
@@ -169,22 +177,16 @@ class Lemmatizer:
 
     def __init__(self, exceptions: Mapping[str, str] | None = None):
         self.exceptions = dict(exceptions or {})
-        self._cache: dict[str, str] = {}
 
     def lemmatize(self, token: str) -> str:
         if token in self.exceptions:
             return self.exceptions[token]
-        cached = self._cache.get(token)
-        if cached is not None:
-            return cached
         word = token
         while True:
             reduced = self._apply_first_rule(word)
             if reduced == word:
-                break
+                return word
             word = reduced
-        self._cache[token] = word
-        return word
 
     def _apply_first_rule(self, word: str) -> str:
         # Plural family first, so stacked suffixes ("meetings") reduce
@@ -231,8 +233,7 @@ def preprocess_tweet(
     May return an empty list (such tweets stay in the dataset as
     all-zero vectors downstream).
     """
-    tokens = remove_stopwords(tokenize(clean_text(raw)), stoplist)
-    return [lemmatizer.lemmatize(t) for t in tokens]
+    return TweetPreprocessor(stoplist, lemmatizer)(raw)
 
 
 @dataclass(frozen=True)
@@ -262,8 +263,26 @@ def build_vocabulary(docs: Iterable[Sequence[str]]) -> Vocabulary:
     return Vocabulary(terms=tuple(dict.fromkeys(chain.from_iterable(docs))))
 
 
+class _TokenTable(dict):
+    """Token -> lemma, or None for a stop-word, filled on first sight."""
+
+    def __init__(self, stoplist: StopWordList, lemmatizer: Lemmatizer):
+        super().__init__()
+        self.stoplist = stoplist
+        self.lemmatizer = lemmatizer
+
+    def __missing__(self, token: str) -> str | None:
+        lemma = None if token in self.stoplist else self.lemmatizer.lemmatize(token)
+        self[token] = lemma
+        return lemma
+
+
 class TweetPreprocessor:
-    """Bundles a stop-word list and lemmatizer into one callable."""
+    """Bundles a stop-word list and lemmatizer into one callable.
+
+    Keeps one token table per instance, so the stop-word list and the
+    lemmatizer must not change after construction.
+    """
 
     def __init__(
         self,
@@ -272,9 +291,14 @@ class TweetPreprocessor:
     ):
         self.stoplist = stoplist if stoplist is not None else load_stopwords()
         self.lemmatizer = lemmatizer if lemmatizer is not None else Lemmatizer()
+        self._table = _TokenTable(self.stoplist, self.lemmatizer)
 
     def __call__(self, raw: str) -> TokenList:
-        return preprocess_tweet(raw, self.stoplist, self.lemmatizer)
+        return self.preprocess_corpus([raw])[0]
 
     def preprocess_corpus(self, texts: Iterable[str]) -> list[TokenList]:
-        return [self(text) for text in texts]
+        """One token list per text, one text at a time."""
+        lookup = self._table.__getitem__
+        return [
+            [t for t in map(lookup, _words(raw)) if t is not None] for raw in texts
+        ]

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: artifacts, reports, determinism, errors."""
 
+import csv
 import json
 import os
 import shutil
@@ -10,7 +11,13 @@ from pathlib import Path
 import pytest
 
 import sentibench
-from sentibench import load_model, load_vectorizer
+from sentibench import (
+    BowVectorizer,
+    TfidfVectorizer,
+    TweetPreprocessor,
+    load_model,
+    load_vectorizer,
+)
 from sentibench.cli import main
 from helpers import FIXTURE_COUNTS, FIXTURE_CSV
 
@@ -323,6 +330,36 @@ class TestCompare:
         for row in payload["rows"]:
             assert row["weighted_recall"] == pytest.approx(row["accuracy"], abs=1e-12)
 
+    def test_each_row_preprocessed_once_and_test_split_transformed_once(
+        self, tmp_path, monkeypatch
+    ):
+        preprocessed, transforms = [], []
+        preprocess_corpus = TweetPreprocessor.preprocess_corpus
+
+        def counting_preprocess(self, texts):
+            texts = list(texts)
+            preprocessed.extend(texts)
+            return preprocess_corpus(self, texts)
+
+        monkeypatch.setattr(TweetPreprocessor, "preprocess_corpus", counting_preprocess)
+        for cls in (BowVectorizer, TfidfVectorizer):
+            def counting_transform(self, docs, _transform=cls.transform):
+                transforms.append((self.kind, len(docs)))
+                return _transform(self, docs)
+
+            monkeypatch.setattr(cls, "transform", counting_transform)
+
+        out = self.grid(tmp_path, "counted", extra=["--model", "mnb,logreg"])
+        payload = json.loads((out / "comparison.json").read_text())
+        train_size, test_size = payload["train_size"], payload["test_size"]
+        with open(FIXTURE_CSV, newline="", encoding="utf-8") as handle:
+            texts = [row["text"] for row in csv.DictReader(handle)]
+        assert sorted(preprocessed) == sorted(texts)
+        assert transforms == [
+            ("bow", train_size), ("bow", test_size),
+            ("tfidf", train_size), ("tfidf", test_size),
+        ]
+
 
 class TestConfigHandling:
     def test_config_file_with_flag_override(self, tmp_path, capsys):
@@ -405,6 +442,24 @@ class TestConfigHandling:
         assert run(["compare", "--config", config]) == 0
         payload = json.loads((tmp_path / "o" / "comparison.json").read_text())
         assert [r["model"] for r in payload["rows"]] == ["mnb", "logreg"]
+
+    @pytest.mark.parametrize("command,formats", [
+        ("stats", ""), ("stats", ","), ("stats", []), ("compare", ""),
+    ])
+    def test_empty_format_list_is_rejected(self, tmp_path, capsys, command, formats):
+        out = tmp_path / "o"
+        argv = [command, "--out-dir", out]
+        if isinstance(formats, list):
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"data": FIXTURE_CSV, "formats": formats}))
+            argv += ["--config", config]
+        else:
+            argv += ["--data", FIXTURE_CSV, "--format", formats]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error[config]: select at least one output format\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_unexpected_exception_is_internal_error(self, monkeypatch, capsys):
         def broken(config):

@@ -3,7 +3,9 @@
 The digests lock behaviour byte for byte: each of the 8 model artifacts
 (svm/mnb/rf/logreg x bow/tfidf), both vectorizer artifacts, and every
 `stats`, `evaluate` and `compare` output file (json, csv, txt), on the
-fixture CSV and on a small deterministic corpus built here. Paths are
+fixture CSV and on two small deterministic corpora built here, one ASCII
+and one whose rows also hold accented and uppercase non-ASCII letters,
+emoji, non-Latin digits and no-break spaces. Paths are
 relative to a temporary working directory, so the `dataset` field of the
 reports does not depend on where the checkout lives.
 
@@ -49,14 +51,38 @@ def synthetic_rows(n: int = 120) -> list[tuple[str, str]]:
     return rows
 
 
+# One uppercase non-ASCII marker per class, and decorations that cleaning
+# must split on (emoji, non-Latin digits) or keep as letters (accents,
+# Greek with a final sigma, the dotted capital I).
+_UNICODE_MARKERS = {"negative": "RETARDÉS", "neutral": "ÉCHÉANCE", "positive": "GÉNIAL"}
+_DECORATIONS = [
+    "Ärger", "😀", "✈️👍", "٣٤", "５０min", "x²", "İstanbul", "ΣΟΦΟΣ",
+    "naïve", "ÑANDÚ", "१२३", "Ⅻ", "crème\u00a0brûlée", "Øresund",
+]
+
+
+def unicode_rows(n: int = 120) -> list[tuple[str, str]]:
+    """The synthetic rows with a class marker on every other row, one
+    decoration per row, and no-break spaces between words on every third."""
+    rows = []
+    for i, (text, label) in enumerate(synthetic_rows(n)):
+        words = text.split(" ")
+        if i % 2 == 0:
+            words.insert(1 + i % 3, _UNICODE_MARKERS[label])
+        words.insert(i % len(words), _DECORATIONS[i % len(_DECORATIONS)])
+        rows.append(("\u00a0".join(words) if i % 3 == 0 else " ".join(words), label))
+    return rows
+
+
 def write_corpus(path: Path, name: str) -> None:
     if name == "fixture":
         shutil.copyfile(FIXTURE_CSV, path)
         return
+    rows = synthetic_rows() if name == "synthetic" else unicode_rows()
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["text", "airline_sentiment"])
-        writer.writerows(synthetic_rows())
+        writer.writerows(rows)
 
 
 def run_everything(workdir: Path, name: str) -> dict[str, str]:
@@ -279,6 +305,104 @@ GOLDEN = {
         "train/vectorizer_tfidf.json":
             "676722b3774d59d73a76b3b88f2c2544124f16f63d1fff995cb5929a2046e7a3",
     },
+    "unicode": {
+        "compare/comparison.csv":
+            "a9778181943a0638afd9c1a8b7a3fb6405563f3acfce07bc68e57dbfaed087d6",
+        "compare/comparison.json":
+            "9078e081a21bac751b2c7a6c619d52f00160ca9b89521cfd94d29dab7fe22df4",
+        "compare/comparison.txt":
+            "35e989ac046120b64e5f8b94f8f7c0ea12c078faef282f9ebaa790c6fa3bd6d9",
+        "compare/report_logreg_bow.json":
+            "a8a4248005ded9c626658fb9b7577dac02578bece62fb2c618ea2911269e2589",
+        "compare/report_logreg_tfidf.json":
+            "b3d0e6b7f07e56cfc807a4b1ad64d8c5b359da69c27759def2c84827a9b63ddd",
+        "compare/report_mnb_bow.json":
+            "bdc7d654fae2e548df35515902d1a66c694d10d349217b2fbf08ccc3e4d6bf8a",
+        "compare/report_mnb_tfidf.json":
+            "8a479f9fc12be9a01dae4ae388038ed5cec09523412c337cd8fda0df37507061",
+        "compare/report_rf_bow.json":
+            "c4a16671b7fcccce13c39cf8bfd5d8de2f50075bb9987ab8096ba4883c3a36cd",
+        "compare/report_rf_tfidf.json":
+            "129f80e0b255501ac32071160b897b07c266f67c0956d2cc5bd3cb9d8bcc9d83",
+        "compare/report_svm_bow.json":
+            "54225e4cbd5583be2ee0cb0ea82db98c5c0e29f857a56046bb49e2eb510ec3a2",
+        "compare/report_svm_tfidf.json":
+            "193abef03ef9a14039249b4364b4f2cd1c9abea3bd67caa0cc771a2254452b2c",
+        "evaluate/report_logreg_bow.csv":
+            "de70c22d52706a8b76742f4b91ae7d1be80de11e6b21a026470b59385ae19322",
+        "evaluate/report_logreg_bow.json":
+            "a8a4248005ded9c626658fb9b7577dac02578bece62fb2c618ea2911269e2589",
+        "evaluate/report_logreg_bow.txt":
+            "de21ffbff02bb354fe08e2496e141e6910194a2382c761c49c1d81e16dcc1ce4",
+        "evaluate/report_logreg_tfidf.csv":
+            "73b624cbdae12aefd555bb1f0b7ff1f026b90fe6e9bb15d8b29ce4bee989b3aa",
+        "evaluate/report_logreg_tfidf.json":
+            "b3d0e6b7f07e56cfc807a4b1ad64d8c5b359da69c27759def2c84827a9b63ddd",
+        "evaluate/report_logreg_tfidf.txt":
+            "5c3d60fba55b0f911fc909dd2bc96f6a9e6752ab1afe1a29628be43974a4ab32",
+        "evaluate/report_mnb_bow.csv":
+            "2b7101d1ec67bcdbb0cda98ea82e17d9984b71c3bb0124cc2772b06997def133",
+        "evaluate/report_mnb_bow.json":
+            "bdc7d654fae2e548df35515902d1a66c694d10d349217b2fbf08ccc3e4d6bf8a",
+        "evaluate/report_mnb_bow.txt":
+            "8e87ed49fb8c6d2362a34618aa63ffd617a1437e43767974852d7f16ad1642c9",
+        "evaluate/report_mnb_tfidf.csv":
+            "2b7101d1ec67bcdbb0cda98ea82e17d9984b71c3bb0124cc2772b06997def133",
+        "evaluate/report_mnb_tfidf.json":
+            "8a479f9fc12be9a01dae4ae388038ed5cec09523412c337cd8fda0df37507061",
+        "evaluate/report_mnb_tfidf.txt":
+            "8e87ed49fb8c6d2362a34618aa63ffd617a1437e43767974852d7f16ad1642c9",
+        "evaluate/report_rf_bow.csv":
+            "5187593bcff8ef1ee3c4ba3c8bcc4cfb75174bdd77221cf55c7f4f74c7656502",
+        "evaluate/report_rf_bow.json":
+            "c4a16671b7fcccce13c39cf8bfd5d8de2f50075bb9987ab8096ba4883c3a36cd",
+        "evaluate/report_rf_bow.txt":
+            "d7202c364acc289d6f2aa69ccbc7e16d97214e216e7fb2c290ed445df12cb8f4",
+        "evaluate/report_rf_tfidf.csv":
+            "ca10930cf594b2e1494d50e0c0a008263e87c160410ffe12f05b01ecb79a7941",
+        "evaluate/report_rf_tfidf.json":
+            "129f80e0b255501ac32071160b897b07c266f67c0956d2cc5bd3cb9d8bcc9d83",
+        "evaluate/report_rf_tfidf.txt":
+            "eaf6629fa7f2581b52906b9ab984c9060282845b7b9b7646d79d60e885403774",
+        "evaluate/report_svm_bow.csv":
+            "2b7101d1ec67bcdbb0cda98ea82e17d9984b71c3bb0124cc2772b06997def133",
+        "evaluate/report_svm_bow.json":
+            "54225e4cbd5583be2ee0cb0ea82db98c5c0e29f857a56046bb49e2eb510ec3a2",
+        "evaluate/report_svm_bow.txt":
+            "8e87ed49fb8c6d2362a34618aa63ffd617a1437e43767974852d7f16ad1642c9",
+        "evaluate/report_svm_tfidf.csv":
+            "2b7101d1ec67bcdbb0cda98ea82e17d9984b71c3bb0124cc2772b06997def133",
+        "evaluate/report_svm_tfidf.json":
+            "193abef03ef9a14039249b4364b4f2cd1c9abea3bd67caa0cc771a2254452b2c",
+        "evaluate/report_svm_tfidf.txt":
+            "8e87ed49fb8c6d2362a34618aa63ffd617a1437e43767974852d7f16ad1642c9",
+        "stats/stats.csv":
+            "3c58237a501eb87d523cbe8b64cbf4dab8b90eba4e77104a39ff591828111e7a",
+        "stats/stats.json":
+            "57ebf970c5fc434adc9bfcea9f8a2ef05af5cb0462d079bc89620a49a3f4471f",
+        "stats/stats.txt":
+            "d6211ac1cf448191b798226881fe198379982244dd8da24a1011bd03a28ff3ff",
+        "train/model_logreg_bow.json":
+            "60554e1835781a15c1aa0bb15bd256fa7e26d5ccd201765f9778d76fc7350cb2",
+        "train/model_logreg_tfidf.json":
+            "d9775f489a60e9d06a76fbf730ec8334a59e9757f198e50d81992cf662661d96",
+        "train/model_mnb_bow.json":
+            "8497f2723bd39c4b032d6f9c30665387443859a5c2354eb19666606acaef3b11",
+        "train/model_mnb_tfidf.json":
+            "48cc85135b5aa787cc7faa4d6fd61ee33277a912193786f51822a9d74e2d45ae",
+        "train/model_rf_bow.json":
+            "0fedc35f41a78a381d62540a03bc48e9afa8c7ece2883c094d566c4ebe055521",
+        "train/model_rf_tfidf.json":
+            "7b648d2ea393dc201a15cc7e0ecbd56f63d582e93c63309a6a074a7d16b26247",
+        "train/model_svm_bow.json":
+            "55a5be3e3ef427c049aea8f70bdad927840688dcf2ea3dfe778fa910943dbc4d",
+        "train/model_svm_tfidf.json":
+            "eabac94ae94bc21961390b628c351fdae3f21023b2215d9bcf6107818330adc9",
+        "train/vectorizer_bow.json":
+            "e961af2bf651cb30d3c51243c96f75a0cfb1a95efff836049c7b07e3e77f1f01",
+        "train/vectorizer_tfidf.json":
+            "0d7b5222cdaa76eb84c296d75b2629ea024febf41743a8144cb962cb0c3139f6",
+    },
 }
 
 
@@ -286,7 +410,7 @@ GOLDEN = {
 def outputs(tmp_path_factory):
     """{corpus name: (workdir, digests)}, computed once for the module."""
     runs = {}
-    for name in ("fixture", "synthetic"):
+    for name in GOLDEN:
         workdir = tmp_path_factory.mktemp(name)
         with pytest.MonkeyPatch.context() as mp:
             mp.chdir(workdir)
@@ -294,7 +418,7 @@ def outputs(tmp_path_factory):
     return runs
 
 
-@pytest.mark.parametrize("name", ["fixture", "synthetic"])
+@pytest.mark.parametrize("name", ["fixture", "synthetic", "unicode"])
 def test_every_output_file_matches_its_golden_digest(outputs, name):
     assert outputs[name][1] == GOLDEN[name]
 

@@ -184,9 +184,14 @@ class TestReportAndEvaluate:
         model = MultinomialNaiveBayes().fit(vec.transform(docs), corpus.labels())
         return model, vec, corpus, pre
 
+    @staticmethod
+    def vectors(vec, corpus, pre):
+        return vec.transform(pre.preprocess_corpus(corpus.texts()))
+
     def test_perfect_model_reports_all_ones(self):
         model, vec, corpus, pre = self.separable_setup()
-        report = evaluate(model, vec, corpus, pre, metadata={"seed": 0})
+        vectors = self.vectors(vec, corpus, pre)
+        report = evaluate(model, vec, corpus, vectors, metadata={"seed": 0})
         assert report.accuracy == 1.0
         assert report.weighted.f1 == 1.0
         assert report.metadata["model"] == "mnb"
@@ -196,16 +201,18 @@ class TestReportAndEvaluate:
         model, _, corpus, pre = self.separable_setup()
         other = BowVectorizer().fit([["completely", "different", "words"]])
         with pytest.raises(DimensionMismatchError):
-            evaluate(model, other, corpus, pre)
+            evaluate(model, other, corpus, self.vectors(other, corpus, pre))
 
     def test_empty_test_corpus_rejected(self):
         model, vec, corpus, pre = self.separable_setup()
         with pytest.raises(DatasetError):
-            evaluate(model, vec, make_corpus([]), pre)
+            empty = make_corpus([])
+            evaluate(model, vec, empty, self.vectors(vec, empty, pre))
 
     def test_json_dict_shape(self):
         model, vec, corpus, pre = self.separable_setup()
-        payload = evaluate(model, vec, corpus, pre).to_json_dict()
+        vectors = self.vectors(vec, corpus, pre)
+        payload = evaluate(model, vec, corpus, vectors).to_json_dict()
         assert payload["accuracy"] == 1.0
         assert set(payload["per_class"]) == {"negative", "neutral", "positive"}
         assert payload["confusion_matrix"]["counts"] == [
@@ -214,7 +221,8 @@ class TestReportAndEvaluate:
 
     def test_render_table_two_decimals(self):
         model, vec, corpus, pre = self.separable_setup()
-        text = evaluate(model, vec, corpus, pre).render_table()
+        vectors = self.vectors(vec, corpus, pre)
+        text = evaluate(model, vec, corpus, vectors).render_table()
         assert "accuracy: 1.00" in text
         assert "weighted" in text
 
@@ -226,7 +234,7 @@ class TestReportAndEvaluate:
                 ("The is that!!", "neutral"),  # empties out, stays as a zero vector
             ]
         )
-        report = evaluate(model, vec, corpus, pre)
+        report = evaluate(model, vec, corpus, self.vectors(vec, corpus, pre))
         assert report.confusion.total == 2
         assert report.metadata["test_size"] == 2
 
@@ -243,7 +251,7 @@ class TestReportAndEvaluate:
         stub = MultinomialNaiveBayes().fit(
             vec.transform(docs[:1]), ["negative"]
         )
-        report = evaluate(stub, vec, test, pre)
+        report = evaluate(stub, vec, test, vec.transform(docs))
         labels = test.labels()
         majority_share = labels.count("negative") / len(labels)
         assert report.accuracy == pytest.approx(majority_share, abs=1e-15)

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import preprocess_reference as reference
 from sentibench import (
     ConfigError,
     Lemmatizer,
     StopWordList,
+    TweetPreprocessor,
     build_vocabulary,
     clean_text,
     load_dataset,
@@ -210,6 +212,77 @@ class TestPreprocessTweet:
             assert not any(ch.isdigit() for ch in token)
             assert " " not in token
             assert not any(ch in string.punctuation for ch in token)
+
+
+# Words that exercise the stop-word check and the lemmatizer rules: stop-words
+# whose lemma is not one ("does" -> "doe") and the reverse ("theirs" ->
+# "their"), exception keys, case, and letters that lowercase to ASCII.
+_WORDS = st.sampled_from([
+    "The", "does", "THEIRS", "hers", "was", "flights", "Testing", "flew",
+    "running", "cities", "taking", "Café", "RÉSERVÉS", "ΟΔΟΣ", "\u212aings",
+    "\u0130stanbul", "naïve",
+])
+_SEPARATORS = st.sampled_from([
+    " ", "  ", "\u00a0", "\t", "#", "@", "7", "²", "\x1c", "\x1f", "\x85", "!",
+    "\U0001f600", "Ⅻ", "٣", "_",
+])
+_TWEETS = st.one_of(
+    st.text(max_size=200),
+    st.lists(st.tuples(st.one_of(_WORDS, st.text(max_size=4)), _SEPARATORS), max_size=12)
+    .map(lambda parts: "".join(word + sep for word, sep in parts)),
+)
+_EXCEPTIONS = st.sampled_from([{}, {"testing": "taste", "flew": "fly", "the": "a", "cities": ""}])
+
+
+def assert_matches_reference(texts, exceptions):
+    """clean_text, preprocess_tweet and preprocess_corpus (cold, warm, and
+    through __call__ in another order) all equal the per-token reference."""
+    stoplist = load_stopwords()
+    expected = [
+        reference.preprocess_tweet(t, stoplist, Lemmatizer(exceptions)) for t in texts
+    ]
+    assert [clean_text(t) for t in texts] == [reference.clean_text(t) for t in texts]
+    assert [
+        preprocess_tweet(t, stoplist, Lemmatizer(exceptions)) for t in texts
+    ] == expected
+    pre = TweetPreprocessor(stoplist, Lemmatizer(exceptions))
+    assert pre.preprocess_corpus(texts) == expected
+    assert pre.preprocess_corpus(iter(texts)) == expected
+    assert [pre(t) for t in reversed(texts)] == expected[::-1]
+
+
+class TestAgainstReference:
+    @given(st.lists(_TWEETS, max_size=6), _EXCEPTIONS)
+    @settings(max_examples=300, deadline=None)
+    def test_random_text(self, texts, exceptions):
+        assert_matches_reference(texts, exceptions)
+
+    @pytest.mark.parametrize("raw,cleaned,tokens", [
+        ("ΟΔΟΣ ΣΑΣ", "οδος σας", ["οδος", "σας"]),  # final sigma, from lower()
+        ("\u212aings", "kings", ["king"]),  # Kelvin sign lowercases to ASCII k
+        ("\u0130stanbul", "i stanbul", ["stanbul"]),  # İ -> i + combining dot
+        ("x² y³ z¹", "x y z", ["x", "z"]),
+        ("Ⅻ ⅻ", "", []),
+        ("\x1cA\x1dB\x1eC\x1fD", "a b c d", ["b", "c"]),
+        ("a\x85b", "a b", ["b"]),
+        ("Café\u00a0RÉSERVÉS", "café réservés", ["café", "réservé"]),
+        ("👍🏽great✈️", "great", ["great"]),
+        ("", "", []),
+        ("The is that!!", "the is that", []),
+        ("Does THEIRS", "does theirs", []),
+    ])
+    def test_explicit_cases(self, raw, cleaned, tokens):
+        assert clean_text(raw) == cleaned
+        assert preprocess_tweet(raw, load_stopwords(), Lemmatizer()) == tokens
+        assert_matches_reference([raw], {})
+
+    def test_exceptions_map_after_stopwords(self):
+        exceptions = {"testing": "taste", "flew": "fly", "the": "a", "cities": ""}
+        texts = ["Testing the flew", "cities testing", "flew flew the"]
+        assert TweetPreprocessor(lemmatizer=Lemmatizer(exceptions)).preprocess_corpus(
+            texts
+        ) == [["taste", "fly"], ["", "taste"], ["fly", "fly"]]
+        assert_matches_reference(texts, exceptions)
 
 
 class TestVocabulary:
