@@ -60,22 +60,17 @@ from .preprocess import (
     load_lemma_exceptions,
     load_stopwords,
     preprocess_tweet,
-    remove_stopwords,
-    tokenize,
 )
 from .vectorize import (
     BowVectorizer,
     IdfTable,
     SparseRows,
     SparseVector,
-    TermFrequencies,
     TfidfVectorizer,
     VECTORIZER_KINDS,
     load_vectorizer,
     make_vectorizer,
     save_vectorizer,
-    term_frequency,
-    vectors_to_csr,
 )
 
 __version__ = "0.1.0"

@@ -83,12 +83,8 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         try:
             self.split_ratio = float(self.split_ratio)
-            self.seed = int(self.seed)
         except (TypeError, ValueError):
-            raise ConfigError(
-                f"split_ratio and seed must be numeric, got "
-                f"{self.split_ratio!r} / {self.seed!r}"
-            ) from None
+            raise ConfigError(f"split_ratio must be numeric, got {self.split_ratio!r}") from None
         if not self.data:
             raise ConfigError("--data is required")
         if not Path(self.data).is_file():
@@ -100,8 +96,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"split ratio must be in (0, 1), got {self.split_ratio}"
             )
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not self.vectorizers:
             raise ConfigError("select at least one vectorizer")
         if not self.models:
@@ -117,6 +113,11 @@ class ExperimentConfig:
         for fmt in self.formats:
             if fmt not in FORMATS:
                 raise ConfigError(f"unknown output format {fmt!r}")
+        for kind in self.hyperparams:
+            if kind not in MODEL_KINDS:
+                raise ConfigError(f"hyperparams for unknown model {kind!r}")
+        for kind in self.models:  # every selected model, before any cell trains
+            self.build_model(kind)
         return self
 
     def build_preprocessor(self) -> TweetPreprocessor:
@@ -128,13 +129,15 @@ class ExperimentConfig:
         )
         return TweetPreprocessor(stoplist=stoplist, lemmatizer=Lemmatizer(exceptions))
 
-    def model_hyperparams(self, kind: str) -> dict:
+    def build_model(self, kind: str):
+        """An unfitted model of ``kind``; a bad hyperparameter is a ConfigError."""
         hp = dict(self.hyperparams.get(kind, {}))
         if kind == "rf" and hp.get("max_depth") == 0:
             hp["max_depth"] = None  # 0 on the CLI means unlimited depth
-        if kind == "rf" and "bootstrap" in hp:
-            hp["bootstrap"] = bool(hp["bootstrap"])
-        return hp
+        try:
+            return make_model(kind, seed=self.seed, hyperparams=hp)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid hyperparameters for {kind}: {exc}") from exc
 
 
 def _csv_list(value: str) -> tuple[str, ...]:
@@ -338,19 +341,6 @@ def cmd_stats(config: ExperimentConfig) -> int:
     return 0
 
 
-def _train_cell(config: ExperimentConfig, model_kind: str, train_vectors, train_labels):
-    try:
-        model = make_model(
-            model_kind,
-            seed=config.seed,
-            hyperparams=config.model_hyperparams(model_kind),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid hyperparameters for {model_kind}: {exc}") from exc
-    model.fit(train_vectors, train_labels)
-    return model
-
-
 def cmd_train(config: ExperimentConfig, model_kind: str, vectorizer_kind: str) -> int:
     train, _ = _split(config)
     preprocessor = config.build_preprocessor()
@@ -358,7 +348,7 @@ def cmd_train(config: ExperimentConfig, model_kind: str, vectorizer_kind: str) -
 
     vectorizer = make_vectorizer(vectorizer_kind).fit(train_docs)
     train_vectors = vectorizer.transform(train_docs)
-    model = _train_cell(config, model_kind, train_vectors, train.labels())
+    model = config.build_model(model_kind).fit(train_vectors, train.labels())
 
     out = _ensure_out_dir(config)
     vec_path = out / f"vectorizer_{vectorizer_kind}.json"
@@ -437,7 +427,7 @@ def cmd_compare(config: ExperimentConfig) -> int:
         train_vectors = vectorizer.transform(train_docs)
         test_vectors = vectorizer.transform(test_docs)
         for model_kind in config.models:
-            model = _train_cell(config, model_kind, train_vectors, train.labels())
+            model = config.build_model(model_kind).fit(train_vectors, train.labels())
             report = evaluate(model, vectorizer, test, test_vectors, metadata=metadata)
             report_files[f"report_{model_kind}_{vectorizer_kind}.json"] = report.to_json_dict()
             rows.append(

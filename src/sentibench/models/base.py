@@ -1,7 +1,9 @@
 """Shared classifier interface and input-validation helpers.
 
 Classifiers are fitted once and immutable afterwards: predict and
-predict_scores are pure functions of (fitted state, input vectors).
+predict_scores are pure functions of (fitted state, input matrix). Every
+model takes one matrix, a row per sample: the vectorizer's CSR matrix,
+or any scipy sparse matrix or 2-d ndarray of the same width.
 Score matrices keep columns in the fixed polarity order, and argmax
 resolves ties toward the earlier class, which pins the documented
 tie-break [negative, neutral, positive].
@@ -9,7 +11,8 @@ tie-break [negative, neutral, positive].
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from numbers import Integral
+from typing import Mapping
 
 import numpy as np
 from scipy import sparse
@@ -17,30 +20,28 @@ from scipy import sparse
 from ..base import ParamsMixin, check_fitted
 from ..corpus import POLARITIES, POLARITY_INDEX
 from ..errors import ArtifactError, DimensionMismatchError, TrainingError
-from ..vectorize import SparseRows, SparseVector, vectors_to_csr
+from ..vectorize import SparseRows
 
 
 def check_vectors(X, dims: int | None = None):
-    """Coerce a vector collection to CSR, verifying dimensionality.
+    """Coerce model input to one CSR matrix, verifying dimensionality.
 
-    Accepts a vectorizer's SparseRows (its matrix is taken as is), a list
-    of SparseVector, or any scipy sparse / dense 2-d matrix. When ``dims``
-    is given the width must match exactly. Sparse input with unsorted
-    indices or duplicate entries is canonicalized (duplicates summed) in a
-    copy; the caller's matrix is never modified.
+    Accepts a vectorizer's SparseRows (its matrix is taken as is), any
+    scipy sparse matrix, or a 2-d ndarray. When ``dims`` is given the width
+    must match exactly. Sparse input with unsorted indices or duplicate
+    entries is canonicalized (duplicates summed) in a copy; the caller's
+    matrix is never modified.
     """
     if isinstance(X, SparseRows):
         X = X.csr
-    if sparse.issparse(X):
-        csr = X.tocsr()
-        if not csr.has_canonical_format:
-            csr = csr.copy()
-            csr.sum_duplicates()
-    elif isinstance(X, np.ndarray):
-        csr = sparse.csr_matrix(np.atleast_2d(X))
-    else:
-        vectors: Sequence[SparseVector] = X
-        csr = vectors_to_csr(vectors, dims=dims if dims is not None else None)
+    if isinstance(X, np.ndarray):
+        X = sparse.csr_matrix(X)
+    if not sparse.issparse(X):
+        raise TypeError(f"expected a sparse matrix or an ndarray, got {type(X).__name__}")
+    csr = X.tocsr()
+    if not csr.has_canonical_format:
+        csr = csr.copy()
+        csr.sum_duplicates()
     if dims is not None and csr.shape[1] != dims:
         raise DimensionMismatchError(
             f"input has {csr.shape[1]} dims, model expects {dims}"
@@ -68,11 +69,19 @@ def check_X_y(X, y):
     return csr, y_idx
 
 
+def check_int(name: str, value, minimum: int) -> None:
+    """Raise ValueError unless ``value`` is an integer (not a bool) >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 def decode_array(values, shape: tuple[int, ...], name: str) -> np.ndarray:
-    """Float array from artifact JSON that must have exactly ``shape``."""
+    """Finite float array from artifact JSON that must have exactly ``shape``."""
     array = np.array(values, dtype=np.float64)
     if array.shape != shape:
         raise ArtifactError(f"{name} has shape {array.shape}, expected {shape}")
+    if not np.isfinite(array).all():
+        raise ArtifactError(f"{name} holds a value that is not finite")
     return array
 
 

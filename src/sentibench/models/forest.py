@@ -27,7 +27,7 @@ import numpy as np
 
 from ..corpus import POLARITIES
 from ..errors import ArtifactError
-from .base import BaseClassifier, check_X_y
+from .base import BaseClassifier, check_int, check_X_y
 
 _STREAM = 3
 
@@ -86,7 +86,10 @@ class _Tree:
                     raise ArtifactError(f"tree feature {feature} outside [0, {dims})")
                 lid = len(nodes)
                 nodes += [None, None]
-                nodes[slot] = (feature, float(rec["threshold"]), lid, lid + 1, 0, [0, 0, 0])
+                threshold = float(rec["threshold"])
+                if not math.isfinite(threshold):
+                    raise ArtifactError(f"tree threshold {threshold} is not finite")
+                nodes[slot] = (feature, threshold, lid, lid + 1, 0, [0, 0, 0])
                 stack += [(rec["right"], lid + 1), (rec["left"], lid)]
         # Only leaves carry counts in the record; rebuild internal-node
         # histograms and majority labels bottom-up (children have higher ids).
@@ -272,16 +275,18 @@ class RandomForest(BaseClassifier):
         seed: int = 0,
     ):
         super().__init__()
-        if n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
-        if max_depth is not None and max_depth < 1:
-            raise ValueError("max_depth must be >= 1 or None for unlimited")
-        if max_features is not None and max_features < 1:
-            raise ValueError("max_features must be >= 1 or None for ceil(sqrt(dims))")
+        check_int("n_trees", n_trees, 1)
+        if max_depth is not None:  # None: unlimited
+            check_int("max_depth", max_depth, 1)
+        if max_features is not None:  # None: ceil(sqrt(dims))
+            check_int("max_features", max_features, 1)
+        check_int("seed", seed, 0)
+        if bootstrap not in (0, 1):  # True, False, 1 or 0
+            raise ValueError(f"bootstrap must be 0 or 1, got {bootstrap!r}")
         self.n_trees = n_trees
         self.max_depth = max_depth
         self.max_features = max_features
-        self.bootstrap = bootstrap
+        self.bootstrap = bool(bootstrap)
         self.seed = seed
 
     def fit(self, X, y) -> "RandomForest":

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import TrainingError
-from .base import BaseClassifier, check_X_y, decode_array
+from .base import BaseClassifier, check_int, check_X_y, decode_array
 
 _STREAM = 1  # keeps this model's RNG stream distinct from other variants
 
@@ -55,8 +55,9 @@ class SoftmaxRegression(BaseClassifier):
         super().__init__()
         if learning_rate <= 0:
             raise ValueError("learning_rate must be strictly positive")
-        if epochs < 1 or batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
+        check_int("epochs", epochs, 1)
+        check_int("batch_size", batch_size, 1)
+        check_int("seed", seed, 0)
         if l2 < 0:
             raise ValueError("l2 must be non-negative")
         self.learning_rate = learning_rate

@@ -72,10 +72,12 @@ class MultinomialNaiveBayes(BaseClassifier):
         }
 
     def load_state(self, params, dims: int) -> None:
+        prior = params["class_log_prior"]
+        # null is the -inf log-prior of a class absent from training
         self.class_log_prior_ = decode_array(
-            [float("-inf") if x is None else x for x in params["class_log_prior"]],
-            (3,), "class_log_prior",
+            [0.0 if x is None else x for x in prior], (3,), "class_log_prior"
         )
+        self.class_log_prior_[[x is None for x in prior]] = -np.inf
         self.feature_log_likelihood_ = decode_array(
             params["feature_log_likelihood"], (3, dims), "feature_log_likelihood"
         )

@@ -17,23 +17,9 @@ import numpy as np
 from scipy import sparse
 
 from ..errors import TrainingError
-from .base import BaseClassifier, check_X_y, decode_array
+from .base import BaseClassifier, check_int, check_X_y, decode_array
 
 _STREAM = 2
-
-
-def hinge_sample_objective(w, x, y, lam) -> float:
-    """Single-sample Pegasos objective: 0.5*lam*||w||^2 + hinge(y * w.x)."""
-    margin = y * float(np.dot(w, x))
-    return 0.5 * lam * float(np.dot(w, w)) + max(0.0, 1.0 - margin)
-
-
-def hinge_sample_subgradient(w, x, y, lam) -> np.ndarray:
-    """Subgradient of the single-sample objective at w."""
-    grad = lam * w
-    if y * float(np.dot(w, x)) < 1.0:
-        grad = grad - y * x
-    return grad
 
 
 def _pegasos_binary(csr, y_pm, lam, epochs, rng) -> np.ndarray:
@@ -67,8 +53,8 @@ class LinearSvm(BaseClassifier):
         super().__init__()
         if lam <= 0:
             raise ValueError("lam must be strictly positive")
-        if epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        check_int("epochs", epochs, 1)
+        check_int("seed", seed, 0)
         self.lam = lam
         self.epochs = epochs
         self.seed = seed

@@ -1,6 +1,6 @@
 """Raw tweet text to cleaned, lemmatized tokens, and vocabulary building.
 
-Pipeline: clean_text -> tokenize -> remove_stopwords -> lemmatize.
+Pipeline: clean_text -> split on whitespace -> drop stop-words -> lemmatize.
 StopWordList and Lemmatizer are immutable after construction. A
 TweetPreprocessor runs the pipeline through one token table of its own,
 filled the first time each distinct token is seen: it maps the token to
@@ -47,11 +47,6 @@ def clean_text(raw: str) -> str:
     emoji and numeric glyphs of any script do not. Idempotent.
     """
     return " ".join(_words(raw))
-
-
-def tokenize(cleaned: str) -> TokenList:
-    """Split cleaned text on whitespace runs, preserving order."""
-    return cleaned.split()
 
 
 @dataclass(frozen=True)
@@ -105,11 +100,6 @@ def load_stopwords(path: str | None = None) -> StopWordList:
         except OSError as exc:
             raise ConfigError(f"cannot read stop-word file {path!r}: {exc}") from exc
     return StopWordList(words=frozenset(_read_word_lines(text)))
-
-
-def remove_stopwords(tokens: Sequence[str], stoplist: StopWordList) -> TokenList:
-    """Drop stop-list members, preserving the order of the rest."""
-    return [t for t in tokens if t not in stoplist]
 
 
 def load_lemma_exceptions(path: str) -> dict[str, str]:

@@ -8,10 +8,10 @@ are pure, so fitted instances are safe to share across threads.
 
 ``transform`` vectorizes a whole corpus in one NumPy pass: every token
 is mapped to its vocabulary id, the sorted unique (row, term) pairs are
-counted with ``np.unique``, and their weights are computed as arrays. It
-returns ``SparseRows``, a read-only sequence over the one CSR matrix
-that models take as is; a row becomes a ``SparseVector`` only when it
-is indexed or iterated.
+counted with ``np.unique``, and their weights are computed as arrays.
+The result is one canonical CSR matrix, the input every model takes. It
+comes wrapped in ``SparseRows``, a plain row view whose ``csr`` is that
+matrix; a row becomes a ``SparseVector`` only when it is indexed.
 
 The vectorizer artifact also records the preprocessing the vectorizer
 was fitted behind, so evaluation can rebuild it.
@@ -20,7 +20,6 @@ was fitted behind, so evaluation can rebuild it.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -28,7 +27,7 @@ import numpy as np
 from scipy import sparse
 
 from .base import ParamsMixin, check_fitted, read_json, write_json
-from .errors import ArtifactError, ConfigError, DimensionMismatchError, TrainingError
+from .errors import ArtifactError, ConfigError, TrainingError
 from .preprocess import (
     Lemmatizer,
     StopWordList,
@@ -40,85 +39,25 @@ from .preprocess import (
 
 @dataclass(frozen=True)
 class SparseVector:
-    """Sorted (index, weight) pairs over a fixed number of dimensions."""
+    """One row of a SparseRows matrix: sorted (index, weight) pairs."""
 
     dims: int
     indices: tuple[int, ...]
     values: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.indices) != len(self.values):
-            raise ValueError("indices and values must have equal length")
-        prev = -1
-        for idx in self.indices:
-            if idx <= prev:
-                raise ValueError("indices must be strictly increasing")
-            if idx >= self.dims:
-                raise ValueError(f"index {idx} out of range for dims={self.dims}")
-            prev = idx
-        for val in self.values:
-            if not math.isfinite(val):
-                raise ValueError("weights must be finite")
-            if val == 0.0:
-                raise ValueError("explicit zero weights are not allowed")
-
     @property
     def nnz(self) -> int:
         return len(self.indices)
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.dims)
-        if self.indices:
-            dense[list(self.indices)] = self.values
-        return dense
-
-
-def vectors_to_csr(vectors: Sequence[SparseVector], dims: int | None = None):
-    """Stack sparse vectors into one scipy CSR matrix (uniform dims required)."""
-    if dims is None:
-        if not vectors:
-            raise ValueError("cannot infer dims from an empty vector sequence")
-        dims = vectors[0].dims
-    indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
-    chunks_idx = []
-    chunks_val = []
-    for i, vec in enumerate(vectors):
-        if vec.dims != dims:
-            raise DimensionMismatchError(
-                f"vector {i} has dims={vec.dims}, expected {dims}"
-            )
-        indptr[i + 1] = indptr[i] + vec.nnz
-        chunks_idx.append(vec.indices)
-        chunks_val.append(vec.values)
-    indices = np.fromiter(
-        (j for chunk in chunks_idx for j in chunk), dtype=np.int32, count=indptr[-1]
-    )
-    data = np.fromiter(
-        (v for chunk in chunks_val for v in chunk), dtype=np.float64, count=indptr[-1]
-    )
-    return sparse.csr_matrix((data, indices, indptr), shape=(len(vectors), dims))
 
 
 class SparseRows(Sequence[SparseVector]):
     """Read-only rows of one CSR matrix, each a SparseVector made on demand.
 
-    The SparseVector invariants are checked once, for the whole matrix:
-    indices strictly increasing and in [0, dims) within each row, weights
-    finite and nonzero. Models take ``csr`` as it is.
+    Models take ``csr`` as it is; ``transform`` builds it canonical, with
+    finite nonzero weights only.
     """
 
     def __init__(self, csr):
-        indptr, indices, data = csr.indptr, csr.indices, csr.data
-        # wherever an index does not increase, a new row must start
-        steps = np.flatnonzero(np.diff(indices) <= 0) + 1
-        if not np.isin(steps, indptr).all():
-            raise ValueError("indices must be strictly increasing within each row")
-        if indices.size and not (0 <= indices.min() and indices.max() < csr.shape[1]):
-            raise ValueError(f"index out of range for dims={csr.shape[1]}")
-        if not np.isfinite(data).all():
-            raise ValueError("weights must be finite")
-        if not data.all():
-            raise ValueError("explicit zero weights are not allowed")
         self.csr = csr
 
     def __len__(self) -> int:
@@ -152,34 +91,6 @@ def _count_terms(docs: Sequence[Sequence[str]], index: Mapping[str, int]):
 
 
 @dataclass(frozen=True)
-class TermFrequencies:
-    """Per-document term counts and the shared denominator.
-
-    ``total_terms`` counts every token of the document, in- or
-    out-of-vocabulary, so tf = counts[i] / total_terms.
-    """
-
-    counts: Mapping[int, int]
-    total_terms: int
-
-    def tf(self, index: int) -> float:
-        return self.counts.get(index, 0) / self.total_terms
-
-    def tf_map(self) -> dict[int, float]:
-        return {i: n / self.total_terms for i, n in self.counts.items()}
-
-
-def term_frequency(doc: Sequence[str], vocab: Vocabulary) -> TermFrequencies:
-    """Count vocabulary terms in the doc; unknown tokens only add to the total."""
-    counts: Counter[int] = Counter()
-    for token in doc:
-        idx = vocab.index.get(token)
-        if idx is not None:
-            counts[idx] += 1
-    return TermFrequencies(counts=dict(counts), total_terms=len(doc))
-
-
-@dataclass(frozen=True)
 class IdfTable:
     """Per-term inverse document frequencies: idf = ln(doc_count / df)."""
 
@@ -195,8 +106,8 @@ class IdfTable:
         for d, w in zip(self.df, self.idf):
             if not (1 <= d <= self.doc_count):
                 raise ValueError(f"df {d} outside [1, {self.doc_count}]")
-            if w < 0.0:
-                raise ValueError("idf must be non-negative")
+            if not (math.isfinite(w) and w >= 0.0):
+                raise ValueError(f"idf {w} is not finite and non-negative")
             if (w == 0.0) != (d == self.doc_count):
                 raise ValueError("idf is zero exactly when df equals doc_count")
 
@@ -231,9 +142,6 @@ class _Vectorizer(ParamsMixin):
         return SparseRows(sparse.csr_matrix(
             (data, term.astype(np.int32), indptr), shape=(len(docs), dims)
         ))
-
-    def transform_one(self, doc: Sequence[str]) -> SparseVector:
-        return self.transform([doc])[0]
 
     def state_to_dict(self) -> dict:
         """Fitted state as the artifact's top-level fields."""

@@ -1,11 +1,14 @@
-"""Shared test utilities: fixture paths, vector builders, reference data."""
+"""Shared test utilities: fixture paths, a CSR builder, reference data."""
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
 
-from sentibench import Corpus, SparseVector, TweetRecord
+import numpy as np
+from scipy import sparse
+
+from sentibench import Corpus, TweetRecord
 
 DATA_DIR = Path(__file__).parent / "data"
 FIXTURE_CSV = str(DATA_DIR / "fixture_tweets.csv")
@@ -18,13 +21,16 @@ FIXTURE_LABELS = [
 FIXTURE_COUNTS = {"negative": 4, "neutral": 3, "positive": 3}
 
 
-def sv(dims: int, pairs) -> SparseVector:
-    """Build a SparseVector from unsorted (index, weight) pairs."""
-    pairs = sorted(pairs)
-    return SparseVector(
-        dims=dims,
-        indices=tuple(i for i, _ in pairs),
-        values=tuple(float(v) for _, v in pairs),
+def csr(dims: int, rows) -> sparse.csr_matrix:
+    """Build a CSR matrix, one row per list of unsorted (index, weight) pairs."""
+    indptr, indices, data = [0], [], []
+    for pairs in rows:
+        for i, v in sorted(pairs):
+            indices.append(i)
+            data.append(float(v))
+        indptr.append(len(indices))
+    return sparse.csr_matrix(
+        (np.array(data, dtype=np.float64), indices, indptr), shape=(len(rows), dims)
     )
 
 

@@ -28,7 +28,6 @@ from sentibench import (
     load_stopwords,
     per_class_metrics,
     preprocess_tweet,
-    term_frequency,
     train_test_split,
     weighted_metrics,
 )
@@ -45,8 +44,9 @@ from helpers import (
     FIXTURE_CSV,
     full_dataset_path,
     make_corpus,
-    sv,
+    csr,
 )
+from vectorize_reference import term_frequency
 
 DATASET = full_dataset_path()
 
@@ -74,14 +74,13 @@ class TestCriterion1WorkedExampleExactness:
 
         # binary bag-of-words: exact
         bow = BowVectorizer().fit(docs)
-        assert bow.transform_one(docs[0]).to_dense().tolist() == [
-            1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0,
-        ]
-        assert bow.transform_one(docs[1]).to_dense().tolist() == [
-            1, 0, 0, 0, 1, 0, 0, 1, 1, 1, 1,
+        assert bow.transform(docs).csr.toarray().tolist() == [
+            [1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0],
+            [1, 0, 0, 0, 1, 0, 0, 1, 1, 1, 1],
         ]
 
-        # term frequencies: exact rationals
+        # term frequencies: exact rationals (the per-document reference
+        # count; the tf-idf rows below carry exactly these tf values)
         tf1 = term_frequency(docs[0], vocab)
         tf2 = term_frequency(docs[1], vocab)
         assert tf1.total_terms == 8 and tf2.total_terms == 6
@@ -101,11 +100,14 @@ class TestCriterion1WorkedExampleExactness:
         reference_1 = {"beef": 0.0863, "cheese": 0.0863, "burger": 0.0863,
                        "taste": 0.0863, "cheeseburger": 0.0863}
         reference_2 = {"late": 0.115, "service": 0.115, "slow": 0.115}
-        dense1 = tfidf.transform_one(docs[0]).to_dense()
-        dense2 = tfidf.transform_one(docs[1]).to_dense()
+        dense1, dense2 = tfidf.transform(docs).csr.toarray()
         for term in vocab.terms:
             assert abs(dense1[vocab.index[term]] - reference_1.get(term, 0.0)) <= 0.001
             assert abs(dense2[vocab.index[term]] - reference_2.get(term, 0.0)) <= 0.001
+        # each stored weight is tf * idf with the exact tf above, bit for bit
+        for dense, freqs in ((dense1, tf1), (dense2, tf2)):
+            for i, tf in freqs.tf_map().items():
+                assert dense[i] == tf * tfidf.idf_table_.idf[i]
 
 
 EXPECTED_GRID = {
@@ -200,21 +202,20 @@ class TestCriterion4OfflinePropertySuites:
     def test_nb_posterior_normalization_and_brute_force(self):
         rng = random.Random(3)
         labels = ["negative", "neutral", "positive"]
-        X = [sv(4, [(j, float(rng.randint(1, 3))) for j in range(4) if rng.random() < 0.7])
-             for _ in range(4)]
+        rows = [[(j, float(rng.randint(1, 3))) for j in range(4) if rng.random() < 0.7]
+                for _ in range(4)]
         y = [labels[i % 3] for i in range(4)]
-        model = MultinomialNaiveBayes(alpha=1.0).fit(X, y)
+        model = MultinomialNaiveBayes(alpha=1.0).fit(csr(4, rows), y)
 
-        probes = [sv(4, [(j, 1.0) for j in range(4) if rng.random() < 0.8])
-                  for _ in range(200)]
-        for scores in model.predict_scores(probes):
+        probes = [[(j, 1.0) for j in range(4) if rng.random() < 0.8] for _ in range(200)]
+        for scores in model.predict_scores(csr(4, probes)):
             assert abs(sum(scores.values()) - 1.0) <= 1e-9
 
         # brute force on the tiny corpus itself
         counts = {c: y.count(c) for c in labels}
         totals = {c: [0.0] * 4 for c in labels}
-        for vec, label in zip(X, y):
-            for i, w in zip(vec.indices, vec.values):
+        for pairs, label in zip(rows, y):
+            for i, w in pairs:
                 totals[label][i] += w
         for probe in probes[:50]:
             joints = {}
@@ -223,23 +224,19 @@ class TestCriterion4OfflinePropertySuites:
                     continue
                 lj = math.log(counts[c] / len(y))
                 denom = sum(totals[c]) + 1.0 * 4
-                for i, w in zip(probe.indices, probe.values):
+                for i, w in probe:
                     lj += w * math.log((totals[c][i] + 1.0) / denom)
                 joints[c] = lj
             norm = math.log(sum(math.exp(v) for v in joints.values()))
             expected = {c: math.exp(v - norm) for c, v in joints.items()}
-            got = model.predict_scores([probe])[0]
+            got = model.predict_scores(csr(4, [probe]))[0]
             for c, value in expected.items():
                 assert abs(got[c] - value) <= 1e-12
 
     def test_logreg_gradient_vs_central_differences(self):
         rng = np.random.default_rng(5)
-        from sentibench import vectors_to_csr
-
-        X = vectors_to_csr(
-            [sv(4, [(j, rng.uniform(0.3, 2.0)) for j in range(4) if rng.random() < 0.8])
-             for _ in range(5)]
-        )
+        X = csr(4, [[(j, rng.uniform(0.3, 2.0)) for j in range(4) if rng.random() < 0.8]
+                    for _ in range(5)])
         y_idx = rng.integers(0, 3, size=5)
         W = rng.normal(size=(3, 4))
         b = rng.normal(size=3)
@@ -268,18 +265,15 @@ class TestCriterion4OfflinePropertySuites:
             assert abs(numeric - grad_b[i]) / denom <= 1e-5
 
     def test_separable_toy_reaches_full_training_accuracy(self):
-        X = [sv(3, [(c, 1.0)]) for c in (0, 0, 1, 1, 2, 2)]
+        X = csr(3, [[(c, 1.0)] for c in (0, 0, 1, 1, 2, 2)])
         y = ["negative", "negative", "neutral", "neutral", "positive", "positive"]
         assert SoftmaxRegression(seed=1).fit(X, y).predict(X) == y
         assert LinearSvm(seed=1).fit(X, y).predict(X) == y
 
     def test_single_tree_memorization(self):
         rng = np.random.default_rng(6)
-        X, y = [], []
-        for i in range(20):
-            pairs = [(i, 1.0)]
-            X.append(sv(20, pairs))
-            y.append(("negative", "neutral", "positive")[rng.integers(0, 3)])
+        X = csr(20, [[(i, 1.0)] for i in range(20)])
+        y = [("negative", "neutral", "positive")[rng.integers(0, 3)] for _ in range(20)]
         model = RandomForest(
             n_trees=1, bootstrap=False, max_depth=None, max_features=20, seed=0
         ).fit(X, y)

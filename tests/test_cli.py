@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -222,6 +223,42 @@ SHAPE_CORRUPTIONS = {
 }
 
 
+def first_weight(key, value):
+    def corrupt(d):
+        values = d["params"][key]
+        (values[0] if isinstance(values[0], list) else values)[0] = value
+    return corrupt
+
+
+def rarest_idf(value):
+    """Set the idf of a term with df < doc_count, whose finite idf is > 0."""
+    def corrupt(d):
+        d["idf"][d["df"].index(min(d["df"]))] = value
+    return corrupt
+
+
+def rf_threshold(value):
+    def corrupt(d):
+        rf_root(d, 0)
+        d["params"]["trees"][0]["threshold"] = value
+    return corrupt
+
+
+# json reads NaN, Infinity and -Infinity; none may reach a model or a vectorizer
+NON_FINITE_CORRUPTIONS = {
+    "tfidf idf Infinity": ("vectorizer_tfidf.json", rarest_idf(math.inf), "mnb", "tfidf"),
+    "tfidf idf NaN": ("vectorizer_tfidf.json", rarest_idf(math.nan), "mnb", "tfidf"),
+    "mnb likelihood NaN": (
+        "model_mnb_bow.json", first_weight("feature_log_likelihood", math.nan), "mnb", "bow"),
+    "mnb prior -Infinity": (
+        "model_mnb_bow.json", first_weight("class_log_prior", -math.inf), "mnb", "bow"),
+    "svm weight Infinity": (
+        "model_svm_bow.json", first_weight("weights", math.inf), "svm", "bow"),
+    "logreg bias NaN": ("model_logreg_bow.json", first_weight("bias", math.nan), "logreg", "bow"),
+    "rf threshold Infinity": ("model_rf_bow.json", rf_threshold(math.inf), "rf", "bow"),
+}
+
+
 @pytest.fixture(scope="module")
 def trained_artifacts(tmp_path_factory):
     out = tmp_path_factory.mktemp("artifacts")
@@ -234,23 +271,40 @@ def trained_artifacts(tmp_path_factory):
     return out
 
 
+def evaluate_corrupted(artifacts, tmp_path, capsys, artifact, corrupt, model, vec):
+    """Copy the artifacts, corrupt one, evaluate; returns (exit code, stderr)."""
+    for path in artifacts.iterdir():
+        shutil.copy(path, tmp_path)
+    doc = json.loads((tmp_path / artifact).read_text())
+    corrupt(doc)
+    (tmp_path / artifact).write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = run([
+        "evaluate", "--data", FIXTURE_CSV, "--out-dir", tmp_path / "e",
+        "--model-artifact", tmp_path / f"model_{model}_{vec}.json",
+        "--vectorizer-artifact", tmp_path / f"vectorizer_{vec}.json",
+    ])
+    return code, capsys.readouterr().err
+
+
 class TestArtifactShapes:
+    @pytest.mark.parametrize("case", sorted(NON_FINITE_CORRUPTIONS))
+    def test_non_finite_value_is_one_artifact_error(self, trained_artifacts, tmp_path,
+                                                    capsys, case):
+        code, err = evaluate_corrupted(
+            trained_artifacts, tmp_path, capsys, *NON_FINITE_CORRUPTIONS[case]
+        )
+        assert code == 1
+        assert err.startswith("error[artifact]") and "finite" in err, err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "e").exists()
+
     @pytest.mark.parametrize("case", sorted(SHAPE_CORRUPTIONS))
     def test_shape_mismatch_is_one_artifact_error(self, trained_artifacts, tmp_path,
                                                    capsys, case):
-        artifact, corrupt, model, vec = SHAPE_CORRUPTIONS[case]
-        for path in trained_artifacts.iterdir():
-            shutil.copy(path, tmp_path)
-        doc = json.loads((tmp_path / artifact).read_text())
-        corrupt(doc)
-        (tmp_path / artifact).write_text(json.dumps(doc))
-        capsys.readouterr()
-        code = run([
-            "evaluate", "--data", FIXTURE_CSV, "--out-dir", tmp_path / "e",
-            "--model-artifact", tmp_path / f"model_{model}_{vec}.json",
-            "--vectorizer-artifact", tmp_path / f"vectorizer_{vec}.json",
-        ])
-        err = capsys.readouterr().err
+        code, err = evaluate_corrupted(
+            trained_artifacts, tmp_path, capsys, *SHAPE_CORRUPTIONS[case]
+        )
         assert code == 1
         assert err.startswith("error[artifact]"), err
         assert len(err.strip().splitlines()) == 1
@@ -429,6 +483,45 @@ class TestConfigHandling:
         config.write_text(json.dumps({"data": FIXTURE_CSV, "hyperparams": [1, 2]}))
         assert run(["stats", "--config", config]) == 1
         assert capsys.readouterr().err.startswith("error[config]")
+
+    @pytest.mark.parametrize("values", [
+        pytest.param({"hyperparams": {"svn": {"epochs": 2}}}, id="unknown model kind"),
+        pytest.param({"hyperparams": {"rf": {"bootstrap": "false"}}}, id="bootstrap string"),
+        pytest.param({"hyperparams": {"rf": {"bootstrap": 7}}}, id="bootstrap 7"),
+        pytest.param({"seed": 1.7}, id="seed 1.7"),
+        pytest.param({"seed": "3"}, id="seed string"),
+        pytest.param({"hyperparams": {"svm": {"epochs": 2.5}}}, id="svm epochs"),
+        pytest.param({"hyperparams": {"logreg": {"batch_size": 10.5}}}, id="logreg batch"),
+        pytest.param({"hyperparams": {"logreg": {"epochs": True}}}, id="logreg epochs bool"),
+        pytest.param({"hyperparams": {"rf": {"n_trees": 2.5}}}, id="rf trees"),
+        pytest.param({"hyperparams": {"rf": {"max_depth": 1.5}}}, id="rf depth"),
+        pytest.param({"hyperparams": {"rf": {"max_features": 2.5}}}, id="rf features"),
+        pytest.param({"hyperparams": {"svm": {"seed": 0.5}}}, id="svm seed"),
+    ])
+    def test_bad_value_is_one_config_error_before_any_cell_trains(
+        self, tmp_path, capsys, values
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "data": FIXTURE_CSV, "out_dir": str(tmp_path / "o"), "vectorizers": ["bow"],
+            "models": ["svm", "logreg", "rf"], **values,
+        }))
+        code = run(["compare", "--config", config])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error[config]"), captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "done:" not in captured.out
+
+    def test_rf_bootstrap_flag_takes_only_0_or_1(self, tmp_path, capsys):
+        base = ["train", "--data", FIXTURE_CSV, "--model", "rf", "--vectorizer", "bow",
+                "--rf-trees", 2, "--out-dir", tmp_path]
+        assert run([*base, "--rf-bootstrap", 7]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]") and "bootstrap" in err, err
+        assert run([*base, "--rf-bootstrap", 0]) == 0
+        doc = json.loads((tmp_path / "model_rf_bow.json").read_text())
+        assert doc["hyperparameters"]["bootstrap"] is False
 
     def test_comma_string_lists_in_config(self, tmp_path):
         config = tmp_path / "config.json"

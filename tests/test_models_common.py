@@ -1,5 +1,8 @@
 """Contracts every classifier variant honors."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -15,33 +18,30 @@ from sentibench import (
     model_from_dict,
     model_to_dict,
     save_model,
-    vectors_to_csr,
 )
 from sentibench.models import check_X_y
-from helpers import sv
+from helpers import csr
 
 DIMS = 6
 
 
 def training_set(n=40, seed=0):
     rng = np.random.default_rng(seed)
-    X, y = [], []
+    rows, y = [], []
     for _ in range(n):
-        pairs = [
+        rows.append([
             (j, float(rng.integers(1, 4))) for j in range(DIMS) if rng.random() < 0.6
-        ]
-        X.append(sv(DIMS, pairs))
+        ])
         y.append(POLARITIES[rng.integers(0, 3)])
-    return X, y
+    return csr(DIMS, rows), y
 
 
 def probes(n=50, seed=1):
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n):
-        pairs = [(j, float(rng.uniform(0.2, 3))) for j in range(DIMS) if rng.random() < 0.6]
-        out.append(sv(DIMS, pairs))
-    return out
+    return csr(DIMS, [
+        [(j, float(rng.uniform(0.2, 3))) for j in range(DIMS) if rng.random() < 0.6]
+        for _ in range(n)
+    ])
 
 
 def small_hyperparams(kind):
@@ -165,6 +165,21 @@ class TestPersistence:
         doc["params"]["trees"][0] = leaf
         assert model_from_dict(doc).trees_[0].counts.tolist() == [[1, 2, 0]]
 
+    @pytest.mark.parametrize("kind, key", [
+        ("svm", "weights"), ("svm", "bias"), ("logreg", "weights"), ("logreg", "bias"),
+        ("mnb", "class_log_prior"), ("mnb", "feature_log_likelihood"),
+    ])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_params_are_artifact_errors(self, fitted_models, tmp_path, kind,
+                                                   key, bad):
+        doc = model_to_dict(fitted_models[kind])
+        values = doc["params"][key]
+        (values[0] if isinstance(values[0], list) else values)[0] = bad
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))  # json writes NaN, Infinity, -Infinity
+        with pytest.raises(ArtifactError, match=f"{key} holds a value that is not finite"):
+            load_model(str(path))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ArtifactError):
             load_model(str(tmp_path / "none.json"))
@@ -180,17 +195,17 @@ class TestValidationHelpers:
     def test_dims_mismatch_on_predict(self, fitted_models):
         for kind, model in fitted_models.items():
             with pytest.raises(DimensionMismatchError):
-                model.predict([sv(DIMS + 1, [(0, 1.0)])])
+                model.predict(csr(DIMS + 1, [[(0, 1.0)]]))
 
     def test_check_x_y_contract(self):
         X, y = training_set(10)
-        csr, y_idx = check_X_y(X, y)
-        assert csr.shape == (10, DIMS)
+        matrix, y_idx = check_X_y(X, y)
+        assert matrix.shape == (10, DIMS)
         assert [POLARITIES[i] for i in y_idx] == y
         with pytest.raises(TrainingError):
             check_X_y(X, y[:-1])
         with pytest.raises(TrainingError):
-            check_X_y([], [])
+            check_X_y(csr(DIMS, []), [])
         with pytest.raises(TrainingError):
             check_X_y(X[:1], ["meh"])
 
@@ -210,7 +225,7 @@ class TestValidationHelpers:
     def test_unfitted_model_refuses_prediction(self):
         model = make_model("mnb")
         with pytest.raises(RuntimeError, match="not fitted"):
-            model.predict([sv(2, [(0, 1.0)])])
+            model.predict(csr(2, [[(0, 1.0)]]))
 
 
 def messy_copy(csr):
@@ -233,8 +248,7 @@ def messy_copy(csr):
 class TestNonCanonicalInput:
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_duplicates_are_summed_and_input_is_untouched(self, kind):
-        X, y = training_set()
-        clean = vectors_to_csr(X)
+        clean, y = training_set()
         messy = messy_copy(clean)
         assert not messy.has_canonical_format
         before = [a.copy() for a in (messy.data, messy.indices, messy.indptr)]

@@ -5,18 +5,18 @@ import itertools
 import numpy as np
 import pytest
 
-from sentibench import SoftmaxRegression, TrainingError, vectors_to_csr
+from sentibench import SoftmaxRegression, TrainingError
 from sentibench.models.logistic import softmax, softmax_loss_and_grad
-from helpers import sv
+from helpers import csr
 
 # Disjoint single-feature documents: class c fires feature c only.
-SEPARABLE_X = [sv(3, [(c, 1.0)]) for c in (0, 0, 1, 1, 2, 2)]
+SEPARABLE_X = csr(3, [[(c, 1.0)] for c in (0, 0, 1, 1, 2, 2)])
 SEPARABLE_Y = ["negative", "negative", "neutral", "neutral", "positive", "positive"]
 
 
 def brute_force_separator_exists(X, y_idx) -> bool:
     """Search small integer weight matrices for a perfect linear classifier."""
-    dense = vectors_to_csr(X).toarray()
+    dense = X.toarray()
     for flat in itertools.product((-1.0, 0.0, 1.0), repeat=9):
         W = np.array(flat).reshape(3, 3)
         scores = dense @ W.T
@@ -32,7 +32,7 @@ class TestZeroInitialization:
         model.weights_ = np.zeros((3, 4))
         model.bias_ = np.zeros(3)
         model.n_features_ = 4
-        scores = model.predict_scores([sv(4, [(1, 2.0)])])[0]
+        scores = model.predict_scores(csr(4, [[(1, 2.0)]]))[0]
         for value in scores.values():
             assert value == pytest.approx(1 / 3, abs=1e-15)
 
@@ -41,7 +41,7 @@ class TestZeroInitialization:
         model.weights_ = np.ones((3, 4))
         model.bias_ = np.array([0.0, 2.0, 1.0])
         model.n_features_ = 4
-        assert model.predict([sv(4, [])])[0] == "neutral"
+        assert model.predict(csr(4, [[]]))[0] == "neutral"
 
 
 class TestSeparableTraining:
@@ -79,10 +79,8 @@ class TestRegularization:
 class TestGradientCheck:
     def test_analytic_matches_central_differences(self):
         rng = np.random.default_rng(11)
-        X = vectors_to_csr(
-            [sv(4, [(j, rng.uniform(0.2, 2.0)) for j in range(4) if rng.random() < 0.8])
-             for _ in range(5)]
-        )
+        X = csr(4, [[(j, rng.uniform(0.2, 2.0)) for j in range(4) if rng.random() < 0.8]
+                    for _ in range(5)])
         y_idx = rng.integers(0, 3, size=5)
         W = rng.normal(size=(3, 4))
         b = rng.normal(size=3)

@@ -6,18 +6,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from sentibench import MultinomialNaiveBayes, TrainingError
-from helpers import sv
+from sentibench import MultinomialNaiveBayes, TrainingError, model_from_dict, model_to_dict
+from helpers import csr
 
 # 4 docs over 3 terms, one per line, with alpha = 1:
 #   negative: [1,1,0], [1,0,0]   neutral: [0,1,1]   positive: [0,0,1]
-TOY_X = [
-    sv(3, [(0, 1), (1, 1)]),
-    sv(3, [(0, 1)]),
-    sv(3, [(1, 1), (2, 1)]),
-    sv(3, [(2, 1)]),
-]
+TOY_ROWS = [[(0, 1), (1, 1)], [(0, 1)], [(1, 1), (2, 1)], [(2, 1)]]
+TOY_X = csr(3, TOY_ROWS)
+TOY_X2 = sparse.vstack([TOY_X, TOY_X], format="csr")  # every doc twice
 TOY_Y = ["negative", "negative", "neutral", "positive"]
 
 # Hand-smoothed likelihoods: (class term total + 1) / (class total + 3)
@@ -63,7 +61,7 @@ class TestToyCorpus:
         for x in ([1, 1, 0], [1, 0, 0], [0, 1, 1], [0, 0, 1], [1, 1, 1]):
             expected = exact_posterior(x, TOY_PRIOR, TOY_LIKELIHOOD)
             pairs = [(i, 1.0) for i, w in enumerate(x) if w]
-            got = model.predict_scores([sv(3, pairs)])[0]
+            got = model.predict_scores(csr(3, [pairs]))[0]
             for c in expected:
                 assert got[c] == pytest.approx(float(expected[c]), abs=1e-12)
 
@@ -71,18 +69,24 @@ class TestToyCorpus:
         model = MultinomialNaiveBayes(alpha=1.0).fit(TOY_X, TOY_Y)
         expected = exact_posterior([1, 1, 0], TOY_PRIOR, TOY_LIKELIHOOD)
         best = max(expected, key=expected.get)
-        assert model.predict([sv(3, [(0, 1), (1, 1)])])[0] == best == "negative"
+        assert model.predict(csr(3, [[(0, 1), (1, 1)]]))[0] == best == "negative"
 
 
 class TestDegenerateAndErrors:
     def test_single_class_training_predicts_that_class(self):
-        X = [sv(2, [(0, 1)]), sv(2, [(1, 1)])]
+        X = csr(2, [[(0, 1)], [(1, 1)]])
         model = MultinomialNaiveBayes().fit(X, ["negative", "negative"])
-        assert model.predict([sv(2, [(1, 3)]), sv(2, [])]) == ["negative", "negative"]
+        assert model.predict(csr(2, [[(1, 3)], []])) == ["negative", "negative"]
+
+    def test_absent_class_prior_round_trips_as_null(self):
+        model = MultinomialNaiveBayes().fit(TOY_X[:3], TOY_Y[:3])
+        doc = model_to_dict(model)
+        assert doc["params"]["class_log_prior"][2] is None
+        assert model_from_dict(doc).class_log_prior_[2] == -math.inf
 
     def test_negative_weights_rejected(self):
         with pytest.raises(TrainingError, match="non-negative"):
-            MultinomialNaiveBayes().fit([sv(2, [(0, -1.0)])], ["negative"])
+            MultinomialNaiveBayes().fit(csr(2, [[(0, -1.0)]]), ["negative"])
 
     def test_alpha_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -92,7 +96,7 @@ class TestDegenerateAndErrors:
 class TestDuplicationScaling:
     def test_priors_unchanged_by_duplication(self):
         once = MultinomialNaiveBayes().fit(TOY_X, TOY_Y)
-        twice = MultinomialNaiveBayes().fit(TOY_X + TOY_X, TOY_Y + TOY_Y)
+        twice = MultinomialNaiveBayes().fit(TOY_X2, TOY_Y + TOY_Y)
         assert np.allclose(once.class_log_prior_, twice.class_log_prior_, atol=1e-12)
 
     def test_relative_frequencies_scale_invariant_as_alpha_vanishes(self):
@@ -101,11 +105,11 @@ class TestDuplicationScaling:
         # every term the class has actually seen (unseen terms tend to
         # probability zero on both sides, at different log-space rates).
         once = MultinomialNaiveBayes(alpha=1e-9).fit(TOY_X, TOY_Y)
-        twice = MultinomialNaiveBayes(alpha=1e-9).fit(TOY_X + TOY_X, TOY_Y + TOY_Y)
+        twice = MultinomialNaiveBayes(alpha=1e-9).fit(TOY_X2, TOY_Y + TOY_Y)
         order = ("negative", "neutral", "positive")
         seen = np.zeros((3, 3), dtype=bool)
-        for vec, label in zip(TOY_X, TOY_Y):
-            for i in vec.indices:
+        for pairs, label in zip(TOY_ROWS, TOY_Y):
+            for i, _ in pairs:
                 seen[order.index(label), i] = True
         diff = np.abs(once.feature_log_likelihood_ - twice.feature_log_likelihood_)
         assert diff[seen].max() < 1e-6
@@ -124,36 +128,35 @@ class TestBruteForceEquivalence:
             n_docs = rng.randint(2, 4)
             dims = rng.randint(2, 5)
             alpha = rng.choice([0.5, 1.0, 2.0])
-            X, y = [], []
+            rows, y = [], []
             for _ in range(n_docs):
-                pairs = [
+                rows.append([
                     (t, round(rng.uniform(0.1, 3.0), 3))
                     for t in range(dims)
                     if rng.random() < 0.7
-                ]
-                X.append(sv(dims, pairs))
+                ])
                 y.append(rng.choice(labels3))
-            model = MultinomialNaiveBayes(alpha=alpha).fit(X, y)
+            model = MultinomialNaiveBayes(alpha=alpha).fit(csr(dims, rows), y)
 
             counts = {c: y.count(c) for c in labels3}
             totals = {c: [0.0] * dims for c in labels3}
-            for vec, label in zip(X, y):
-                for i, w in zip(vec.indices, vec.values):
+            for pairs, label in zip(rows, y):
+                for i, w in pairs:
                     totals[label][i] += w
 
-            x_query = sv(dims, [(t, 0.5 + 0.25 * t) for t in range(dims)])
+            query = [(t, 0.5 + 0.25 * t) for t in range(dims)]
             log_joint = {}
             for c in labels3:
                 if counts[c] == 0:
                     continue
                 lj = math.log(counts[c] / n_docs)
                 denom = sum(totals[c]) + alpha * dims
-                for i, w in zip(x_query.indices, x_query.values):
+                for i, w in query:
                     lj += w * math.log((totals[c][i] + alpha) / denom)
                 log_joint[c] = lj
             norm = math.log(sum(math.exp(v) for v in log_joint.values()))
             expected = {c: math.exp(v - norm) for c, v in log_joint.items()}
 
-            got = model.predict_scores([x_query])[0]
+            got = model.predict_scores(csr(dims, [query]))[0]
             for c in labels3:
                 assert got[c] == pytest.approx(expected.get(c, 0.0), abs=1e-12)

@@ -17,7 +17,7 @@ import forest_reference
 from sentibench import RandomForest, model_to_dict
 from sentibench.models import forest
 from sentibench.models.base import check_X_y
-from helpers import sv
+from helpers import csr
 
 
 def record_depth(record) -> int:
@@ -56,7 +56,7 @@ def brute_force_best_root(dense, y_idx):
 class TestMemorization:
     def test_single_tree_memorizes_consistent_data(self):
         rng = np.random.default_rng(8)
-        X, y = [], []
+        rows, y = [], []
         labels = ("negative", "neutral", "positive")
         for i in range(30):
             # unique indicator feature per sample keeps the data consistent
@@ -64,8 +64,9 @@ class TestMemorization:
                 (30 + j, float(rng.integers(0, 3))) for j in range(4)
                 if rng.random() < 0.5
             ]
-            X.append(sv(34, [(a, b) for a, b in pairs if b != 0.0]))
+            rows.append([(a, b) for a, b in pairs if b != 0.0])
             y.append(labels[rng.integers(0, 3)])
+        X = csr(34, rows)
         model = RandomForest(
             n_trees=1, bootstrap=False, max_depth=None, max_features=34, seed=0
         ).fit(X, y)
@@ -75,7 +76,7 @@ class TestMemorization:
 class TestPerfectFeature:
     def build(self):
         rng = np.random.default_rng(17)
-        X, y = [], []
+        rows, y = [], []
         for i in range(60):
             label = "positive" if i % 2 else "negative"
             pairs = [(5, 1.0)] if label == "positive" else []
@@ -84,9 +85,9 @@ class TestPerfectFeature:
                 for j in range(10)
                 if j != 5 and rng.random() < 0.5
             ]
-            X.append(sv(10, [(a, b) for a, b in pairs if b != 0.0]))
+            rows.append([(a, b) for a, b in pairs if b != 0.0])
             y.append(label)
-        return X, y
+        return csr(10, rows), y
 
     def test_every_root_split_uses_the_deciding_feature(self):
         X, y = self.build()
@@ -96,7 +97,7 @@ class TestPerfectFeature:
 
     def test_root_choice_matches_brute_force_gini(self):
         X, y = self.build()
-        dense = np.vstack([v.to_dense() for v in X])
+        dense = X.toarray()
         y_idx = np.array([0 if label == "negative" else 2 for label in y])
         _, best_feature, _ = brute_force_best_root(dense, y_idx)
         assert best_feature == 5
@@ -113,7 +114,7 @@ class TestPerfectFeature:
 
 class TestThresholdsAreMidpoints:
     def test_observed_value_midpoints_only(self):
-        X = [sv(1, [(0, v)]) if v else sv(1, []) for v in (0.0, 2.0, 4.0, 2.0, 0.0, 4.0)]
+        X = csr(1, [[(0, v)] if v else [] for v in (0.0, 2.0, 4.0, 2.0, 0.0, 4.0)])
         y = ["negative", "neutral", "positive", "neutral", "negative", "positive"]
         model = RandomForest(
             n_trees=1, bootstrap=False, max_depth=None, max_features=1, seed=0
@@ -134,8 +135,8 @@ class TestThresholdsAreMidpoints:
 class TestDepthAndVotes:
     def test_max_depth_limits_tree(self):
         rng = np.random.default_rng(3)
-        X = [sv(6, [(j, float(rng.integers(1, 5))) for j in range(6) if rng.random() < 0.6])
-             for _ in range(40)]
+        X = csr(6, [[(j, float(rng.integers(1, 5))) for j in range(6) if rng.random() < 0.6]
+                    for _ in range(40)])
         y = [("negative", "neutral", "positive")[i] for i in rng.integers(0, 3, 40)]
         model = RandomForest(n_trees=3, max_depth=2, max_features=6, seed=2).fit(X, y)
         for record in model_to_dict(model)["params"]["trees"]:
@@ -143,8 +144,8 @@ class TestDepthAndVotes:
 
     def test_vote_fractions(self):
         rng = np.random.default_rng(5)
-        X = [sv(4, [(j, float(rng.integers(1, 3))) for j in range(4) if rng.random() < 0.7])
-             for _ in range(25)]
+        X = csr(4, [[(j, float(rng.integers(1, 3))) for j in range(4) if rng.random() < 0.7]
+                    for _ in range(25)])
         y = [("negative", "neutral", "positive")[i] for i in rng.integers(0, 3, 25)]
         model = RandomForest(n_trees=10, seed=7).fit(X, y)
         for scores in model.predict_scores(X[:5]):
@@ -155,22 +156,22 @@ class TestDepthAndVotes:
 
     def test_all_zero_vectors_predict_majority(self):
         # bootstrap off so every tree sees the true label distribution
-        X = [sv(3, []) for _ in range(5)]
+        X = csr(3, [[] for _ in range(5)])
         y = ["positive", "positive", "positive", "negative", "neutral"]
         model = RandomForest(n_trees=5, bootstrap=False, seed=0).fit(X, y)
-        assert model.predict([sv(3, [])])[0] == "positive"
+        assert model.predict(csr(3, [[]]))[0] == "positive"
 
 
 class TestDeterminism:
     def test_same_seed_identical_forest(self):
         rng = np.random.default_rng(13)
-        X = [sv(8, [(j, float(rng.integers(1, 4))) for j in range(8) if rng.random() < 0.5])
-             for _ in range(50)]
+        X = csr(8, [[(j, float(rng.integers(1, 4))) for j in range(8) if rng.random() < 0.5]
+                    for _ in range(50)])
         y = [("negative", "neutral", "positive")[i] for i in rng.integers(0, 3, 50)]
         a = RandomForest(n_trees=8, seed=21).fit(X, y)
         b = RandomForest(n_trees=8, seed=21).fit(X, y)
         assert model_to_dict(a) == model_to_dict(b)
-        probe = [sv(8, [(j, 1.0) for j in range(8)])]
+        probe = csr(8, [[(j, 1.0) for j in range(8)]])
         assert a.predict(probe) == b.predict(probe)
 
     def test_parameter_validation(self):
@@ -303,8 +304,8 @@ class TestNonCanonicalInput:
             ([3.0, 1.0, 2.0, 2.0], [2, 0, 1, 1], [0, 2, 4]), shape=(2, 3)
         )
         before = [a.copy() for a in (X.data, X.indices, X.indptr)]
-        csr, _ = check_X_y(X, ["negative", "positive"])
+        canonical, _ = check_X_y(X, ["negative", "positive"])
         for got, want in zip((X.data, X.indices, X.indptr), before):
             assert np.array_equal(got, want)
-        assert csr.has_canonical_format
-        assert csr.toarray().tolist() == [[1.0, 0.0, 3.0], [0.0, 4.0, 0.0]]
+        assert canonical.has_canonical_format
+        assert canonical.toarray().tolist() == [[1.0, 0.0, 3.0], [0.0, 4.0, 0.0]]

@@ -2,16 +2,15 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from sentibench import LinearSvm, TrainingError, vectors_to_csr
-from sentibench.models.svm import (
-    _pegasos_binary,
-    hinge_sample_objective,
-    hinge_sample_subgradient,
-)
-from helpers import sv
+import svm_reference
+from sentibench import LinearSvm, TrainingError
+from sentibench.models.svm import _pegasos_binary
+from svm_reference import hinge_sample_objective, hinge_sample_subgradient
+from helpers import csr
 
-SEPARABLE_X = [sv(3, [(c, 1.0)]) for c in (0, 0, 1, 1, 2, 2)]
+SEPARABLE_X = csr(3, [[(c, 1.0)] for c in (0, 0, 1, 1, 2, 2)])
 SEPARABLE_Y = ["negative", "negative", "neutral", "neutral", "positive", "positive"]
 
 
@@ -21,14 +20,14 @@ class TestTieBreaking:
         model.weights_ = np.zeros((3, 4))
         model.bias_ = np.zeros(3)
         model.n_features_ = 4
-        assert model.predict([sv(4, [(2, 5.0)])])[0] == "negative"
+        assert model.predict(csr(4, [[(2, 5.0)]]))[0] == "negative"
 
     def test_scores_are_raw_margins(self):
         model = LinearSvm()
         model.weights_ = np.array([[1.0, 0.0], [0.0, -2.0], [0.5, 0.5]])
         model.bias_ = np.array([0.0, 1.0, -1.0])
         model.n_features_ = 2
-        scores = model.predict_scores([sv(2, [(0, 2.0), (1, 4.0)])])[0]
+        scores = model.predict_scores(csr(2, [[(0, 2.0), (1, 4.0)]]))[0]
         assert scores == {"negative": 2.0, "neutral": -7.0, "positive": 2.0}
 
 
@@ -40,12 +39,9 @@ class TestSeparableTraining:
 
 class TestSignFlipSymmetry:
     def test_negated_weights_flip_margins(self):
-        csr = vectors_to_csr(SEPARABLE_X)
-        augmented = np.hstack([csr.toarray(), np.ones((6, 1))])
+        augmented = np.hstack([SEPARABLE_X.toarray(), np.ones((6, 1))])
         y_pm = np.where(np.array([0, 0, 1, 1, 2, 2]) == 0, 1.0, -1.0)
         rng = np.random.default_rng(2)
-        from scipy import sparse
-
         w = _pegasos_binary(sparse.csr_matrix(augmented), y_pm, 1e-4, 10, rng)
         margins = augmented @ w
         flipped = augmented @ (-w)
@@ -78,10 +74,21 @@ class TestSubgradientCheck:
                 assert abs(numeric - grad[j]) / denom <= 1e-5
             checked += 1
 
+    def test_sparse_trainer_takes_the_subgradient_steps(self):
+        rng = np.random.default_rng(8)
+        dense = np.where(rng.random((12, 5)) < 0.5, rng.uniform(0.5, 2.0, (12, 5)), 0.0)
+        y_pm = rng.choice([-1.0, 1.0], size=12)
+        for lam in (1e-2, 0.5):
+            got = _pegasos_binary(
+                sparse.csr_matrix(dense), y_pm, lam, 3, np.random.default_rng(1)
+            )
+            want = svm_reference.pegasos(dense, y_pm, lam, 3, np.random.default_rng(1))
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
 
 class TestErrorsAndValidation:
     def test_single_class_data_rejected(self):
-        X = [sv(2, [(0, 1.0)]), sv(2, [(1, 1.0)])]
+        X = csr(2, [[(0, 1.0)], [(1, 1.0)]])
         with pytest.raises(TrainingError, match="two distinct"):
             LinearSvm().fit(X, ["positive", "positive"])
 

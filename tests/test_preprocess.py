@@ -18,8 +18,6 @@ from sentibench import (
     load_lemma_exceptions,
     load_stopwords,
     preprocess_tweet,
-    remove_stopwords,
-    tokenize,
 )
 from helpers import (
     EXAMPLE_TOKENS_1,
@@ -58,6 +56,20 @@ class TestCleanText:
         assert cleaned == cleaned.lower()
         assert not any(ch.isdigit() for ch in cleaned)
         assert not any(ch in string.punctuation for ch in cleaned)
+
+
+def unlemmatized(text: str, stoplist: StopWordList) -> list[str]:
+    """The pipeline's split and stop-word steps alone: the lemmatizer maps
+    every word of ``text`` to itself."""
+    return TweetPreprocessor(stoplist, Lemmatizer({w: w for w in text.split()}))(text)
+
+
+def tokenize(cleaned: str) -> list[str]:
+    return unlemmatized(cleaned, StopWordList(StopWordList.REQUIRED))
+
+
+def remove_stopwords(tokens: list[str], stoplist: StopWordList) -> list[str]:
+    return unlemmatized(" ".join(tokens), stoplist)
 
 
 class TestTokenize:

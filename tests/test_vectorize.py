@@ -1,4 +1,4 @@
-"""Bag-of-words and tf-idf vectorizers, sparse vectors, serialization."""
+"""Bag-of-words and tf-idf vectorizers, their CSR rows, serialization."""
 
 import json
 import math
@@ -28,78 +28,79 @@ from sentibench import (
     load_vectorizer,
     make_vectorizer,
     save_vectorizer,
-    term_frequency,
-    vectors_to_csr,
 )
 from sentibench.models import check_vectors
-from helpers import EXAMPLE_TOKENS_1, EXAMPLE_TOKENS_2, sv
+from helpers import EXAMPLE_TOKENS_1, EXAMPLE_TOKENS_2, csr
+from vectorize_reference import term_frequency
 
 DOCS = [EXAMPLE_TOKENS_1, EXAMPLE_TOKENS_2]
 DEFAULT_PREPROCESSOR = TweetPreprocessor()
 
 
+def row(vec, doc) -> SparseVector:
+    """The one row ``transform`` makes of one document."""
+    return vec.transform([doc])[0]
+
+
+def dense(vec, doc) -> np.ndarray:
+    return vec.transform([doc]).csr.toarray()[0]
+
+
 class TestSparseVector:
     def test_valid_roundtrip_to_dense(self):
-        vec = sv(5, [(3, 2.5), (0, 1.0)])
-        assert vec.to_dense().tolist() == [1.0, 0.0, 0.0, 2.5, 0.0]
-        assert vec.nnz == 2
-
-    def test_indices_must_increase(self):
-        with pytest.raises(ValueError):
-            SparseVector(dims=4, indices=(2, 1), values=(1.0, 1.0))
-        with pytest.raises(ValueError):
-            SparseVector(dims=4, indices=(1, 1), values=(1.0, 1.0))
-
-    def test_index_bounds(self):
-        with pytest.raises(ValueError):
-            SparseVector(dims=2, indices=(2,), values=(1.0,))
+        rows = SparseRows(csr(5, [[(3, 2.5), (0, 1.0)]]))
+        assert rows.csr.toarray().tolist() == [[1.0, 0.0, 0.0, 2.5, 0.0]]
+        assert rows[0] == SparseVector(5, (0, 3), (1.0, 2.5))
+        assert rows[0].nnz == 2
 
     def test_no_explicit_zeros_or_nonfinite(self):
-        with pytest.raises(ValueError):
-            SparseVector(dims=2, indices=(0,), values=(0.0,))
-        with pytest.raises(ValueError):
-            SparseVector(dims=2, indices=(0,), values=(float("nan"),))
+        # transform drops zero weights, and a non-finite idf never loads
+        rows = TfidfVectorizer().fit(DOCS).transform(DOCS)
+        assert 0.0 not in rows.csr.data and np.isfinite(rows.csr.data).all()
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                IdfTable(doc_count=2, df=(1,), idf=(bad,))
 
     def test_csr_stacking(self):
-        vecs = [sv(3, [(0, 1.0)]), sv(3, [(1, 2.0), (2, 3.0)])]
-        csr = vectors_to_csr(vecs)
-        assert csr.toarray().tolist() == [[1.0, 0.0, 0.0], [0.0, 2.0, 3.0]]
+        stacked = check_vectors(np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 3.0]]))
+        assert sparse.isspmatrix_csr(stacked)
+        assert stacked.toarray().tolist() == [[1.0, 0.0, 0.0], [0.0, 2.0, 3.0]]
 
     def test_csr_dims_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            vectors_to_csr([sv(3, [(0, 1.0)]), sv(4, [(0, 1.0)])])
+            check_vectors(csr(4, [[(0, 1.0)]]), dims=3)
+        with pytest.raises(TypeError):
+            check_vectors([SparseVector(3, (0,), (1.0,))])
 
 
 class TestBow:
     def test_worked_example_vectors(self):
         bow = BowVectorizer().fit(DOCS)
         assert bow.dims == 11
-        assert bow.transform_one(EXAMPLE_TOKENS_1).to_dense().tolist() == [
-            1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0,
-        ]
-        assert bow.transform_one(EXAMPLE_TOKENS_2).to_dense().tolist() == [
-            1, 0, 0, 0, 1, 0, 0, 1, 1, 1, 1,
+        assert bow.transform(DOCS).csr.toarray().tolist() == [
+            [1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0],
+            [1, 0, 0, 0, 1, 0, 0, 1, 1, 1, 1],
         ]
 
     def test_empty_doc(self):
         bow = BowVectorizer().fit(DOCS)
-        assert bow.transform_one([]).nnz == 0
+        assert row(bow, []).nnz == 0
 
     def test_presence_not_counts(self):
         bow = BowVectorizer().fit(DOCS)
         doc = ["late", "late", "late", "slow"]
-        once = bow.transform_one(["late", "slow"])
-        assert bow.transform_one(doc) == once
+        once = row(bow, ["late", "slow"])
+        assert row(bow, doc) == once
         assert set(once.values) == {1.0}
 
     def test_doubled_doc_equals_doc(self):
         bow = BowVectorizer().fit(DOCS)
         doc = EXAMPLE_TOKENS_2
-        assert bow.transform_one(doc + doc) == bow.transform_one(doc)
+        assert row(bow, doc + doc) == row(bow, doc)
 
     def test_unknown_tokens_ignored(self):
         bow = BowVectorizer().fit(DOCS)
-        assert bow.transform_one(["pizza", "sushi"]).nnz == 0
+        assert row(bow, ["pizza", "sushi"]).nnz == 0
 
     def test_transform_matches_per_doc(self):
         bow = BowVectorizer().fit(DOCS)
@@ -107,12 +108,13 @@ class TestBow:
 
     def test_transform_deterministic(self):
         bow = BowVectorizer().fit(DOCS)
-        assert bow.transform_one(EXAMPLE_TOKENS_1) == bow.transform_one(
-            EXAMPLE_TOKENS_1
-        )
+        assert row(bow, EXAMPLE_TOKENS_1) == row(bow, EXAMPLE_TOKENS_1)
 
 
 class TestTermFrequency:
+    """The reference's per-document tf, which TestBulkTransform holds the
+    bulk tf-idf transform to bit for bit, against hand counts."""
+
     def test_worked_example_doc_one(self):
         vocab = build_vocabulary(DOCS)
         freqs = term_frequency(EXAMPLE_TOKENS_1, vocab)
@@ -186,16 +188,14 @@ class TestTfidfTransform:
     def test_worked_example_weights(self):
         tfidf = TfidfVectorizer().fit(DOCS)
         vocab = tfidf.vocabulary_
-        v1 = tfidf.transform_one(EXAMPLE_TOKENS_1)
-        v2 = tfidf.transform_one(EXAMPLE_TOKENS_2)
-        dense1 = v1.to_dense()
-        dense2 = v2.to_dense()
+        rows = tfidf.transform(DOCS)
+        dense1, dense2 = rows.csr.toarray()
         assert dense1[vocab.index["beef"]] == pytest.approx(math.log(2) / 8, abs=1e-15)
         assert dense2[vocab.index["late"]] == pytest.approx(math.log(2) / 6, abs=1e-15)
         # terms in every fit document drop out entirely
         for term in ("delicious", "mcdonald", "hamburger"):
-            assert vocab.index[term] not in v1.indices
-            assert vocab.index[term] not in v2.indices
+            assert vocab.index[term] not in rows[0].indices
+            assert vocab.index[term] not in rows[1].indices
 
     def test_requires_fit_docs(self):
         with pytest.raises(TrainingError):
@@ -203,11 +203,11 @@ class TestTfidfTransform:
 
     def test_unseen_only_doc_is_empty(self):
         tfidf = TfidfVectorizer().fit(DOCS)
-        assert tfidf.transform_one(["pizza", "sushi"]).nnz == 0
+        assert row(tfidf, ["pizza", "sushi"]).nnz == 0
 
     def test_empty_doc_is_empty_vector(self):
         tfidf = TfidfVectorizer().fit(DOCS)
-        assert tfidf.transform_one([]).nnz == 0
+        assert row(tfidf, []).nnz == 0
 
     def test_transform_corpus_matches_per_doc(self):
         tfidf = TfidfVectorizer().fit(DOCS)
@@ -215,8 +215,8 @@ class TestTfidfTransform:
 
     def test_transform_bit_identical(self):
         tfidf = TfidfVectorizer().fit(DOCS)
-        a = tfidf.transform_one(EXAMPLE_TOKENS_2)
-        b = tfidf.transform_one(EXAMPLE_TOKENS_2)
+        a = row(tfidf, EXAMPLE_TOKENS_2)
+        b = row(tfidf, EXAMPLE_TOKENS_2)
         assert a.values == b.values
 
     def test_brute_force_equivalence_on_random_corpora(self):
@@ -232,12 +232,12 @@ class TestTfidfTransform:
             tfidf = TfidfVectorizer().fit(docs)
             vocab = tfidf.vocabulary_
             for doc in docs:
-                dense = tfidf.transform_one(doc).to_dense()
+                weights = dense(tfidf, doc)
                 for term, idx in vocab.index.items():
                     tf = doc.count(term) / len(doc)
                     df = sum(1 for d in docs if term in d)
                     expected = tf * math.log(n_docs / df)
-                    assert abs(dense[idx] - expected) <= 1e-12
+                    assert abs(weights[idx] - expected) <= 1e-12
 
 
 FIT_TOKENS = st.sampled_from("abcde")
@@ -301,7 +301,7 @@ class TestSparseRows:
         assert len(out) == out.csr.shape[0] == len(docs)
         assert sum(v.nnz for v in out) == out.csr.nnz
         for i, doc in enumerate(docs):
-            assert out[i] == vec.transform_one(doc)
+            assert out[i] == row(vec, doc)
         assert out[-1] == out[len(docs) - 1]
         with pytest.raises(IndexError):
             out[len(docs)]
@@ -310,25 +310,12 @@ class TestSparseRows:
         with pytest.raises(DimensionMismatchError):
             check_vectors(out, dims=vec.dims + 1)
 
-    @pytest.mark.parametrize("indptr, indices, data", [
-        ([0, 2], [1, 0], [1.0, 1.0]),  # decreasing within a row
-        ([0, 2], [1, 1], [1.0, 1.0]),  # repeated within a row
-        ([0, 1], [3], [1.0]),  # out of range
-        ([0, 1], [0], [0.0]),
-        ([0, 1], [0], [float("nan")]),
-        ([0, 1], [0], [float("inf")]),
-    ])
-    def test_rejects_what_sparse_vector_rejects(self, indptr, indices, data):
-        with pytest.raises(ValueError):
-            SparseVector(3, tuple(indices), tuple(data))
-        csr = sparse.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, 3))
-        with pytest.raises(ValueError):
-            SparseRows(csr)
-
     def test_index_may_fall_between_rows(self):
-        csr = sparse.csr_matrix(([1.0, 2.0, 3.0], [2, 0, 1], [0, 1, 1, 3]), shape=(3, 3))
-        rows = SparseRows(csr)
-        assert list(rows) == [sv(3, [(2, 1.0)]), sv(3, []), sv(3, [(0, 2.0), (1, 3.0)])]
+        matrix = sparse.csr_matrix(([1.0, 2.0, 3.0], [2, 0, 1], [0, 1, 1, 3]), shape=(3, 3))
+        assert list(SparseRows(matrix)) == [
+            SparseVector(3, (2,), (1.0,)), SparseVector(3, (), ()),
+            SparseVector(3, (0, 1), (2.0, 3.0)),
+        ]
 
 
 class TestSerialization:
@@ -347,9 +334,7 @@ class TestSerialization:
         save_vectorizer(tfidf, str(path), DEFAULT_PREPROCESSOR)
         loaded, _ = load_vectorizer(str(path))
         assert loaded.idf_table_ == tfidf.idf_table_
-        assert loaded.transform_one(EXAMPLE_TOKENS_2) == tfidf.transform_one(
-            EXAMPLE_TOKENS_2
-        )
+        assert row(loaded, EXAMPLE_TOKENS_2) == row(tfidf, EXAMPLE_TOKENS_2)
 
     def test_save_is_deterministic(self, tmp_path):
         tfidf = TfidfVectorizer().fit(DOCS)

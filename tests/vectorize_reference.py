@@ -11,10 +11,39 @@ the same vocabulary, df, idf and CSR matrix, bit for bit.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from collections import Counter
+from dataclasses import dataclass
+from typing import Mapping, Sequence
+
+import numpy as np
+from scipy import sparse
 
 from sentibench.preprocess import Vocabulary
-from sentibench.vectorize import IdfTable, SparseVector, term_frequency, vectors_to_csr
+from sentibench.vectorize import IdfTable, SparseVector
+
+
+@dataclass(frozen=True)
+class TermFrequencies:
+    """Per-document term counts and the shared denominator.
+
+    ``total_terms`` counts every token of the document, in- or
+    out-of-vocabulary, so tf = counts[i] / total_terms.
+    """
+
+    counts: Mapping[int, int]
+    total_terms: int
+
+    def tf(self, index: int) -> float:
+        return self.counts.get(index, 0) / self.total_terms
+
+    def tf_map(self) -> dict[int, float]:
+        return {i: n / self.total_terms for i, n in self.counts.items()}
+
+
+def term_frequency(doc: Sequence[str], vocab: Vocabulary) -> TermFrequencies:
+    """Count vocabulary terms in the doc; unknown tokens only add to the total."""
+    counts = Counter(vocab.index[t] for t in doc if t in vocab)
+    return TermFrequencies(counts=dict(counts), total_terms=len(doc))
 
 
 def vocabulary(docs: Sequence[Sequence[str]]) -> Vocabulary:
@@ -63,4 +92,10 @@ def transform(vec, docs: Sequence[Sequence[str]]) -> list[SparseVector]:
 
 
 def transform_csr(vec, docs: Sequence[Sequence[str]]):
-    return vectors_to_csr(transform(vec, docs), dims=len(vec.vocabulary_))
+    """The per-document vectors stacked row by row into one CSR matrix."""
+    rows = transform(vec, docs)
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([row.nnz for row in rows], out=indptr[1:])
+    indices = np.array([i for row in rows for i in row.indices], dtype=np.int32)
+    data = np.array([w for row in rows for w in row.values], dtype=np.float64)
+    return sparse.csr_matrix((data, indices, indptr), shape=(len(rows), len(vec.vocabulary_)))
