@@ -5,14 +5,16 @@ hyperparameter stored under its own name, introspectable through
 ``get_params`` / ``set_params`` so instances compose with generic
 tooling (grid drivers, cloning, pipelines).
 
-Also home of the one JSON file writer and reader behind every artifact
-and report.
+Also home of the hyperparameter and artifact-count checks, and of the one
+JSON file writer and reader behind every artifact and report.
 """
 
 from __future__ import annotations
 
 import inspect
 import json
+import math
+from numbers import Integral, Real
 
 from .errors import SentibenchError
 
@@ -54,6 +56,31 @@ def check_fitted(obj, attribute: str) -> None:
         raise RuntimeError(
             f"{type(obj).__name__} is not fitted yet; call fit() before use"
         )
+
+
+def check_int(name: str, value, minimum: int) -> None:
+    """Raise ValueError unless ``value`` is an integer (not a bool) >= ``minimum``."""
+    # type() first: a tree artifact checks tens of thousands of counts, and the
+    # Integral check (an ABC) costs about 1 us a call
+    if (
+        type(value) is not int and (isinstance(value, bool) or not isinstance(value, Integral))
+    ) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_float(name: str, value, minimum: float, *, inclusive: bool = False) -> None:
+    """Raise ValueError unless ``value`` is a finite real number (not a bool)
+    above ``minimum``, or equal to it when ``inclusive``. NaN fails every
+    comparison, so a bare ``value <= minimum`` test would let it through."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, Real)
+        or not math.isfinite(value)
+        or value < minimum
+        or (value == minimum and not inclusive)
+    ):
+        bound = ">=" if inclusive else ">"
+        raise ValueError(f"{name} must be a finite number {bound} {minimum}, got {value!r}")
 
 
 def write_json(path, payload) -> None:

@@ -11,7 +11,6 @@ tie-break [negative, neutral, positive].
 
 from __future__ import annotations
 
-from numbers import Integral
 from typing import Mapping
 
 import numpy as np
@@ -67,12 +66,6 @@ def check_X_y(X, y):
     except KeyError as exc:
         raise TrainingError(f"unknown label {exc.args[0]!r}") from None
     return csr, y_idx
-
-
-def check_int(name: str, value, minimum: int) -> None:
-    """Raise ValueError unless ``value`` is an integer (not a bool) >= ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def decode_array(values, shape: tuple[int, ...], name: str) -> np.ndarray:

@@ -25,9 +25,10 @@ import math
 
 import numpy as np
 
+from ..base import check_int
 from ..corpus import POLARITIES
 from ..errors import ArtifactError
-from .base import BaseClassifier, check_int, check_X_y
+from .base import BaseClassifier, check_X_y
 
 _STREAM = 3
 
@@ -76,13 +77,16 @@ class _Tree:
         while stack:
             rec, slot = stack.pop()
             if "class" in rec:
-                counts = [int(c) for c in rec["counts"]]
-                if len(counts) != 3 or min(counts) < 0:
+                counts = list(rec["counts"])
+                for c in counts:
+                    check_int("leaf count", c, 0)
+                if len(counts) != 3:
                     raise ArtifactError(f"leaf counts {counts} are not 3 counts")
                 nodes[slot] = (-1, 0.0, -1, -1, POLARITIES.index(rec["class"]), counts)
             else:
-                feature = int(rec["feature"])
-                if not 0 <= feature < dims:
+                feature = rec["feature"]
+                check_int("tree feature", feature, 0)
+                if feature >= dims:
                     raise ArtifactError(f"tree feature {feature} outside [0, {dims})")
                 lid = len(nodes)
                 nodes += [None, None]

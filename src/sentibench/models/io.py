@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from ..base import read_json, write_json
+from ..base import check_int, read_json, write_json
 from ..corpus import POLARITIES
 from ..errors import ArtifactError
 from .base import BaseClassifier
@@ -63,7 +63,8 @@ def _decode_model(doc: Mapping) -> BaseClassifier:
     if cls is None:
         raise ArtifactError(f"unknown model variant {doc.get('variant')!r}")
     model = cls(**dict(doc.get("hyperparameters", {})))
-    dims = int(doc["dims"])
+    dims = doc["dims"]
+    check_int("dims", dims, 0)
     model.load_state(doc.get("params", {}), dims)
     model.n_features_ = dims
     return model

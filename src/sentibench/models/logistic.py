@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..base import check_float, check_int
 from ..errors import TrainingError
-from .base import BaseClassifier, check_int, check_X_y, decode_array
+from .base import BaseClassifier, check_X_y, decode_array
 
 _STREAM = 1  # keeps this model's RNG stream distinct from other variants
 
@@ -53,13 +54,11 @@ class SoftmaxRegression(BaseClassifier):
         seed: int = 0,
     ):
         super().__init__()
-        if learning_rate <= 0:
-            raise ValueError("learning_rate must be strictly positive")
+        check_float("learning_rate", learning_rate, 0)
         check_int("epochs", epochs, 1)
         check_int("batch_size", batch_size, 1)
         check_int("seed", seed, 0)
-        if l2 < 0:
-            raise ValueError("l2 must be non-negative")
+        check_float("l2", l2, 0, inclusive=True)
         self.learning_rate = learning_rate
         self.epochs = epochs
         self.batch_size = batch_size
@@ -76,11 +75,14 @@ class SoftmaxRegression(BaseClassifier):
         self.epoch_losses_: list[float] = []
         for _ in range(self.epochs):
             order = rng.permutation(n)
+            # one permuted copy per epoch; its contiguous slices are the
+            # same batches, row for row, as indexing csr with each slice of order
+            X_epoch, y_epoch = csr[order], y_idx[order]
             batch_losses = []
             for start in range(0, n, self.batch_size):
-                batch = order[start : start + self.batch_size]
+                stop = start + self.batch_size
                 loss, grad_W, grad_b = softmax_loss_and_grad(
-                    W, b, csr[batch], y_idx[batch], self.l2
+                    W, b, X_epoch[start:stop], y_epoch[start:stop], self.l2
                 )
                 if not np.isfinite(loss):
                     raise TrainingError(

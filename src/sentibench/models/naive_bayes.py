@@ -17,6 +17,7 @@ import math
 import numpy as np
 from scipy.special import logsumexp
 
+from ..base import check_float
 from ..errors import TrainingError
 from .base import BaseClassifier, check_X_y, decode_array
 
@@ -26,8 +27,7 @@ class MultinomialNaiveBayes(BaseClassifier):
 
     def __init__(self, alpha: float = 1.0, seed: int = 0):
         super().__init__()
-        if alpha <= 0:
-            raise ValueError(f"alpha must be strictly positive, got {alpha}")
+        check_float("alpha", alpha, 0)
         self.alpha = alpha
         self.seed = seed  # unused: training is deterministic; kept for API symmetry
 

@@ -7,6 +7,18 @@ augmented feature, so it is regularized along with the weights. The
 weight vector is kept as scale * direction so each step costs only the
 sample's nonzeros.
 
+The steps form one sequential loop, so their cost is interpreter and
+NumPy call overhead. The arithmetic and its order are fixed, so the
+weights are reproducible bit for bit:
+
+- the margin's dot product is one BLAS ``ddot`` over the row's weights
+  and values. OpenBLAS sums 16 or more entries in unrolled blocks and
+  uses fused multiply-adds on the tail, so a left-to-right sum in Python
+  rounds differently;
+- the update scale is ``eta * y / scale``, in that order. The algebraically
+  equal ``y / (lam * t * scale)`` rounds differently and changes the
+  weights.
+
 Prediction returns raw margins; argmax with the fixed class order
 breaks ties, so an all-zero model predicts the first class (negative).
 """
@@ -16,33 +28,42 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
+from ..base import check_float, check_int
 from ..errors import TrainingError
-from .base import BaseClassifier, check_int, check_X_y, decode_array
+from .base import BaseClassifier, check_X_y, decode_array
 
 _STREAM = 2
 
 
 def _pegasos_binary(csr, y_pm, lam, epochs, rng) -> np.ndarray:
-    """Train one binary machine; returns the final weight vector."""
+    """Train one binary machine; returns the final weight vector.
+
+    ``csr`` must be canonical (no duplicate entries in a row), so one
+    ``put`` writes each touched weight once.
+    """
     n, dims = csr.shape
-    indptr, indices, data = csr.indptr, csr.indices, csr.data
+    indices, data = csr.indices, csr.data
+    indptr, labels = csr.indptr.tolist(), y_pm.tolist()
     direction = np.zeros(dims)
+    take, put = direction.take, direction.put
     scale = 1.0
     t = 0
     for _ in range(epochs):
-        for i in rng.permutation(n):
+        for i in rng.permutation(n).tolist():
             t += 1
             lo, hi = indptr[i], indptr[i + 1]
             idx = indices[lo:hi]
             vals = data[lo:hi]
-            margin = y_pm[i] * scale * float(np.dot(direction[idx], vals))
+            y = labels[i]
+            g = take(idx)
+            margin = y * scale * float(g.dot(vals))
             scale *= 1.0 - 1.0 / t
-            if scale == 0.0:  # only at t == 1: the weight vector is 0 anyway
+            if scale == 0.0:  # only at t == 1, when direction (and g) are all zero
                 direction[:] = 0.0
                 scale = 1.0
             if margin < 1.0:
                 eta = 1.0 / (lam * t)
-                direction[idx] += (eta * y_pm[i] / scale) * vals
+                put(idx, g + (eta * y / scale) * vals)
     return scale * direction
 
 
@@ -51,8 +72,7 @@ class LinearSvm(BaseClassifier):
 
     def __init__(self, lam: float = 1e-4, epochs: int = 50, seed: int = 0):
         super().__init__()
-        if lam <= 0:
-            raise ValueError("lam must be strictly positive")
+        check_float("lam", lam, 0)
         check_int("epochs", epochs, 1)
         check_int("seed", seed, 0)
         self.lam = lam

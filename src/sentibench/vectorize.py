@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy import sparse
 
-from .base import ParamsMixin, check_fitted, read_json, write_json
+from .base import ParamsMixin, check_fitted, check_int, read_json, write_json
 from .errors import ArtifactError, ConfigError, TrainingError
 from .preprocess import (
     Lemmatizer,
@@ -200,9 +200,13 @@ class TfidfVectorizer(_Vectorizer):
 
     def load_state(self, doc: Mapping) -> None:
         super().load_state(doc)
+        doc_count, df = doc["doc_count"], tuple(doc["df"])
+        check_int("doc_count", doc_count, 1)
+        for d in df:
+            check_int("df", d, 1)
         self.idf_table_ = IdfTable(
-            doc_count=int(doc["doc_count"]),
-            df=tuple(int(d) for d in doc["df"]),
+            doc_count=doc_count,
+            df=df,
             idf=tuple(float(w) for w in doc["idf"]),
         )
         if len(self.idf_table_.df) != len(self.vocabulary_):

@@ -6,6 +6,7 @@ import os
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy import sparse
 
 from sentibench import Corpus, TweetRecord
@@ -32,6 +33,30 @@ def csr(dims: int, rows) -> sparse.csr_matrix:
     return sparse.csr_matrix(
         (np.array(data, dtype=np.float64), indices, indptr), shape=(len(rows), dims)
     )
+
+
+# Rows up to 60 long: OpenBLAS ddot sums 16 or more entries in unrolled blocks.
+LONG_ROW = 60
+
+
+def random_csr(lengths, unit: bool, seed: int) -> sparse.csr_matrix:
+    """Canonical CSR with one row per entry of ``lengths`` (stored entries
+    per row) over 2 * LONG_ROW columns; values are 1.0 (bag-of-words) when
+    ``unit``, else uniform in [-4, 4)."""
+    rng = np.random.default_rng(seed)
+    dims = 2 * LONG_ROW
+    rows = [
+        zip(rng.choice(dims, k, replace=False), np.ones(k) if unit else rng.uniform(-4, 4, k))
+        for k in lengths
+    ]
+    return csr(dims, rows)
+
+
+@st.composite
+def canonical_csr(draw, n: int, unit: bool) -> sparse.csr_matrix:
+    """``random_csr`` with n rows of 1-LONG_ROW stored entries each."""
+    lengths = draw(st.lists(st.integers(1, LONG_ROW), min_size=n, max_size=n))
+    return random_csr(lengths, unit, draw(st.integers(0, 2**32 - 1)))
 
 
 def make_corpus(texts_labels, source="synthetic") -> Corpus:

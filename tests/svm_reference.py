@@ -1,10 +1,13 @@
-"""Dense single-sample Pegasos, kept as the reference for the sparse trainer.
+"""Reference Pegasos loops for the sparse trainer.
 
 ``hinge_sample_objective`` and ``hinge_sample_subgradient`` are the
 per-sample objective and its subgradient; ``pegasos`` takes the plain
 step w <- w - eta_t * subgradient on dense vectors. The trainer in
 ``sentibench.models.svm`` keeps w as scale * direction and touches only
 a sample's nonzeros, so it must agree with this loop up to rounding.
+
+``pegasos_sparse`` is the scale * direction loop written with plain
+NumPy indexing. The trainer must return exactly its weights, bit for bit.
 """
 
 from __future__ import annotations
@@ -35,3 +38,27 @@ def pegasos(dense, y_pm, lam, epochs, rng) -> np.ndarray:
             t += 1
             w = w - hinge_sample_subgradient(w, dense[i], y_pm[i], lam) / (lam * t)
     return w
+
+
+def pegasos_sparse(csr, y_pm, lam, epochs, rng) -> np.ndarray:
+    """One binary machine over a canonical CSR matrix, w = scale * direction."""
+    n, dims = csr.shape
+    indptr, indices, data = csr.indptr, csr.indices, csr.data
+    direction = np.zeros(dims)
+    scale = 1.0
+    t = 0
+    for _ in range(epochs):
+        for i in rng.permutation(n):
+            t += 1
+            lo, hi = indptr[i], indptr[i + 1]
+            idx = indices[lo:hi]
+            vals = data[lo:hi]
+            margin = y_pm[i] * scale * float(np.dot(direction[idx], vals))
+            scale *= 1.0 - 1.0 / t
+            if scale == 0.0:
+                direction[:] = 0.0
+                scale = 1.0
+            if margin < 1.0:
+                eta = 1.0 / (lam * t)
+                direction[idx] += (eta * y_pm[i] / scale) * vals
+    return scale * direction

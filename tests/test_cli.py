@@ -237,6 +237,10 @@ def rarest_idf(value):
     return corrupt
 
 
+def hyperparameter(key, value):
+    return lambda d: d["hyperparameters"].update({key: value})
+
+
 def rf_threshold(value):
     def corrupt(d):
         rf_root(d, 0)
@@ -256,6 +260,35 @@ NON_FINITE_CORRUPTIONS = {
         "model_svm_bow.json", first_weight("weights", math.inf), "svm", "bow"),
     "logreg bias NaN": ("model_logreg_bow.json", first_weight("bias", math.nan), "logreg", "bow"),
     "rf threshold Infinity": ("model_rf_bow.json", rf_threshold(math.inf), "rf", "bow"),
+    "mnb alpha NaN": ("model_mnb_bow.json", hyperparameter("alpha", math.nan), "mnb", "bow"),
+    "svm lam Infinity": ("model_svm_bow.json", hyperparameter("lam", math.inf), "svm", "bow"),
+    "logreg l2 NaN": ("model_logreg_bow.json", hyperparameter("l2", math.nan), "logreg", "bow"),
+}
+
+
+def rf_leaf_counts(counts):
+    def corrupt(d):
+        rf_root(d, 0)
+        d["params"]["trees"][0]["left"] = {"class": "negative", "counts": counts}
+    return corrupt
+
+
+# int() would truncate these and load the artifact as if nothing were wrong
+NON_INTEGER_CORRUPTIONS = {
+    "tfidf doc_count 7.9": (
+        "vectorizer_tfidf.json", lambda d: d.update(doc_count=d["doc_count"] + 0.9),
+        "mnb", "tfidf"),
+    "tfidf doc_count 2.0": (
+        "vectorizer_tfidf.json", lambda d: d.update(doc_count=float(d["doc_count"])),
+        "mnb", "tfidf"),
+    "tfidf df entry 1.5": (
+        "vectorizer_tfidf.json", lambda d: d["df"].__setitem__(0, d["df"][0] + 0.5),
+        "mnb", "tfidf"),
+    "mnb dims 41.5": ("model_mnb_tfidf.json", lambda d: d.update(dims=d["dims"] + 0.5),
+                      "mnb", "tfidf"),
+    "rf feature 0.5": ("model_rf_bow.json", lambda d: rf_root(d, 0.5), "rf", "bow"),
+    "rf feature true": ("model_rf_bow.json", lambda d: rf_root(d, True), "rf", "bow"),
+    "rf leaf count 1.5": ("model_rf_bow.json", rf_leaf_counts([1.5, 0, 0]), "rf", "bow"),
 }
 
 
@@ -308,6 +341,17 @@ class TestArtifactShapes:
         assert code == 1
         assert err.startswith("error[artifact]"), err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("case", sorted(NON_INTEGER_CORRUPTIONS))
+    def test_non_integer_count_is_one_artifact_error(self, trained_artifacts, tmp_path,
+                                                     capsys, case):
+        code, err = evaluate_corrupted(
+            trained_artifacts, tmp_path, capsys, *NON_INTEGER_CORRUPTIONS[case]
+        )
+        assert code == 1
+        assert err.startswith("error[artifact]") and "integer" in err, err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "e").exists()
 
     def test_terms_string_is_one_artifact_error(self, trained_artifacts, tmp_path, capsys):
         # "usa" would load as the terms u, s, a; with a 3-wide model to match,
@@ -497,6 +541,14 @@ class TestConfigHandling:
         pytest.param({"hyperparams": {"rf": {"max_depth": 1.5}}}, id="rf depth"),
         pytest.param({"hyperparams": {"rf": {"max_features": 2.5}}}, id="rf features"),
         pytest.param({"hyperparams": {"svm": {"seed": 0.5}}}, id="svm seed"),
+        pytest.param({"hyperparams": {"svm": {"lam": math.nan}}}, id="svm lam NaN"),
+        pytest.param({"hyperparams": {"logreg": {"learning_rate": math.inf}}},
+                     id="logreg learning rate Infinity"),
+        pytest.param({"hyperparams": {"logreg": {"l2": math.inf}}}, id="logreg l2 Infinity"),
+        pytest.param({"models": ["mnb"], "hyperparams": {"mnb": {"alpha": math.nan}}},
+                     id="mnb alpha NaN"),
+        pytest.param({"models": ["mnb"], "hyperparams": {"mnb": {"alpha": True}}},
+                     id="mnb alpha bool"),
     ])
     def test_bad_value_is_one_config_error_before_any_cell_trains(
         self, tmp_path, capsys, values

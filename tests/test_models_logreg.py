@@ -4,10 +4,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import logreg_reference
 from sentibench import SoftmaxRegression, TrainingError
+from sentibench.corpus import POLARITIES
 from sentibench.models.logistic import softmax, softmax_loss_and_grad
-from helpers import csr
+from helpers import canonical_csr, csr
 
 # Disjoint single-feature documents: class c fires feature c only.
 SEPARABLE_X = csr(3, [[(c, 1.0)] for c in (0, 0, 1, 1, 2, 2)])
@@ -131,6 +135,44 @@ class TestDivergenceAndValidation:
         probs = softmax(rng.normal(scale=30, size=(20, 3)))
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
         assert (probs >= 0).all()
+
+
+@st.composite
+def batch_problems(draw):
+    """A canonical CSR matrix, class indices and hyperparameters; n is never
+    a multiple of a batch size above 1, so every epoch ends on a short batch."""
+    batch_size = draw(st.sampled_from([1, 7, 64, None]))
+    if batch_size is None:  # the whole epoch is one batch
+        n = draw(st.integers(1, 40))
+        batch_size = n + draw(st.integers(1, 9))
+    else:
+        n = draw(
+            st.integers(batch_size + 1, batch_size + 40).filter(
+                lambda n: batch_size == 1 or n % batch_size
+            )
+        )
+    X = draw(canonical_csr(n, unit=draw(st.booleans())))
+    y_idx = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    hp = {
+        "learning_rate": draw(st.sampled_from([0.05, 0.5])),
+        "epochs": draw(st.integers(1, 3)),
+        "batch_size": batch_size,
+        "l2": draw(st.sampled_from([0.0, 1e-2])),
+        "seed": draw(st.integers(0, 2**16)),
+    }
+    return X, y_idx, hp
+
+
+class TestMatchesFancyIndexReference:
+    @settings(max_examples=60, deadline=None)
+    @given(batch_problems())
+    def test_weights_and_losses_are_bit_identical(self, problem):
+        X, y_idx, hp = problem
+        model = SoftmaxRegression(**hp).fit(X, [POLARITIES[i] for i in y_idx])
+        W, b, losses = logreg_reference.fit_batches(X, y_idx, **hp)
+        assert np.array_equal(model.weights_, W)
+        assert np.array_equal(model.bias_, b)
+        assert model.epoch_losses_ == losses
 
 
 class TestDeterminism:

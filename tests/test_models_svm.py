@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 import svm_reference
 from sentibench import LinearSvm, TrainingError
 from sentibench.models.svm import _pegasos_binary
 from svm_reference import hinge_sample_objective, hinge_sample_subgradient
-from helpers import csr
+from helpers import LONG_ROW, canonical_csr, csr, random_csr
 
 SEPARABLE_X = csr(3, [[(c, 1.0)] for c in (0, 0, 1, 1, 2, 2)])
 SEPARABLE_Y = ["negative", "negative", "neutral", "neutral", "positive", "positive"]
@@ -84,6 +86,53 @@ class TestSubgradientCheck:
             )
             want = svm_reference.pegasos(dense, y_pm, lam, 3, np.random.default_rng(1))
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@st.composite
+def binary_problems(draw):
+    """A canonical CSR matrix, +-1 labels, lam, epochs and an RNG seed."""
+    n = draw(st.integers(1, 24))
+    X = draw(canonical_csr(n, unit=draw(st.booleans())))
+    y_pm = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+    lam = draw(st.sampled_from([1e-4, 0.5]))
+    return X, y_pm, lam, draw(st.integers(1, 3)), draw(st.integers(0, 2**16))
+
+
+def every_row_length(unit: bool, lam: float):
+    """One row of each length 1..LONG_ROW, so every ddot block size runs."""
+    X = random_csr(range(1, LONG_ROW + 1), unit, seed=3)
+    y_pm = np.random.default_rng(4).choice([-1.0, 1.0], size=LONG_ROW)
+    return X, y_pm, lam, 2, 5
+
+
+# A step of this problem has a margin within rounding of 1.0, so its weights
+# change if the dot product is summed in any order but one ddot call's (a
+# left-to-right Python sum does). Random floats almost never land there.
+MARGIN_ON_THE_HINGE = (
+    csr(40, [
+        [(10, 0.5), (16, 0.5), (27, 0.2), (28, 0.1), (32, 0.1), (34, 0.2)],
+        [(0, 0.7), (1, 0.1), (3, 0.3), (4, 0.5), (5, 1.0), (9, 1.0), (11, 0.5), (13, 0.1),
+         (16, 0.3), (20, 0.5), (21, 0.1), (22, 0.2), (26, 0.3), (27, 0.5), (35, 0.7), (36, 0.2)],
+        [(4, 0.7), (8, 0.5), (9, 0.7), (16, 0.3), (21, 0.5), (31, 0.5), (33, 1.0), (36, 0.3)],
+        [(2, 0.3), (5, 0.2), (7, 0.2), (12, 0.5), (13, 0.1), (14, 0.5), (15, 0.2), (16, 0.2),
+         (17, 0.3), (18, 0.7), (21, 0.5), (23, 0.3), (24, 0.1), (25, 0.3), (26, 0.2), (29, 0.1),
+         (30, 0.1), (32, 0.7), (36, 0.3), (39, 0.5)],
+    ]),
+    np.array([-1.0, 1.0, 1.0, -1.0]), 0.5, 2, 13518,
+)
+
+
+class TestMatchesSparseReference:
+    @settings(max_examples=80, deadline=None)
+    @given(binary_problems())
+    @example(every_row_length(unit=True, lam=1e-4))
+    @example(every_row_length(unit=False, lam=0.5))
+    @example(MARGIN_ON_THE_HINGE)
+    def test_weights_are_bit_identical(self, problem):
+        X, y_pm, lam, epochs, seed = problem
+        got = _pegasos_binary(X, y_pm, lam, epochs, np.random.default_rng(seed))
+        want = svm_reference.pegasos_sparse(X, y_pm, lam, epochs, np.random.default_rng(seed))
+        assert np.array_equal(got, want)
 
 
 class TestErrorsAndValidation:
