@@ -11,8 +11,6 @@ reproduces the full model-by-vectorizer comparison grid.
 from .corpus import (
     Corpus,
     POLARITIES,
-    SplitConfig,
-    TweetRecord,
     label_frequencies,
     load_dataset,
     parse_polarity,
@@ -59,7 +57,6 @@ from .preprocess import (
     clean_text,
     load_lemma_exceptions,
     load_stopwords,
-    preprocess_tweet,
 )
 from .vectorize import (
     BowVectorizer,

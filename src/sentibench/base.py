@@ -2,8 +2,7 @@
 
 Follows the scikit-learn convention: every constructor argument is a
 hyperparameter stored under its own name, introspectable through
-``get_params`` / ``set_params`` so instances compose with generic
-tooling (grid drivers, cloning, pipelines).
+``get_params`` (which the model artifacts record and ``__repr__`` shows).
 
 Also home of the hyperparameter and artifact-count checks, and of the one
 JSON file writer and reader behind every artifact and report.
@@ -20,7 +19,7 @@ from .errors import SentibenchError
 
 
 class ParamsMixin:
-    """get_params / set_params over the constructor signature."""
+    """get_params over the constructor signature."""
 
     @classmethod
     def _param_names(cls) -> list[str]:
@@ -33,17 +32,6 @@ class ParamsMixin:
 
     def get_params(self) -> dict:
         return {name: getattr(self, name) for name in self._param_names()}
-
-    def set_params(self, **params):
-        valid = set(self._param_names())
-        for name, value in params.items():
-            if name not in valid:
-                raise ValueError(
-                    f"invalid parameter {name!r} for {type(self).__name__}; "
-                    f"valid parameters: {sorted(valid)}"
-                )
-            setattr(self, name, value)
-        return self
 
     def __repr__(self) -> str:
         args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())

@@ -23,7 +23,6 @@ from .corpus import (
     DEFAULT_TEXT_COLUMN,
     POLARITIES,
     Corpus,
-    SplitConfig,
     label_frequencies,
     load_dataset,
     train_test_split,
@@ -132,7 +131,7 @@ class ExperimentConfig:
     def build_model(self, kind: str):
         """An unfitted model of ``kind``; a bad hyperparameter is a ConfigError."""
         hp = dict(self.hyperparams.get(kind, {}))
-        if kind == "rf" and hp.get("max_depth") == 0:
+        if kind == "rf" and type(hp.get("max_depth")) is int and hp["max_depth"] == 0:
             hp["max_depth"] = None  # 0 on the CLI means unlimited depth
         try:
             return make_model(kind, seed=self.seed, hyperparams=hp)
@@ -264,12 +263,11 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 def _split(config: ExperimentConfig) -> tuple[Corpus, Corpus]:
     corpus = load_dataset(config.data, config.text_col, config.label_col)
-    split_cfg = SplitConfig(train_ratio=config.split_ratio, seed=config.seed)
-    return train_test_split(corpus, split_cfg)
+    return train_test_split(corpus, config.split_ratio, config.seed)
 
 
 def _test_ids_digest(test: Corpus) -> str:
-    return hashlib.sha256("\n".join(test.ids()).encode("utf-8")).hexdigest()
+    return hashlib.sha256("\n".join(test.ids).encode("utf-8")).hexdigest()
 
 
 def _ensure_out_dir(config: ExperimentConfig) -> Path:
@@ -344,11 +342,11 @@ def cmd_stats(config: ExperimentConfig) -> int:
 def cmd_train(config: ExperimentConfig, model_kind: str, vectorizer_kind: str) -> int:
     train, _ = _split(config)
     preprocessor = config.build_preprocessor()
-    train_docs = preprocessor.preprocess_corpus(train.texts())
+    train_docs = preprocessor.preprocess_corpus(train.texts)
 
     vectorizer = make_vectorizer(vectorizer_kind).fit(train_docs)
     train_vectors = vectorizer.transform(train_docs)
-    model = config.build_model(model_kind).fit(train_vectors, train.labels())
+    model = config.build_model(model_kind).fit(train_vectors, train.labels)
 
     out = _ensure_out_dir(config)
     vec_path = out / f"vectorizer_{vectorizer_kind}.json"
@@ -364,7 +362,7 @@ def cmd_evaluate(config: ExperimentConfig, model_path: str, vectorizer_path: str
     vectorizer, preprocessor = load_vectorizer(vectorizer_path)
     model = load_model(model_path)
     _, test = _split(config)
-    test_vectors = vectorizer.transform(preprocessor.preprocess_corpus(test.texts()))
+    test_vectors = vectorizer.transform(preprocessor.preprocess_corpus(test.texts))
 
     report = evaluate(
         model, vectorizer, test, test_vectors, metadata=_report_metadata(config, test)
@@ -416,8 +414,8 @@ def _render_comparison(rows: list[dict]) -> str:
 def cmd_compare(config: ExperimentConfig) -> int:
     train, test = _split(config)
     preprocessor = config.build_preprocessor()
-    train_docs = preprocessor.preprocess_corpus(train.texts())
-    test_docs = preprocessor.preprocess_corpus(test.texts())
+    train_docs = preprocessor.preprocess_corpus(train.texts)
+    test_docs = preprocessor.preprocess_corpus(test.texts)
     metadata = _report_metadata(config, test)
 
     rows = []
@@ -427,7 +425,7 @@ def cmd_compare(config: ExperimentConfig) -> int:
         train_vectors = vectorizer.transform(train_docs)
         test_vectors = vectorizer.transform(test_docs)
         for model_kind in config.models:
-            model = config.build_model(model_kind).fit(train_vectors, train.labels())
+            model = config.build_model(model_kind).fit(train_vectors, train.labels)
             report = evaluate(model, vectorizer, test, test_vectors, metadata=metadata)
             report_files[f"report_{model_kind}_{vectorizer_kind}.json"] = report.to_json_dict()
             rows.append(

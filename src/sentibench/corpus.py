@@ -12,8 +12,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
+from .base import check_float, check_int
 from .errors import DatasetError
 
 # Fixed polarity order used everywhere (class indices, tie-breaking,
@@ -38,55 +38,23 @@ def parse_polarity(value: str) -> str:
 
 
 @dataclass(frozen=True)
-class TweetRecord:
-    """One labeled tweet as ingested from the CSV."""
-
-    id: str
-    text: str
-    label: str
-
-    def __post_init__(self) -> None:
-        if not self.text:
-            raise ValueError("tweet text must be non-empty")
-        if self.label not in POLARITY_INDEX:
-            raise ValueError(f"invalid label {self.label!r}")
-
-
-@dataclass(frozen=True)
 class Corpus:
-    """Ordered, immutable collection of tweet records."""
+    """Three parallel columns, one entry per tweet: ids (the 1-based data-row
+    numbers, as strings), texts, and labels (one of POLARITIES)."""
 
-    records: tuple[TweetRecord, ...]
-    source: str = ""
+    ids: list[str]
+    texts: list[str]
+    labels: list[str]
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ids)
 
-    def __iter__(self) -> Iterator[TweetRecord]:
-        return iter(self.records)
-
-    def texts(self) -> list[str]:
-        return [r.text for r in self.records]
-
-    def labels(self) -> list[str]:
-        return [r.label for r in self.records]
-
-    def ids(self) -> list[str]:
-        return [r.id for r in self.records]
-
-
-@dataclass(frozen=True)
-class SplitConfig:
-    """Train fraction plus the seed that fully determines the shuffle."""
-
-    train_ratio: float = 0.75
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.train_ratio <= 1.0):
-            raise ValueError(f"train_ratio must be in (0, 1], got {self.train_ratio}")
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+    def take(self, rows: list[int]) -> "Corpus":
+        """The tweets at positions ``rows``, in that order."""
+        ids, texts, labels = self.ids, self.texts, self.labels
+        return Corpus(
+            [ids[i] for i in rows], [texts[i] for i in rows], [labels[i] for i in rows]
+        )
 
 
 def load_dataset(
@@ -96,7 +64,8 @@ def load_dataset(
 ) -> Corpus:
     """Read an RFC-4180 CSV with a header row into a Corpus.
 
-    Row order is preserved; record ids are the 1-based data-row numbers.
+    Row order is preserved; ids are the 1-based data-row numbers, blank
+    lines included.
     Raises DatasetError for a missing file, a missing column, malformed
     quoting, or a row whose label does not parse (the message names the
     offending row).
@@ -106,7 +75,7 @@ def load_dataset(
     except OSError as exc:
         raise DatasetError(f"cannot open dataset {path!r}: {exc}") from exc
 
-    records: list[TweetRecord] = []
+    ids, texts, labels = [], [], []
     with handle:
         reader = csv.reader(handle, strict=True)
         try:
@@ -138,20 +107,22 @@ def load_dataset(
                     ) from None
                 if not text:
                     raise DatasetError(f"{path}: row {row_number}: empty tweet text")
-                records.append(TweetRecord(id=str(row_number), text=text, label=label))
+                ids.append(str(row_number))
+                texts.append(text)
+                labels.append(label)
         except csv.Error as exc:
             raise DatasetError(
                 f"{path}: malformed CSV near row {reader.line_num}: {exc}"
             ) from exc
 
-    return Corpus(records=tuple(records), source=str(path))
+    return Corpus(ids, texts, labels)
 
 
-def label_frequencies(corpus: Corpus | Iterable[TweetRecord]) -> dict[str, int]:
-    """Count records per polarity; every polarity key is always present."""
+def label_frequencies(corpus: Corpus) -> dict[str, int]:
+    """Count tweets per polarity; every polarity key is always present."""
     counts = {label: 0 for label in POLARITIES}
-    for record in corpus:
-        counts[record.label] += 1
+    for label in corpus.labels:
+        counts[label] += 1
     return counts
 
 
@@ -191,21 +162,24 @@ def seeded_permutation(n: int, seed: int) -> list[int]:
     return order
 
 
-def train_test_split(corpus: Corpus, config: SplitConfig) -> tuple[Corpus, Corpus]:
+def train_test_split(
+    corpus: Corpus, train_ratio: float = 0.75, seed: int = 0
+) -> tuple[Corpus, Corpus]:
     """Partition the corpus into seeded-shuffle train/test subsets.
 
-    The train side receives floor(train_ratio * N) records; together the
-    two sides hold every record exactly once. Identical (corpus, config)
-    inputs always produce the identical partition.
+    The train side receives floor(train_ratio * N) tweets; together the
+    two sides hold every tweet exactly once. Identical (corpus,
+    train_ratio, seed) inputs always produce the identical partition.
+    Raises ValueError unless train_ratio is in (0, 1] and seed is an
+    integer >= 0.
     """
+    check_float("train_ratio", train_ratio, 0)
+    if train_ratio > 1:
+        raise ValueError(f"train_ratio must be in (0, 1], got {train_ratio!r}")
+    check_int("seed", seed, 0)
     n = len(corpus)
     if n == 0:
         raise DatasetError("cannot split an empty corpus")
-    order = seeded_permutation(n, config.seed)
-    n_train = math.floor(config.train_ratio * n)
-    train = tuple(corpus.records[i] for i in order[:n_train])
-    test = tuple(corpus.records[i] for i in order[n_train:])
-    return (
-        Corpus(records=train, source=corpus.source),
-        Corpus(records=test, source=corpus.source),
-    )
+    order = seeded_permutation(n, seed)
+    n_train = math.floor(train_ratio * n)
+    return corpus.take(order[:n_train]), corpus.take(order[n_train:])

@@ -192,7 +192,7 @@ def evaluate(model, vectorizer, test_corpus, test_vectors, metadata=None) -> Met
     """Predict the test vectors and assemble a full report.
 
     ``test_vectors`` is ``vectorizer.transform`` of the preprocessed
-    ``test_corpus``, one row per record in corpus order; the caller
+    ``test_corpus``, one row per tweet in corpus order; the caller
     preprocesses and transforms, so one test split can be scored by many
     models without repeating that work. The model and vectorizer must
     agree on dimensionality; the test corpus must be non-empty.
@@ -210,4 +210,4 @@ def evaluate(model, vectorizer, test_corpus, test_vectors, metadata=None) -> Met
         "test_size": len(test_corpus),
     }
     meta.update(metadata or {})
-    return MetricsReport.from_predictions(test_corpus.labels(), predictions, meta)
+    return MetricsReport.from_predictions(test_corpus.labels, predictions, meta)

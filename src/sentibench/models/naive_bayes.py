@@ -17,7 +17,7 @@ import math
 import numpy as np
 from scipy.special import logsumexp
 
-from ..base import check_float
+from ..base import check_float, check_int
 from ..errors import TrainingError
 from .base import BaseClassifier, check_X_y, decode_array
 
@@ -28,6 +28,7 @@ class MultinomialNaiveBayes(BaseClassifier):
     def __init__(self, alpha: float = 1.0, seed: int = 0):
         super().__init__()
         check_float("alpha", alpha, 0)
+        check_int("seed", seed, 0)
         self.alpha = alpha
         self.seed = seed  # unused: training is deterministic; kept for API symmetry
 

@@ -215,17 +215,6 @@ class Lemmatizer:
         return stem
 
 
-def preprocess_tweet(
-    raw: str, stoplist: StopWordList, lemmatizer: Lemmatizer
-) -> TokenList:
-    """Full pipeline for one tweet; duplicates are kept, order preserved.
-
-    May return an empty list (such tweets stay in the dataset as
-    all-zero vectors downstream).
-    """
-    return TweetPreprocessor(stoplist, lemmatizer)(raw)
-
-
 @dataclass(frozen=True)
 class Vocabulary:
     """Unique lemmas in first-occurrence order; defines vector dimensions."""
@@ -284,6 +273,7 @@ class TweetPreprocessor:
         self._table = _TokenTable(self.stoplist, self.lemmatizer)
 
     def __call__(self, raw: str) -> TokenList:
+        """One tweet's tokens, duplicates kept, in order; may be empty."""
         return self.preprocess_corpus([raw])[0]
 
     def preprocess_corpus(self, texts: Iterable[str]) -> list[TokenList]:

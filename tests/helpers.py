@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import strategies as st
 from scipy import sparse
 
-from sentibench import Corpus, TweetRecord
+from sentibench import Corpus
 
 DATA_DIR = Path(__file__).parent / "data"
 FIXTURE_CSV = str(DATA_DIR / "fixture_tweets.csv")
@@ -59,12 +59,13 @@ def canonical_csr(draw, n: int, unit: bool) -> sparse.csr_matrix:
     return random_csr(lengths, unit, draw(st.integers(0, 2**32 - 1)))
 
 
-def make_corpus(texts_labels, source="synthetic") -> Corpus:
-    records = tuple(
-        TweetRecord(id=str(i + 1), text=text, label=label)
-        for i, (text, label) in enumerate(texts_labels)
+def make_corpus(texts_labels) -> Corpus:
+    pairs = list(texts_labels)
+    return Corpus(
+        [str(i + 1) for i in range(len(pairs))],
+        [text for text, _ in pairs],
+        [label for _, label in pairs],
     )
-    return Corpus(records=records, source=source)
 
 
 def full_dataset_path() -> str | None:

@@ -20,14 +20,13 @@ from sentibench import (
     MultinomialNaiveBayes,
     RandomForest,
     SoftmaxRegression,
-    SplitConfig,
     TfidfVectorizer,
+    TweetPreprocessor,
     accuracy,
     build_vocabulary,
     load_lemma_exceptions,
     load_stopwords,
     per_class_metrics,
-    preprocess_tweet,
     train_test_split,
     weighted_metrics,
 )
@@ -59,8 +58,8 @@ class TestCriterion1WorkedExampleExactness:
         lemmatizer = Lemmatizer(
             load_lemma_exceptions(str(DATA_DIR / "lemma_overrides.txt"))
         )
-        doc1 = preprocess_tweet(EXAMPLE_TWEET_1, stoplist, lemmatizer)
-        doc2 = preprocess_tweet(EXAMPLE_TWEET_2, stoplist, lemmatizer)
+        doc1 = TweetPreprocessor(stoplist, lemmatizer)(EXAMPLE_TWEET_1)
+        doc2 = TweetPreprocessor(stoplist, lemmatizer)(EXAMPLE_TWEET_2)
         assert doc1 == EXAMPLE_TOKENS_1
 
         # vocabulary: 11 terms, first-occurrence order
@@ -284,25 +283,24 @@ class TestCriterion4OfflinePropertySuites:
             (f"tweet {i}", ("negative", "neutral", "positive")[i % 3])
             for i in range(120)
         )
-        config = SplitConfig(train_ratio=0.75, seed=11)
-        train_a, test_a = train_test_split(corpus, config)
-        train_b, test_b = train_test_split(corpus, config)
-        assert train_a.ids() == train_b.ids() and test_a.ids() == test_b.ids()
-        assert sorted(train_a.ids() + test_a.ids(), key=int) == [
+        train_a, test_a = train_test_split(corpus, train_ratio=0.75, seed=11)
+        train_b, test_b = train_test_split(corpus, train_ratio=0.75, seed=11)
+        assert train_a.ids == train_b.ids and test_a.ids == test_b.ids
+        assert sorted(train_a.ids + test_a.ids, key=int) == [
             str(i + 1) for i in range(120)
         ]
-        train_c, _ = train_test_split(corpus, SplitConfig(train_ratio=0.75, seed=12))
-        assert train_c.ids() != train_a.ids()
+        train_c, _ = train_test_split(corpus, train_ratio=0.75, seed=12)
+        assert train_c.ids != train_a.ids
 
     def test_preprocessing_idempotence(self):
         from sentibench import clean_text, load_dataset
 
-        stoplist = load_stopwords()
         lemmatizer = Lemmatizer()
-        for record in load_dataset(FIXTURE_CSV):
-            cleaned = clean_text(record.text)
+        preprocessor = TweetPreprocessor(load_stopwords(), lemmatizer)
+        for text in load_dataset(FIXTURE_CSV).texts:
+            cleaned = clean_text(text)
             assert clean_text(cleaned) == cleaned
-            for token in preprocess_tweet(record.text, stoplist, lemmatizer):
+            for token in preprocessor(text):
                 assert lemmatizer.lemmatize(token) == token
 
 

@@ -110,6 +110,19 @@ class TestTrain:
         assert doc["hyperparameters"]["n_trees"] == 3
         assert doc["hyperparameters"]["max_depth"] == 2
 
+    def test_rf_depth_zero_means_unlimited(self, tmp_path):
+        # only an integer 0: false and 0.0 are config errors
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"hyperparams": {"rf": {"max_depth": 0}}}))
+        for extra in (["--rf-depth", 0], ["--config", config]):
+            out = tmp_path / "out"
+            assert run([
+                "train", "--data", FIXTURE_CSV, "--model", "rf", "--vectorizer", "bow",
+                "--rf-trees", 2, "--out-dir", out, *extra,
+            ]) == 0
+            doc = json.loads((out / "model_rf_bow.json").read_text())
+            assert doc["hyperparameters"]["max_depth"] is None
+
 
 class TestEvaluate:
     def test_separable_oracle_reports_all_ones(self, tmp_path, capsys):
@@ -289,6 +302,9 @@ NON_INTEGER_CORRUPTIONS = {
     "rf feature 0.5": ("model_rf_bow.json", lambda d: rf_root(d, 0.5), "rf", "bow"),
     "rf feature true": ("model_rf_bow.json", lambda d: rf_root(d, True), "rf", "bow"),
     "rf leaf count 1.5": ("model_rf_bow.json", rf_leaf_counts([1.5, 0, 0]), "rf", "bow"),
+    "mnb seed banana": (
+        "model_mnb_tfidf.json", lambda d: d["hyperparameters"].update(seed="banana"),
+        "mnb", "tfidf"),
 }
 
 
@@ -539,6 +555,8 @@ class TestConfigHandling:
         pytest.param({"hyperparams": {"logreg": {"epochs": True}}}, id="logreg epochs bool"),
         pytest.param({"hyperparams": {"rf": {"n_trees": 2.5}}}, id="rf trees"),
         pytest.param({"hyperparams": {"rf": {"max_depth": 1.5}}}, id="rf depth"),
+        pytest.param({"hyperparams": {"rf": {"max_depth": False}}}, id="rf depth false"),
+        pytest.param({"hyperparams": {"rf": {"max_depth": 0.0}}}, id="rf depth 0.0"),
         pytest.param({"hyperparams": {"rf": {"max_features": 2.5}}}, id="rf features"),
         pytest.param({"hyperparams": {"svm": {"seed": 0.5}}}, id="svm seed"),
         pytest.param({"hyperparams": {"svm": {"lam": math.nan}}}, id="svm lam NaN"),
@@ -549,6 +567,12 @@ class TestConfigHandling:
                      id="mnb alpha NaN"),
         pytest.param({"models": ["mnb"], "hyperparams": {"mnb": {"alpha": True}}},
                      id="mnb alpha bool"),
+        pytest.param({"models": ["mnb"], "hyperparams": {"mnb": {"seed": "banana"}}},
+                     id="mnb seed string"),
+        pytest.param({"models": ["mnb"], "hyperparams": {"mnb": {"seed": 1.5}}},
+                     id="mnb seed 1.5"),
+        pytest.param({"models": ["mnb"], "hyperparams": {"mnb": {"seed": True}}},
+                     id="mnb seed bool"),
     ])
     def test_bad_value_is_one_config_error_before_any_cell_trains(
         self, tmp_path, capsys, values

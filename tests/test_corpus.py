@@ -1,16 +1,19 @@
 """Dataset loading, label statistics, and the seeded split."""
 
+import csv
+import io
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sentibench import (
     Corpus,
     DatasetError,
-    SplitConfig,
-    TweetRecord,
     label_frequencies,
     load_dataset,
+    POLARITIES,
     parse_polarity,
     seeded_permutation,
     train_test_split,
@@ -40,13 +43,13 @@ class TestLoadDataset:
     def test_fixture_row_count_and_order(self):
         corpus = load_dataset(FIXTURE_CSV)
         assert len(corpus) == 10
-        assert corpus.labels() == FIXTURE_LABELS
-        assert corpus.ids() == [str(i) for i in range(1, 11)]
+        assert corpus.labels == FIXTURE_LABELS
+        assert corpus.ids == [str(i) for i in range(1, 11)]
 
     def test_quoted_fields_survive(self):
         corpus = load_dataset(FIXTURE_CSV)
-        assert '"never again"' in corpus.records[9].text
-        assert "snacks, and friendly crew" in corpus.records[1].text
+        assert '"never again"' in corpus.texts[9]
+        assert "snacks, and friendly crew" in corpus.texts[1]
 
     def test_header_only_file(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -97,8 +100,8 @@ class TestLoadDataset:
         path = tmp_path / "custom.csv"
         path.write_text("body,mood\nhello world,positive\n")
         corpus = load_dataset(str(path), text_column="body", label_column="mood")
-        assert corpus.records[0].text == "hello world"
-        assert corpus.records[0].label == "positive"
+        assert corpus.texts == ["hello world"]
+        assert corpus.labels == ["positive"]
 
     def test_utf8_bom_before_first_column(self, tmp_path):
         path = tmp_path / "bom.csv"
@@ -106,8 +109,63 @@ class TestLoadDataset:
             b"\xef\xbb\xbftext,airline_sentiment\nhello world,positive\ncaf\xc3\xa9 delay,negative\n"
         )
         corpus = load_dataset(str(path))
-        assert [r.text for r in corpus.records] == ["hello world", "café delay"]
-        assert corpus.labels() == ["positive", "negative"]
+        assert corpus.texts == ["hello world", "café delay"]
+        assert corpus.labels == ["positive", "negative"]
+
+
+# Tweet texts: CSV-special characters, line breaks and non-ASCII mixed with
+# anything else that encodes as UTF-8 (no surrogates, no NUL).
+_TEXTS = st.text(
+    st.one_of(
+        st.sampled_from(list(',"\'\r\n\t ;éß✈😀\u2028\ufeff')),
+        st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+    ),
+    min_size=1,
+    max_size=40,
+)
+# A label cell: a polarity in any letter case, with surrounding whitespace.
+_LABELS = st.tuples(
+    st.sampled_from(POLARITIES),
+    st.lists(st.booleans(), min_size=8, max_size=8),
+    st.sampled_from(["", " ", "\t", " \n "]),
+    st.sampled_from(["", " ", "\t", "\r\n"]),
+).map(
+    lambda t: t[2]
+    + "".join(c.upper() if up else c for c, up in zip(t[0], t[1]))
+    + t[3]
+)
+# Each element: a data row (text, label cell), or None for a blank line.
+_LINES = st.lists(st.one_of(st.tuples(_TEXTS, _LABELS), st.none()), max_size=25)
+
+
+class TestLoadDatasetProperties:
+    @given(
+        lines=_LINES,
+        header=st.permutations(["tweet_id", "text", "airline_sentiment"]),
+        bom=st.booleans(),
+    )
+    @settings(
+        max_examples=150, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_csv_writer_output_round_trips(self, tmp_path, lines, header, bom):
+        out = io.StringIO(newline="")
+        writer = csv.writer(out)
+        writer.writerow(header)
+        expected = Corpus([], [], [])
+        for number, line in enumerate(lines, start=1):
+            if line is None:
+                out.write("\r\n")
+                continue
+            text, label = line
+            cells = {"tweet_id": f"t{number}", "text": text, "airline_sentiment": label}
+            writer.writerow([cells[name] for name in header])
+            expected.ids.append(str(number))
+            expected.texts.append(text)
+            expected.labels.append(label.strip().lower())
+        path = tmp_path / "tweets.csv"
+        path.write_bytes((b"\xef\xbb\xbf" if bom else b"") + out.getvalue().encode("utf-8"))
+        assert load_dataset(str(path)) == expected
 
 
 class TestLabelFrequencies:
@@ -116,7 +174,7 @@ class TestLabelFrequencies:
         assert label_frequencies(corpus) == FIXTURE_COUNTS
 
     def test_empty_corpus_all_keys_zero(self):
-        assert label_frequencies(Corpus(records=())) == {
+        assert label_frequencies(Corpus([], [], [])) == {
             "negative": 0,
             "neutral": 0,
             "positive": 0,
@@ -143,58 +201,54 @@ class TestSeededPermutation:
 class TestTrainTestSplit:
     def test_forced_arithmetic_at_dataset_scale(self):
         corpus = synthetic_corpus(14640)
-        train, test = train_test_split(corpus, SplitConfig(train_ratio=0.75, seed=1))
+        train, test = train_test_split(corpus, train_ratio=0.75, seed=1)
         assert len(train) == 10980
         assert len(test) == 3660
 
     def test_ratio_one_puts_everything_in_train(self):
         corpus = synthetic_corpus(9)
-        train, test = train_test_split(corpus, SplitConfig(train_ratio=1.0, seed=0))
+        train, test = train_test_split(corpus, train_ratio=1.0, seed=0)
         assert len(train) == 9
         assert len(test) == 0
 
     def test_same_seed_identical_partitions(self):
         corpus = synthetic_corpus(200)
-        config = SplitConfig(train_ratio=0.75, seed=42)
-        first = train_test_split(corpus, config)
-        second = train_test_split(corpus, config)
-        assert first[0].ids() == second[0].ids()
-        assert first[1].ids() == second[1].ids()
+        first = train_test_split(corpus, train_ratio=0.75, seed=42)
+        second = train_test_split(corpus, train_ratio=0.75, seed=42)
+        assert first[0].ids == second[0].ids
+        assert first[1].ids == second[1].ids
 
     def test_partition_property(self):
         for n, seed, ratio in ((1, 0, 0.5), (10, 3, 0.75), (101, 9, 0.33), (64, 5, 0.9)):
             corpus = synthetic_corpus(n, seed=n)
-            train, test = train_test_split(
-                corpus, SplitConfig(train_ratio=ratio, seed=seed)
-            )
-            combined = sorted(train.ids() + test.ids(), key=int)
+            train, test = train_test_split(corpus, train_ratio=ratio, seed=seed)
+            combined = sorted(train.ids + test.ids, key=int)
             assert combined == [str(i + 1) for i in range(n)]
-            assert set(train.ids()).isdisjoint(test.ids())
+            assert set(train.ids).isdisjoint(test.ids)
+            for side in (train, test):  # each id keeps its own text and label
+                for i, text, label in zip(side.ids, side.texts, side.labels):
+                    assert (text, label) == (corpus.texts[int(i) - 1], corpus.labels[int(i) - 1])
 
     def test_distinct_seeds_differ(self):
         corpus = synthetic_corpus(100)
-        a, _ = train_test_split(corpus, SplitConfig(train_ratio=0.75, seed=1))
-        b, _ = train_test_split(corpus, SplitConfig(train_ratio=0.75, seed=2))
-        assert a.ids() != b.ids()
+        a, _ = train_test_split(corpus, train_ratio=0.75, seed=1)
+        b, _ = train_test_split(corpus, train_ratio=0.75, seed=2)
+        assert a.ids != b.ids
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(DatasetError, match="empty"):
-            train_test_split(Corpus(records=()), SplitConfig())
+            train_test_split(Corpus([], [], []))
 
-    def test_split_config_validation(self):
-        with pytest.raises(ValueError):
-            SplitConfig(train_ratio=0.0)
-        with pytest.raises(ValueError):
-            SplitConfig(train_ratio=1.5)
-        with pytest.raises(ValueError):
-            SplitConfig(seed=-1)
-
-
-class TestRecordInvariants:
-    def test_empty_text_rejected(self):
-        with pytest.raises(ValueError):
-            TweetRecord(id="1", text="", label="negative")
-
-    def test_invalid_label_rejected(self):
-        with pytest.raises(ValueError):
-            TweetRecord(id="1", text="hi", label="meh")
+    def test_argument_validation(self):
+        corpus = synthetic_corpus(10)
+        for kwargs in (
+            {"train_ratio": 0.0},
+            {"train_ratio": 1.5},
+            {"train_ratio": float("nan")},
+            {"train_ratio": "0.75"},
+            {"seed": -1},
+            {"seed": 1.5},
+            {"seed": True},
+        ):
+            with pytest.raises(ValueError):
+                train_test_split(corpus, **kwargs)

@@ -179,14 +179,14 @@ class TestReportAndEvaluate:
             [(texts[c], c) for c in ("negative", "neutral", "positive")] * 2
         )
         pre = TweetPreprocessor()
-        docs = pre.preprocess_corpus(corpus.texts())
+        docs = pre.preprocess_corpus(corpus.texts)
         vec = BowVectorizer().fit(docs)
-        model = MultinomialNaiveBayes().fit(vec.transform(docs), corpus.labels())
+        model = MultinomialNaiveBayes().fit(vec.transform(docs), corpus.labels)
         return model, vec, corpus, pre
 
     @staticmethod
     def vectors(vec, corpus, pre):
-        return vec.transform(pre.preprocess_corpus(corpus.texts()))
+        return vec.transform(pre.preprocess_corpus(corpus.texts))
 
     def test_perfect_model_reports_all_ones(self):
         model, vec, corpus, pre = self.separable_setup()
@@ -239,19 +239,19 @@ class TestReportAndEvaluate:
         assert report.metadata["test_size"] == 2
 
     def test_majority_predictor_scores_majority_share(self):
-        from sentibench import SplitConfig, load_dataset, train_test_split
+        from sentibench import load_dataset, train_test_split
         from helpers import FIXTURE_CSV
 
         corpus = load_dataset(FIXTURE_CSV)
-        _, test = train_test_split(corpus, SplitConfig(train_ratio=0.75, seed=2))
+        _, test = train_test_split(corpus, train_ratio=0.75, seed=2)
         pre = TweetPreprocessor()
-        docs = pre.preprocess_corpus(test.texts())
+        docs = pre.preprocess_corpus(test.texts)
         vec = BowVectorizer().fit(docs)
         # training on single-class data degenerates into a majority predictor
         stub = MultinomialNaiveBayes().fit(
             vec.transform(docs[:1]), ["negative"]
         )
         report = evaluate(stub, vec, test, vec.transform(docs))
-        labels = test.labels()
+        labels = test.labels
         majority_share = labels.count("negative") / len(labels)
         assert report.accuracy == pytest.approx(majority_share, abs=1e-15)

@@ -17,7 +17,6 @@ from sentibench import (
     load_dataset,
     load_lemma_exceptions,
     load_stopwords,
-    preprocess_tweet,
 )
 from helpers import (
     EXAMPLE_TOKENS_1,
@@ -162,9 +161,9 @@ class TestLemmatizer:
 
     def test_idempotent_on_fixture_corpus(self):
         lem = Lemmatizer()
-        stoplist = load_stopwords()
-        for record in load_dataset(FIXTURE_CSV):
-            for token in preprocess_tweet(record.text, stoplist, lem):
+        preprocessor = TweetPreprocessor(load_stopwords(), lem)
+        for text in load_dataset(FIXTURE_CSV).texts:
+            for token in preprocessor(text):
                 assert lem.lemmatize(token) == token
 
     def test_idempotent_on_common_words(self):
@@ -198,26 +197,26 @@ class TestLemmaExceptionsFile:
 
 class TestPreprocessTweet:
     def test_worked_example_tweet_two_keeps_duplicates(self):
-        tokens = preprocess_tweet(EXAMPLE_TWEET_2, load_stopwords(), Lemmatizer())
+        tokens = TweetPreprocessor(load_stopwords(), Lemmatizer())(EXAMPLE_TWEET_2)
         assert tokens == [
             "late", "service", "mcdonald", "delicious", "hamburger", "slow", "service",
         ]
 
     def test_worked_example_tweet_one_with_exception(self):
         lem = Lemmatizer({"testing": "taste"})
-        assert preprocess_tweet(EXAMPLE_TWEET_1, load_stopwords(), lem) == EXAMPLE_TOKENS_1
+        assert TweetPreprocessor(load_stopwords(), lem)(EXAMPLE_TWEET_1) == EXAMPLE_TOKENS_1
 
     def test_empty_input(self):
-        assert preprocess_tweet("", load_stopwords(), Lemmatizer()) == []
+        assert TweetPreprocessor(load_stopwords(), Lemmatizer())("") == []
 
     def test_all_stopwords_yield_empty(self):
-        assert preprocess_tweet("The is that!!", load_stopwords(), Lemmatizer()) == []
+        assert TweetPreprocessor(load_stopwords(), Lemmatizer())("The is that!!") == []
 
     @given(st.text(max_size=200))
     @settings(max_examples=60)
     def test_output_is_clean(self, raw):
         stoplist = load_stopwords()
-        tokens = preprocess_tweet(raw, stoplist, Lemmatizer())
+        tokens = TweetPreprocessor(stoplist, Lemmatizer())(raw)
         for token in tokens:
             assert token not in stoplist
             assert token == token.lower()
@@ -247,15 +246,16 @@ _EXCEPTIONS = st.sampled_from([{}, {"testing": "taste", "flew": "fly", "the": "a
 
 
 def assert_matches_reference(texts, exceptions):
-    """clean_text, preprocess_tweet and preprocess_corpus (cold, warm, and
-    through __call__ in another order) all equal the per-token reference."""
+    """clean_text, a fresh TweetPreprocessor per text, and preprocess_corpus
+    (cold, warm, and through __call__ in another order) all equal the
+    per-token reference."""
     stoplist = load_stopwords()
     expected = [
         reference.preprocess_tweet(t, stoplist, Lemmatizer(exceptions)) for t in texts
     ]
     assert [clean_text(t) for t in texts] == [reference.clean_text(t) for t in texts]
     assert [
-        preprocess_tweet(t, stoplist, Lemmatizer(exceptions)) for t in texts
+        TweetPreprocessor(stoplist, Lemmatizer(exceptions))(t) for t in texts
     ] == expected
     pre = TweetPreprocessor(stoplist, Lemmatizer(exceptions))
     assert pre.preprocess_corpus(texts) == expected
@@ -285,7 +285,7 @@ class TestAgainstReference:
     ])
     def test_explicit_cases(self, raw, cleaned, tokens):
         assert clean_text(raw) == cleaned
-        assert preprocess_tweet(raw, load_stopwords(), Lemmatizer()) == tokens
+        assert TweetPreprocessor(load_stopwords(), Lemmatizer())(raw) == tokens
         assert_matches_reference([raw], {})
 
     def test_exceptions_map_after_stopwords(self):
@@ -302,8 +302,8 @@ class TestVocabulary:
         lem = Lemmatizer({"testing": "taste"})
         stoplist = load_stopwords()
         docs = [
-            preprocess_tweet(EXAMPLE_TWEET_1, stoplist, lem),
-            preprocess_tweet(EXAMPLE_TWEET_2, stoplist, lem),
+            TweetPreprocessor(stoplist, lem)(EXAMPLE_TWEET_1),
+            TweetPreprocessor(stoplist, lem)(EXAMPLE_TWEET_2),
         ]
         vocab = build_vocabulary(docs)
         assert vocab.terms == EXAMPLE_VOCAB
