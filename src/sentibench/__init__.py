@@ -25,17 +25,7 @@ from .errors import (
     SentibenchError,
     TrainingError,
 )
-from .metrics import (
-    ClassMetrics,
-    ConfusionMatrix,
-    MetricsReport,
-    WeightedMetrics,
-    accuracy,
-    confusion_matrix,
-    evaluate,
-    per_class_metrics,
-    weighted_metrics,
-)
+from .metrics import ClassMetrics, MetricsReport, confusion_matrix, evaluate
 from .models import (
     LinearSvm,
     MODEL_KINDS,

@@ -15,6 +15,7 @@ import csv
 import hashlib
 import sys
 from dataclasses import dataclass, field
+from numbers import Real
 from pathlib import Path
 
 from .base import read_json, write_json
@@ -80,21 +81,21 @@ class ExperimentConfig:
     formats: tuple[str, ...] = FORMATS
 
     def validate(self) -> "ExperimentConfig":
-        try:
-            self.split_ratio = float(self.split_ratio)
-        except (TypeError, ValueError):
-            raise ConfigError(f"split_ratio must be numeric, got {self.split_ratio!r}") from None
         if not self.data:
             raise ConfigError("--data is required")
+        optional = ("stopwords", "lemma_exceptions")
+        for name in ("data", "text_col", "label_col", "out_dir", *optional):
+            value = getattr(self, name)
+            if not (isinstance(value, str) or (value is None and name in optional)):
+                raise ConfigError(f"{name} must be a string, got {value!r}")
         if not Path(self.data).is_file():
             raise ConfigError(f"dataset file not found: {self.data}")
         for path in (self.stopwords, self.lemma_exceptions):
             if path is not None and not Path(path).is_file():
                 raise ConfigError(f"referenced file not found: {path}")
-        if not (0.0 < self.split_ratio < 1.0):
-            raise ConfigError(
-                f"split ratio must be in (0, 1), got {self.split_ratio}"
-            )
+        ratio = self.split_ratio
+        if isinstance(ratio, bool) or not isinstance(ratio, Real) or not 0.0 < ratio < 1.0:
+            raise ConfigError(f"split ratio must be a number in (0, 1), got {ratio!r}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not self.vectorizers:
@@ -245,9 +246,14 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
     for key in ("formats", "models", "vectorizers"):
         if key in values:
-            if isinstance(values[key], str):  # allow "bow,tfidf" in config files
-                values[key] = _csv_list(values[key])
-            values[key] = tuple(values[key])
+            value = values[key]
+            if isinstance(value, str):  # allow "bow,tfidf" in config files
+                value = _csv_list(value)
+            elif not isinstance(value, (list, tuple)):
+                raise ConfigError(
+                    f"{key} must be a list or a comma-separated string, got {value!r}"
+                )
+            values[key] = tuple(value)
 
     known = set(ExperimentConfig.__dataclass_fields__)
     unknown = set(values) - known
@@ -388,7 +394,8 @@ def _report_csv_rows(report: MetricsReport) -> list[list]:
         )
     w = report.weighted
     rows.append(
-        ["weighted", repr(w.precision), repr(w.recall), repr(w.f1), report.confusion.total]
+        ["weighted", repr(w.precision), repr(w.recall), repr(w.f1),
+         int(report.confusion.sum())]
     )
     rows.append(["accuracy", repr(report.accuracy), "", "", ""])
     return rows

@@ -10,7 +10,7 @@ identical to accuracy for single-label evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -18,52 +18,15 @@ from .corpus import POLARITIES, POLARITY_INDEX
 from .errors import DatasetError, DimensionMismatchError
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """3x3 counts: entry (i, j) = samples of true class i predicted as j."""
-
-    counts: np.ndarray
-
-    def __post_init__(self) -> None:
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if counts.shape != (len(POLARITIES), len(POLARITIES)):
-            raise ValueError(f"confusion matrix must be 3x3, got {counts.shape}")
-        if (counts < 0).any():
-            raise ValueError("confusion matrix entries must be non-negative")
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def support(self) -> dict[str, int]:
-        """True-sample count per class (row sums)."""
-        return {c: int(self.counts[i].sum()) for i, c in enumerate(POLARITIES)}
-
-    def true_positives(self, label: str) -> int:
-        i = POLARITY_INDEX[label]
-        return int(self.counts[i, i])
-
-    def false_positives(self, label: str) -> int:
-        i = POLARITY_INDEX[label]
-        return int(self.counts[:, i].sum() - self.counts[i, i])
-
-    def false_negatives(self, label: str) -> int:
-        i = POLARITY_INDEX[label]
-        return int(self.counts[i].sum() - self.counts[i, i])
-
-
-def confusion_matrix(truth: Sequence[str], pred: Sequence[str]) -> ConfusionMatrix:
+def confusion_matrix(truth: Sequence[str], pred: Sequence[str]) -> np.ndarray:
+    """3x3 int64 counts: entry (i, j) = samples of true class i predicted as j."""
     if len(truth) != len(pred):
         raise DimensionMismatchError(
             f"truth has {len(truth)} labels, predictions have {len(pred)}"
         )
-    if len(truth) == 0:
-        raise DatasetError("cannot build a confusion matrix from zero samples")
-    counts = np.zeros((len(POLARITIES), len(POLARITIES)), dtype=np.int64)
-    for t, p in zip(truth, pred):
-        counts[POLARITY_INDEX[t], POLARITY_INDEX[p]] += 1
-    return ConfusionMatrix(counts=counts)
+    n = len(POLARITIES)
+    cells = [n * POLARITY_INDEX[t] + POLARITY_INDEX[p] for t, p in zip(truth, pred)]
+    return np.bincount(cells, minlength=n * n).astype(np.int64).reshape(n, n)
 
 
 @dataclass(frozen=True)
@@ -77,69 +40,50 @@ def _ratio(num: float, den: float) -> float:
     return num / den if den else 0.0
 
 
-def per_class_metrics(cm: ConfusionMatrix) -> dict[str, ClassMetrics]:
-    out = {}
-    for label in POLARITIES:
-        tp = cm.true_positives(label)
-        precision = _ratio(tp, tp + cm.false_positives(label))
-        recall = _ratio(tp, tp + cm.false_negatives(label))
-        f1 = _ratio(2.0 * precision * recall, precision + recall)
-        out[label] = ClassMetrics(precision=precision, recall=recall, f1=f1)
-    return out
-
-
-@dataclass(frozen=True)
-class WeightedMetrics:
-    precision: float
-    recall: float
-    f1: float
-
-
-def weighted_metrics(
-    per_class: Mapping[str, ClassMetrics], support: Mapping[str, int]
-) -> WeightedMetrics:
-    """Support-weighted averages of the per-class metrics."""
-    total = sum(support.values())
-    if total <= 0:
-        raise DatasetError("weighted metrics need a positive total support")
-    weights = {c: support.get(c, 0) / total for c in POLARITIES}
-    return WeightedMetrics(
-        precision=sum(weights[c] * per_class[c].precision for c in POLARITIES),
-        recall=sum(weights[c] * per_class[c].recall for c in POLARITIES),
-        f1=sum(weights[c] * per_class[c].f1 for c in POLARITIES),
-    )
-
-
-def accuracy(cm: ConfusionMatrix) -> float:
-    if cm.total == 0:
-        raise DatasetError("cannot compute accuracy of an empty matrix")
-    return float(np.trace(cm.counts)) / cm.total
-
-
 @dataclass(frozen=True)
 class MetricsReport:
     """Everything one evaluation produces, plus run metadata."""
 
-    confusion: ConfusionMatrix
+    confusion: np.ndarray
     accuracy: float
     per_class: dict[str, ClassMetrics]
     support: dict[str, int]
-    weighted: WeightedMetrics
+    weighted: ClassMetrics
     metadata: dict = field(default_factory=dict)
 
     @classmethod
-    def from_predictions(
-        cls, truth: Sequence[str], pred: Sequence[str], metadata: dict | None = None
-    ) -> "MetricsReport":
-        cm = confusion_matrix(truth, pred)
-        per_class = per_class_metrics(cm)
-        support = cm.support()
+    def from_counts(cls, counts, metadata: dict | None = None) -> "MetricsReport":
+        """The report of a 3x3 confusion matrix (rows are true classes).
+
+        Python scalar arithmetic in a fixed order keeps each figure stable bit
+        for bit; the weighted sums avoid ``np.dot``, whose BLAS may fuse them.
+        """
+        counts = np.asarray(counts, dtype=np.int64)
+        if counts.shape != (len(POLARITIES), len(POLARITIES)) or (counts < 0).any():
+            raise ValueError(f"confusion matrix must be 3x3 non-negative counts, got {counts}")
+        total = int(counts.sum())
+        if total == 0:
+            raise DatasetError("cannot report on an empty confusion matrix")
+        rows = counts.tolist()
+        predicted = counts.sum(axis=0).tolist()
+        support = {c: sum(rows[i]) for i, c in enumerate(POLARITIES)}
+        per_class = {}
+        for i, c in enumerate(POLARITIES):
+            tp = rows[i][i]
+            precision = _ratio(tp, predicted[i])
+            recall = _ratio(tp, support[c])
+            f1 = _ratio(2.0 * precision * recall, precision + recall)
+            per_class[c] = ClassMetrics(precision=precision, recall=recall, f1=f1)
+        weighted = ClassMetrics(*(
+            sum(support[c] / total * getattr(per_class[c], name) for c in POLARITIES)
+            for name in ("precision", "recall", "f1")
+        ))
         return cls(
-            confusion=cm,
-            accuracy=accuracy(cm),
+            confusion=counts,
+            accuracy=float(np.trace(counts)) / total,
             per_class=per_class,
             support=support,
-            weighted=weighted_metrics(per_class, support),
+            weighted=weighted,
             metadata=dict(metadata or {}),
         )
 
@@ -163,7 +107,7 @@ class MetricsReport:
             "confusion_matrix": {
                 "class_order": list(POLARITIES),
                 "rows_are_truth": True,
-                "counts": self.confusion.counts.tolist(),
+                "counts": self.confusion.tolist(),
             },
             "metadata": self.metadata,
         }
@@ -182,7 +126,7 @@ class MetricsReport:
         w = self.weighted
         lines.append(
             f"{'weighted':<10} {w.precision:>9.2f} {w.recall:>7.2f} "
-            f"{w.f1:>6.2f} {self.confusion.total:>8d}"
+            f"{w.f1:>6.2f} {int(self.confusion.sum()):>8d}"
         )
         lines.append(f"accuracy: {self.accuracy:.2f}")
         return "\n".join(lines)
@@ -210,4 +154,4 @@ def evaluate(model, vectorizer, test_corpus, test_vectors, metadata=None) -> Met
         "test_size": len(test_corpus),
     }
     meta.update(metadata or {})
-    return MetricsReport.from_predictions(test_corpus.labels, predictions, meta)
+    return MetricsReport.from_counts(confusion_matrix(test_corpus.labels, predictions), meta)

@@ -6,8 +6,8 @@ the likelihood of term t in class c is
 
     (sum of t's weights in c + alpha) / (sum of all weights in c + alpha * V).
 
-Posteriors come from the joint log-likelihood normalized with
-log-sum-exp, so predict_scores returns true probabilities.
+Posteriors are the softmax of the joint log-likelihood, so
+predict_scores returns true probabilities.
 """
 
 from __future__ import annotations
@@ -15,11 +15,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import logsumexp
 
 from ..base import check_float, check_int
 from ..errors import TrainingError
 from .base import BaseClassifier, check_X_y, decode_array
+from .logistic import softmax
 
 
 class MultinomialNaiveBayes(BaseClassifier):
@@ -56,12 +56,8 @@ class MultinomialNaiveBayes(BaseClassifier):
         self.n_features_ = n_features
         return self
 
-    def _joint_log_likelihood(self, csr) -> np.ndarray:
-        return csr @ self.feature_log_likelihood_.T + self.class_log_prior_
-
     def _score_matrix(self, csr) -> np.ndarray:
-        jll = self._joint_log_likelihood(csr)
-        return np.exp(jll - logsumexp(jll, axis=1, keepdims=True))
+        return softmax(csr @ self.feature_log_likelihood_.T + self.class_log_prior_)
 
     def state_to_dict(self) -> dict:
         return {

@@ -22,16 +22,13 @@ from sentibench import (
     SoftmaxRegression,
     TfidfVectorizer,
     TweetPreprocessor,
-    accuracy,
     build_vocabulary,
     load_lemma_exceptions,
     load_stopwords,
-    per_class_metrics,
     train_test_split,
-    weighted_metrics,
 )
 from sentibench.cli import main as cli_main
-from sentibench.metrics import ConfusionMatrix
+from sentibench.metrics import MetricsReport
 from sentibench.models.logistic import softmax_loss_and_grad
 from helpers import (
     DATA_DIR,
@@ -174,9 +171,8 @@ class TestCriterion3WeightedRecallIdentity:
         rng = np.random.default_rng(2024)
         for _ in range(1000):
             counts = rng.integers(0, 50, size=(3, 3)) + np.eye(3, dtype=int)
-            cm = ConfusionMatrix(counts=counts)
-            w = weighted_metrics(per_class_metrics(cm), cm.support())
-            assert abs(w.recall - accuracy(cm)) <= 1e-12
+            report = MetricsReport.from_counts(counts)
+            assert abs(report.weighted.recall - report.accuracy) <= 1e-12
 
 
 class TestCriterion4OfflinePropertySuites:

@@ -550,6 +550,8 @@ class TestConfigHandling:
         pytest.param({"hyperparams": {"rf": {"bootstrap": 7}}}, id="bootstrap 7"),
         pytest.param({"seed": 1.7}, id="seed 1.7"),
         pytest.param({"seed": "3"}, id="seed string"),
+        pytest.param({"split_ratio": "0.5"}, id="split ratio string"),
+        pytest.param({"split_ratio": True}, id="split ratio bool"),
         pytest.param({"hyperparams": {"svm": {"epochs": 2.5}}}, id="svm epochs"),
         pytest.param({"hyperparams": {"logreg": {"batch_size": 10.5}}}, id="logreg batch"),
         pytest.param({"hyperparams": {"logreg": {"epochs": True}}}, id="logreg epochs bool"),
@@ -588,6 +590,17 @@ class TestConfigHandling:
         assert captured.err.startswith("error[config]"), captured.err
         assert len(captured.err.strip().splitlines()) == 1
         assert "done:" not in captured.out
+
+    @pytest.mark.parametrize("key", [
+        "data", "stopwords", "lemma_exceptions", "out_dir", "formats", "models",
+    ])
+    def test_config_field_of_wrong_json_type(self, tmp_path, capsys, key):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"data": FIXTURE_CSV, key: 5}))
+        assert run(["stats", "--config", config]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error[config]: {key} must be"), captured.err
+        assert len(captured.err.strip().splitlines()) == 1
 
     def test_rf_bootstrap_flag_takes_only_0_or_1(self, tmp_path, capsys):
         base = ["train", "--data", FIXTURE_CSV, "--model", "rf", "--vectorizer", "bow",
@@ -666,3 +679,12 @@ class TestSubprocessInterface:
         assert bad.returncode == 1
         assert bad.stderr.startswith("error[config]")
         assert len(bad.stderr.strip().splitlines()) == 1
+
+    def test_cli_import_leaves_scipy_special_unloaded(self):
+        # no code path needs scipy.special, and importing it slows every start-up
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, sentibench.cli; print('scipy.special' in sys.modules)"],
+            capture_output=True, text=True, env=child_env(), check=True,
+        )
+        assert probe.stdout.strip() == "False"

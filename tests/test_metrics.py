@@ -2,67 +2,70 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import metrics_reference as ref
 from sentibench import (
     BowVectorizer,
     ClassMetrics,
-    ConfusionMatrix,
     DatasetError,
     DimensionMismatchError,
+    MetricsReport,
     MultinomialNaiveBayes,
     TweetPreprocessor,
-    accuracy,
     confusion_matrix,
     evaluate,
-    per_class_metrics,
-    weighted_metrics,
 )
 from helpers import make_corpus
 
 
-def random_cm(rng):
-    return ConfusionMatrix(counts=rng.integers(0, 40, size=(3, 3)) + np.eye(3, dtype=int))
+def random_counts(rng):
+    return rng.integers(0, 40, size=(3, 3)) + np.eye(3, dtype=int)
 
 
 class TestConfusionMatrix:
     def test_perfect_predictions_are_diagonal(self):
         truth = ["negative", "neutral", "positive", "negative"]
         cm = confusion_matrix(truth, truth)
-        assert cm.counts.tolist() == [[2, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert cm.dtype == np.int64
+        assert cm.tolist() == [[2, 0, 0], [0, 1, 0], [0, 0, 1]]
 
     def test_hand_counted_matrix(self):
         truth = ["negative", "negative", "positive"]
         pred = ["negative", "positive", "positive"]
         cm = confusion_matrix(truth, pred)
-        assert cm.counts.tolist() == [[1, 0, 1], [0, 0, 0], [0, 0, 1]]
-        assert cm.true_positives("negative") == 1
-        assert cm.false_negatives("negative") == 1
-        assert cm.false_positives("positive") == 1
+        assert cm.tolist() == [[1, 0, 1], [0, 0, 0], [0, 0, 1]]
+        assert ref.true_positives(cm, "negative") == 1
+        assert ref.false_negatives(cm, "negative") == 1
+        assert ref.false_positives(cm, "positive") == 1
 
     def test_single_predicted_class_is_one_column(self):
         truth = ["negative", "neutral", "positive"]
         pred = ["neutral"] * 3
         cm = confusion_matrix(truth, pred)
-        assert cm.counts[:, 1].tolist() == [1, 1, 1]
-        assert cm.counts[:, 0].sum() == 0 and cm.counts[:, 2].sum() == 0
+        assert cm[:, 1].tolist() == [1, 1, 1]
+        assert cm[:, 0].sum() == 0 and cm[:, 2].sum() == 0
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             confusion_matrix(["negative"], ["negative", "positive"])
 
     def test_empty_inputs(self):
+        cm = confusion_matrix([], [])
+        assert cm.tolist() == [[0, 0, 0]] * 3
         with pytest.raises(DatasetError):
-            confusion_matrix([], [])
+            MetricsReport.from_counts(cm)
 
     def test_row_and_column_sums(self):
         rng = np.random.default_rng(3)
         truth = [("negative", "neutral", "positive")[i] for i in rng.integers(0, 3, 60)]
         pred = [("negative", "neutral", "positive")[i] for i in rng.integers(0, 3, 60)]
         cm = confusion_matrix(truth, pred)
-        assert cm.counts.sum(axis=1).tolist() == [
+        assert cm.sum(axis=1).tolist() == [
             truth.count(c) for c in ("negative", "neutral", "positive")
         ]
-        assert cm.counts.sum(axis=0).tolist() == [
+        assert cm.sum(axis=0).tolist() == [
             pred.count(c) for c in ("negative", "neutral", "positive")
         ]
 
@@ -74,18 +77,25 @@ class TestConfusionMatrix:
         order = rng.permutation(40)
         cm1 = confusion_matrix(truth, pred)
         cm2 = confusion_matrix([truth[i] for i in order], [pred[i] for i in order])
-        assert (cm1.counts == cm2.counts).all()
+        assert (cm1 == cm2).all()
+
+    @pytest.mark.parametrize("counts", [
+        np.ones((2, 2), dtype=int), np.array([[1, 0, 0], [0, -1, 0], [0, 0, 1]]),
+    ], ids=["2x2", "negative entry"])
+    def test_malformed_counts_rejected(self, counts):
+        with pytest.raises(ValueError):
+            MetricsReport.from_counts(counts)
 
 
 class TestPerClassMetrics:
     def test_diagonal_matrix_all_ones(self):
-        cm = ConfusionMatrix(counts=np.diag([3, 4, 5]))
-        for m in per_class_metrics(cm).values():
+        report = MetricsReport.from_counts(np.diag([3, 4, 5]))
+        for m in report.per_class.values():
             assert (m.precision, m.recall, m.f1) == (1.0, 1.0, 1.0)
 
     def test_absent_class_zero_by_convention(self):
         cm = confusion_matrix(["negative", "positive"], ["negative", "positive"])
-        m = per_class_metrics(cm)["neutral"]
+        m = MetricsReport.from_counts(cm).per_class["neutral"]
         assert (m.precision, m.recall, m.f1) == (0.0, 0.0, 0.0)
 
     def test_hand_matrix_cross_check(self):
@@ -95,7 +105,7 @@ class TestPerClassMetrics:
         cm = confusion_matrix(
             ["negative", "negative", "positive"], ["negative", "positive", "positive"]
         )
-        m = per_class_metrics(cm)
+        m = MetricsReport.from_counts(cm).per_class
         assert m["negative"] == ClassMetrics(1.0, 0.5, 2 / 3)
         assert m["positive"] == ClassMetrics(0.5, 1.0, 2 / 3)
         assert m["neutral"] == ClassMetrics(0.0, 0.0, 0.0)
@@ -103,69 +113,68 @@ class TestPerClassMetrics:
 
 class TestWeightedMetrics:
     def test_equal_supports_is_plain_mean(self):
-        per_class = {
-            "negative": ClassMetrics(0.9, 0.6, 0.3),
-            "neutral": ClassMetrics(0.6, 0.3, 0.9),
-            "positive": ClassMetrics(0.3, 0.9, 0.6),
-        }
-        w = weighted_metrics(per_class, {"negative": 5, "neutral": 5, "positive": 5})
-        assert w.precision == pytest.approx(0.6, abs=1e-15)
-        assert w.recall == pytest.approx(0.6, abs=1e-15)
-        assert w.f1 == pytest.approx(0.6, abs=1e-15)
+        # every row sums to 5
+        report = MetricsReport.from_counts([[3, 1, 1], [2, 2, 1], [3, 0, 2]])
+        for name in ("precision", "recall", "f1"):
+            mean = sum(getattr(m, name) for m in report.per_class.values()) / 3
+            assert getattr(report.weighted, name) == pytest.approx(mean, abs=1e-15)
 
     def test_single_support_class_dominates(self):
-        per_class = {
-            "negative": ClassMetrics(0.7, 0.8, 0.75),
-            "neutral": ClassMetrics(0.0, 0.0, 0.0),
-            "positive": ClassMetrics(0.0, 0.0, 0.0),
-        }
-        w = weighted_metrics(per_class, {"negative": 9, "neutral": 0, "positive": 0})
-        assert (w.precision, w.recall, w.f1) == (0.7, 0.8, 0.75)
+        report = MetricsReport.from_counts([[6, 2, 1], [0, 0, 0], [0, 0, 0]])
+        assert report.support == {"negative": 9, "neutral": 0, "positive": 0}
+        assert report.weighted == report.per_class["negative"]
+        assert report.weighted == ClassMetrics(1.0, 6 / 9, 0.8)
 
     def test_imbalanced_supports_hand_checked(self):
+        # supports 9178/3099/2363 with precisions 8000/10000, 1800/3000, 820/1640:
         # (9178*0.8 + 3099*0.6 + 2363*0.5) / 14640 = 0.7092418032786885
-        per_class = {
-            "negative": ClassMetrics(0.8, 0.8, 0.8),
-            "neutral": ClassMetrics(0.6, 0.6, 0.6),
-            "positive": ClassMetrics(0.5, 0.5, 0.5),
-        }
-        support = {"negative": 9178, "neutral": 3099, "positive": 2363}
-        w = weighted_metrics(per_class, support)
-        assert w.precision == pytest.approx(0.7092418032786885, abs=1e-12)
+        counts = [[8000, 1178, 0], [479, 1800, 820], [1521, 22, 820]]
+        report = MetricsReport.from_counts(counts)
+        assert report.support == {"negative": 9178, "neutral": 3099, "positive": 2363}
+        assert [m.precision for m in report.per_class.values()] == [0.8, 0.6, 0.5]
+        assert report.weighted.precision == pytest.approx(0.7092418032786885, abs=1e-12)
 
     def test_zero_total_support(self):
-        per_class = {c: ClassMetrics(0, 0, 0) for c in ("negative", "neutral", "positive")}
         with pytest.raises(DatasetError):
-            weighted_metrics(per_class, {"negative": 0, "neutral": 0, "positive": 0})
+            MetricsReport.from_counts(np.zeros((3, 3), dtype=int))
 
 
 class TestAccuracy:
     def test_diagonal_is_one(self):
-        assert accuracy(ConfusionMatrix(counts=np.diag([1, 2, 3]))) == 1.0
+        assert MetricsReport.from_counts(np.diag([1, 2, 3])).accuracy == 1.0
 
     def test_all_wrong_is_zero(self):
         cm = confusion_matrix(["negative", "neutral"], ["positive", "positive"])
-        assert accuracy(cm) == 0.0
+        assert MetricsReport.from_counts(cm).accuracy == 0.0
 
     def test_trace_over_total(self):
         cm = confusion_matrix(
             ["negative", "negative", "positive"], ["negative", "positive", "positive"]
         )
-        assert accuracy(cm) == pytest.approx(2 / 3, abs=1e-15)
-
-    def test_empty_matrix(self):
-        with pytest.raises(DatasetError):
-            accuracy(ConfusionMatrix(counts=np.zeros((3, 3), dtype=int)))
+        assert MetricsReport.from_counts(cm).accuracy == pytest.approx(2 / 3, abs=1e-15)
 
 
 class TestWeightedRecallIdentity:
     def test_equals_accuracy_on_random_matrices(self):
         rng = np.random.default_rng(123)
         for _ in range(1000):
-            cm = random_cm(rng)
-            per_class = per_class_metrics(cm)
-            w = weighted_metrics(per_class, cm.support())
-            assert abs(w.recall - accuracy(cm)) <= 1e-12
+            report = MetricsReport.from_counts(random_counts(rng))
+            assert abs(report.weighted.recall - report.accuracy) <= 1e-12
+
+
+class TestMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 10**6), min_size=9, max_size=9).filter(any))
+    def test_from_counts_equals_the_per_label_functions_bit_for_bit(self, flat):
+        counts = np.array(flat, dtype=np.int64).reshape(3, 3)
+        report = MetricsReport.from_counts(counts)
+        per_class = ref.per_class_metrics(counts)
+        support = ref.support(counts)
+        assert report.per_class == per_class
+        assert report.support == support
+        assert report.weighted == ref.weighted_metrics(per_class, support)
+        assert report.accuracy == ref.accuracy(counts)
+        assert report.confusion.tolist() == counts.tolist()
 
 
 class TestReportAndEvaluate:
@@ -235,7 +244,7 @@ class TestReportAndEvaluate:
             ]
         )
         report = evaluate(model, vec, corpus, self.vectors(vec, corpus, pre))
-        assert report.confusion.total == 2
+        assert report.confusion.sum() == 2
         assert report.metadata["test_size"] == 2
 
     def test_majority_predictor_scores_majority_share(self):
