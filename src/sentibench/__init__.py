@@ -44,7 +44,6 @@ from .preprocess import (
     TweetPreprocessor,
     Vocabulary,
     build_vocabulary,
-    clean_text,
     load_lemma_exceptions,
     load_stopwords,
 )

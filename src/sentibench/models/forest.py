@@ -1,27 +1,47 @@
 """Random forest of CART trees with Gini-impurity splits.
 
-Each tree trains on a bootstrap resample (seeded per tree, so parallel
-tree construction would reproduce sequential results) and considers a
-fresh random feature subset at every node. Candidate thresholds are the
-midpoints between adjacent distinct observed values of a feature within
-the node, where rows that do not store a feature explicitly count as
-observations of 0. The best candidate minimizes the size-weighted Gini
-impurity of the two children; ties go to the lower feature index, then
-the lower threshold. The forest predicts by majority vote over the
-trees' leaf classes, ties resolved by the fixed class order.
+Each tree trains on a bootstrap resample and considers a fresh random
+feature subset at every node. Candidate thresholds are the midpoints
+between adjacent distinct observed values of a feature within the node,
+where rows that do not store a feature explicitly count as observations
+of 0. The best candidate minimizes the size-weighted Gini impurity of
+the two children; ties go to the lower feature index, then the lower
+threshold. The forest predicts by majority vote over the trees' leaf
+classes, ties resolved by the fixed class order.
 
-Each tree keeps a column-major copy of its bootstrap matrix with the
-class label of every stored entry. A node gathers only the entry ranges
-of its sampled columns and keeps those whose row is in the node. The
-scan then works on those entries, grouped by feature, with one virtual
-zero-entry per feature carrying the class histogram of the implicit
-zeros. Per-node cost thus scales with the stored entries of the sampled
-columns, not with rows x features.
+All trees grow in lockstep. Tree t draws from its own random stream,
+keyed by (seed, tree index): first its bootstrap sample, then the
+feature subset of each node it searches, in depth-first order. It keeps
+its own stack of nodes still to search, so no tree depends on another.
+A child goes on the stack only if it is impure and above the depth
+limit; any other child is a leaf as soon as its parent splits. Each step
+pops one node from every tree that has one left and searches them all
+in one batch.
+
+The batch reads one column-major copy of the training matrix, with the
+class label of every stored entry, shared by all trees. A tree holds its
+bootstrap sample as multiplicities: a node is a set of distinct rows,
+each weighted by how often the sample drew it. Copies of a row hold
+equal values and always go to the same child, so the weighted class
+histograms hold the counts that the resampled matrix would give, and
+the same splits follow.
+
+The search gathers the entry ranges of each node's sampled columns and
+keeps the entries whose row is in the node, adding one virtual entry per
+(node, feature) that carries the class histogram of the implicit zeros.
+One sort by (node, feature, value) and one prefix sum give the left
+histogram of every candidate, and each node takes its first best
+candidate in that order. Per-step cost thus scales with the stored
+entries of the sampled columns, not with rows x features.
+
+Prediction routes every (row, tree) pair together, one level per pass,
+through the trees' flat arrays laid end to end.
 """
 
 from __future__ import annotations
 
 import math
+from numbers import Real
 
 import numpy as np
 
@@ -90,10 +110,16 @@ class _Tree:
                     raise ArtifactError(f"tree feature {feature} outside [0, {dims})")
                 lid = len(nodes)
                 nodes += [None, None]
-                threshold = float(rec["threshold"])
-                if not math.isfinite(threshold):
-                    raise ArtifactError(f"tree threshold {threshold} is not finite")
-                nodes[slot] = (feature, threshold, lid, lid + 1, 0, [0, 0, 0])
+                threshold = rec["threshold"]
+                # type() first, as in check_int: a forest has thousands of thresholds
+                if (
+                    type(threshold) is not float
+                    and (isinstance(threshold, bool) or not isinstance(threshold, Real))
+                ) or not math.isfinite(threshold):
+                    raise ArtifactError(
+                        f"tree threshold {threshold!r} is not a finite real number"
+                    )
+                nodes[slot] = (feature, float(threshold), lid, lid + 1, 0, [0, 0, 0])
                 stack += [(rec["right"], lid + 1), (rec["left"], lid)]
         # Only leaves carry counts in the record; rebuild internal-node
         # histograms and majority labels bottom-up (children have higher ids).
@@ -102,6 +128,11 @@ class _Tree:
             if f >= 0:
                 hist = [a + b for a, b in zip(nodes[lid][5], nodes[rid][5])]
                 nodes[i] = (f, thr, lid, rid, hist.index(max(hist)), hist)
+        return cls.from_nodes(nodes)
+
+    @classmethod
+    def from_nodes(cls, nodes) -> "_Tree":
+        """From one (feature, threshold, left, right, label, counts) per node."""
         feature, threshold, left, right, label, counts = zip(*nodes)
         return cls(
             feature=np.array(feature, dtype=np.int32),
@@ -119,152 +150,180 @@ def _sample_features(rng, dims: int, k: int) -> np.ndarray:
     return rng.choice(dims, size=k, replace=False, shuffle=False)
 
 
-def _best_split(columns, rows, node_hist, sampled, row_flags):
-    """Return (feature, threshold, left_rows, right_rows) or None.
+def _splittable(hist, depth, max_depth) -> np.ndarray:
+    """Which nodes get a split search: impure (so at least 2 rows) and
+    above the depth limit. ``hist`` holds one class histogram per node."""
+    impure = hist.max(axis=1) < hist.sum(axis=1)
+    if max_depth is None:
+        return impure
+    return impure & (depth < max_depth)
 
-    ``columns`` is the tree's column-major copy: (indptr, entry row, entry
-    value, entry label). ``row_flags`` is a reusable boolean scratch buffer
-    of size n_rows.
+
+class _GrowingTree:
+    """A tree during fit: a [feature, threshold, left, right, label, class
+    histogram] list per node so far, and its depth-first stack of the
+    nodes still to search, as (row keys, depth, node id, histogram)."""
+
+    __slots__ = ("nodes", "stack")
+
+    def __init__(self):
+        self.nodes: list[list] = []
+        self.stack: list[tuple] = []
+
+    def add_node(self, hist) -> int:
+        self.nodes.append([-1, 0.0, -1, -1, int(hist.argmax()), hist])
+        return len(self.nodes) - 1
+
+
+def _best_splits(columns, flat_w, flags, n, trees, rows, hist, sampled):
+    """One split search over one node of each of several trees.
+
+    ``columns`` is the shared column-major matrix: (indptr, entry row,
+    entry value, entry label). Node ``b`` belongs to tree ``trees[b]``,
+    holds the class histogram ``hist[b]`` and searches the features
+    ``sampled[b]``. Its distinct rows are given as keys ``t * n + r``
+    in ``rows[b]``; ``flat_w[key]`` is the row's bootstrap multiplicity in
+    that tree, and ``flags`` is a boolean scratch buffer of the same size,
+    all False.
+
+    Returns None when no node can split, else (split nodes, features,
+    thresholds, left histograms, crossed). ``crossed`` holds the keys of
+    the split nodes' rows that do not go with the implicit zeros: right
+    of a non-negative threshold, or left of a negative one.
     """
     indptr, col_row, col_val, col_lab = columns
-    starts = indptr[sampled]
-    lengths = indptr[sampled + 1] - starts
-    # Positions of the sampled columns' entries, column after column.
-    owner = np.repeat(np.arange(sampled.size), lengths)
-    entries = np.arange(owner.size) + (starts - np.cumsum(lengths) + lengths)[owner]
+    size = hist.sum(axis=1)
+    row_key = np.concatenate(rows)
 
-    row_flags[rows] = True
-    keep = row_flags[col_row[entries]]
-    row_flags[rows] = False
-    if not keep.any():
-        return None
-    entries = entries[keep]
-    feats = sampled[owner[keep]]
-    vals = col_val[entries]
-    entry_row = col_row[entries]
-    entry_lab = col_lab[entries]
+    # Slots are the (node, feature) pairs to search, in that order.
+    slot_node = np.repeat(np.arange(len(rows)), [s.size for s in sampled])
+    node_key = slot_node * (indptr.size - 1)
+    slot_feat = np.sort(node_key + np.concatenate(sampled)) - node_key
+    n_slots = slot_feat.size
 
-    # Per-feature class histogram of the nonzero entries.
-    ufeat, inv = np.unique(feats, return_inverse=True)
-    nz_hist = np.zeros((ufeat.size, 3))
-    np.add.at(nz_hist, (inv, entry_lab), 1.0)
-    nz_count = np.bincount(inv, minlength=ufeat.size)
-    zero_hist = node_hist - nz_hist
-    has_zero = rows.size - nz_count > 0
+    # Positions of the slots' column entries, slot after slot; keep those
+    # whose row is in the slot's node.
+    starts = indptr[slot_feat]
+    lengths = indptr[slot_feat + 1] - starts
+    ends = np.cumsum(lengths)
+    entries = np.arange(ends[-1] if n_slots else 0) + np.repeat(starts - ends + lengths, lengths)
+    entry_key = np.repeat((trees * n)[slot_node], lengths) + col_row[entries]
+    flags[row_key] = True
+    kept = np.flatnonzero(flags[entry_key])
+    flags[row_key] = False
+    slot = np.searchsorted(ends, kept, side="right")
+    entries = entries[kept]
+    entry_key = entry_key[kept]
+    weight = flat_w[entry_key]
+    label = col_lab[entries]
 
-    # One virtual entry per feature stands in for all its implicit zeros.
-    vfeat = ufeat[has_zero]
-    vhist = zero_hist[has_zero]
-    all_feat = np.concatenate([feats, vfeat])
-    all_val = np.concatenate([vals, np.zeros(vfeat.size)])
-    all_row = np.concatenate([entry_row, np.full(vfeat.size, -1, dtype=entry_row.dtype)])
-    all_tag = np.concatenate([entry_lab, np.arange(vfeat.size)])
+    # Per-slot class histogram of the stored entries. One virtual entry
+    # per slot stands in for all the node's implicit zeros.
+    nz_hist = np.bincount(3 * slot + label, weights=weight, minlength=3 * n_slots)
+    nz_hist = nz_hist.reshape(n_slots, 3)
+    nz_count = nz_hist.sum(axis=1)
+    virtual = np.flatnonzero((nz_count > 0) & (nz_count < size[slot_node]))
+    n_real = slot.size
+    all_slot = np.concatenate([slot, virtual])
+    all_val = np.concatenate([col_val[entries], np.zeros(virtual.size)])
+    all_key = np.concatenate([entry_key, np.full(virtual.size, -1)])
+    all_hist = np.zeros((all_slot.size, 3))
+    all_hist[np.arange(n_real), label] = weight
+    all_hist[n_real:] = hist[slot_node[virtual]] - nz_hist[virtual]
 
-    order = np.lexsort((all_val, all_feat))
-    F = all_feat[order]
+    order = np.lexsort((all_val, all_slot))
+    S = all_slot[order]
     V = all_val[order]
-    R = all_row[order]
-    T = all_tag[order]
+    K = all_key[order]
+    prefix = np.zeros((S.size + 1, 3))
+    np.cumsum(all_hist[order], axis=0, out=prefix[1:])
 
-    real = R >= 0
-    hist_rows = np.zeros((F.size, 3))
-    hist_rows[real, T[real]] = 1.0
-    hist_rows[~real] = vhist[T[~real]]
-    prefix = np.vstack([np.zeros(3), np.cumsum(hist_rows, axis=0)])
+    new_group = np.empty(S.size, dtype=bool)
+    new_group[:1] = True
+    new_group[1:] = S[1:] != S[:-1]
+    group_start = np.maximum.accumulate(np.where(new_group, np.arange(S.size), 0))
 
-    new_group = np.empty(F.size, dtype=bool)
-    new_group[0] = True
-    new_group[1:] = F[1:] != F[:-1]
-    group_start = np.maximum.accumulate(np.where(new_group, np.arange(F.size), 0))
-
-    boundary = (~new_group[1:]) & (V[:-1] < V[1:])
-    cand = np.flatnonzero(boundary)
+    cand = np.flatnonzero(~new_group[1:] & (V[:-1] < V[1:]))
     if cand.size == 0:
         return None
-
+    cand_node = slot_node[S[cand]]
     left_hist = prefix[cand + 1] - prefix[group_start[cand]]
+    right_hist = hist[cand_node] - left_hist
     n_left = left_hist.sum(axis=1)
-    n_right = rows.size - n_left
-    right_hist = node_hist - left_hist
+    n_right = size[cand_node] - n_left
     # Minimizing weighted Gini == maximizing sum of squared counts / size.
     quality = (left_hist**2).sum(axis=1) / n_left + (right_hist**2).sum(axis=1) / n_right
-    best = int(np.argmax(quality))
+    # Candidates run by (node, feature, value); take each node's first best.
+    node_start = np.flatnonzero(np.r_[True, cand_node[1:] != cand_node[:-1]])
+    best = np.lexsort((-quality, cand_node))[node_start]
 
     i = cand[best]
-    feature = int(F[i])
-    threshold = float(V[i] + V[i + 1]) / 2.0
-    if threshold >= V[i + 1]:  # 1-ulp value gap: midpoint rounded up; keep
-        threshold = float(V[i])  # the "value <= threshold" routing consistent
+    nodes = cand_node[best]
+    threshold = (V[i] + V[i + 1]) / 2.0
+    rounded_up = threshold >= V[i + 1]  # 1-ulp value gap: keep the
+    threshold[rounded_up] = V[i][rounded_up]  # "value <= threshold" routing
 
-    in_feature = F == feature
-    if threshold >= 0.0:
-        go_right = R[in_feature & (V > threshold) & real]
-        row_flags[go_right] = True
-        right_rows = rows[row_flags[rows]]
-        left_rows = rows[~row_flags[rows]]
-        row_flags[go_right] = False
-    else:
-        go_left = R[in_feature & (V <= threshold) & real]
-        row_flags[go_left] = True
-        left_rows = rows[row_flags[rows]]
-        right_rows = rows[~row_flags[rows]]
-        row_flags[go_left] = False
-    return feature, threshold, left_rows, right_rows
+    # The chosen slot's stored entries on the far side from zero.
+    chosen = np.full(len(rows), -1)
+    chosen[nodes] = S[i]
+    node_thr = np.zeros(len(rows))
+    node_thr[nodes] = threshold
+    e = np.flatnonzero((chosen[slot_node[S]] == S) & (K >= 0))
+    thr = node_thr[slot_node[S[e]]]
+    crossed = K[e[np.where(thr >= 0.0, V[e] > thr, V[e] <= thr)]]
+    return nodes, slot_feat[S[i]], threshold, left_hist[best], crossed
 
 
-def _grow_tree(X, y, k, max_depth, rng) -> _Tree:
-    n, dims = X.shape
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    label: list[int] = []
-    counts: list[np.ndarray] = []
-
-    def alloc() -> int:
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        label.append(0)
-        counts.append(None)
-        return len(feature) - 1
-
-    csc = X.tocsc()
+def _grow_forest(csr, y, weights, k, max_depth, rngs) -> list[_Tree]:
+    """Grow one tree per row of ``weights`` (bootstrap multiplicities) in
+    lockstep; tree t draws each search's ``k`` features from ``rngs[t]``."""
+    n_trees, n = weights.shape
+    dims = csr.shape[1]
+    csc = csr.tocsc()
     columns = (csc.indptr, csc.indices, csc.data, y[csc.indices])
-    row_flags = np.zeros(n, dtype=bool)
-    stack = [(np.arange(n), 0, alloc())]
-    while stack:
-        rows, depth, slot = stack.pop()
-        hist = np.bincount(y[rows], minlength=3).astype(np.float64)
-        label[slot] = int(np.argmax(hist))
-        counts[slot] = hist.astype(np.int64)
+    # Row r of tree t is key t * n + r in the flat weight and flag arrays.
+    flat_w = weights.ravel()
+    flags = np.zeros(n_trees * n, dtype=bool)
 
-        depth_reached = max_depth is not None and depth >= max_depth
-        if depth_reached or hist.max() == rows.size or rows.size < 2:
-            continue
-        sampled = _sample_features(rng, dims, k)
-        found = _best_split(columns, rows, hist, sampled, row_flags)
+    growing = [_GrowingTree() for _ in range(n_trees)]
+    for t, tree in enumerate(growing):
+        rows = np.flatnonzero(weights[t])
+        hist = np.bincount(y[rows], weights=weights[t, rows], minlength=3)
+        tree.add_node(hist)
+        if _splittable(hist[None], 0, max_depth)[0]:
+            tree.stack.append((t * n + rows, 0, 0, hist))
+
+    while True:
+        batch = [(t, tree.stack.pop()) for t, tree in enumerate(growing) if tree.stack]
+        if not batch:
+            break
+        trees = np.array([t for t, _ in batch])
+        rows = [node[0] for _, node in batch]
+        hist = np.array([node[3] for _, node in batch])
+        sampled = [_sample_features(rngs[t], dims, k) for t, _ in batch]
+        found = _best_splits(columns, flat_w, flags, n, trees, rows, hist, sampled)
         if found is None:
             continue
-        f, thr, left_rows, right_rows = found
-        feature[slot] = f
-        threshold[slot] = thr
-        lid = alloc()
-        rid = alloc()
-        left[slot] = lid
-        right[slot] = rid
-        stack.append((right_rows, depth + 1, rid))
-        stack.append((left_rows, depth + 1, lid))
-
-    return _Tree(
-        feature=np.array(feature, dtype=np.int32),
-        threshold=np.array(threshold, dtype=np.float64),
-        left=np.array(left, dtype=np.int32),
-        right=np.array(right, dtype=np.int32),
-        label=np.array(label, dtype=np.int8),
-        counts=np.vstack(counts),
-    )
+        nodes, features, thresholds, left_hist, crossed = found
+        right_hist = hist[nodes] - left_hist
+        depth = np.array([batch[b][1][1] for b in nodes]) + 1
+        push_left = _splittable(left_hist, depth, max_depth).tolist()
+        push_right = _splittable(right_hist, depth, max_depth).tolist()
+        flags[crossed] = True
+        for j, b in enumerate(nodes.tolist()):
+            t, (keys, _, slot, _) = batch[b]
+            tree = growing[t]
+            lid = tree.add_node(left_hist[j])
+            rid = tree.add_node(right_hist[j])
+            tree.nodes[slot][:4] = features[j], thresholds[j], lid, rid
+            if push_left[j] or push_right[j]:
+                goes_right = flags[keys] != (thresholds[j] < 0.0)
+                if push_right[j]:
+                    tree.stack.append((keys[goes_right], depth[j], rid, right_hist[j]))
+                if push_left[j]:
+                    tree.stack.append((keys[~goes_right], depth[j], lid, left_hist[j]))
+        flags[crossed] = False
+    return [_Tree.from_nodes(tree.nodes) for tree in growing]
 
 
 class RandomForest(BaseClassifier):
@@ -297,49 +356,53 @@ class RandomForest(BaseClassifier):
         csr, y_idx = check_X_y(X, y)
         n, dims = csr.shape
         if self.max_features is None:
-            k = math.isqrt(dims - 1) + 1  # ceil(sqrt(dims))
+            k = math.isqrt(dims - 1) + 1 if dims else 0  # ceil(sqrt(dims))
         else:
             k = min(dims, self.max_features)
 
-        self.trees_ = []
-        for t in range(self.n_trees):
-            # Stream keyed by (seed, tree index): tree order never matters.
-            rng = np.random.default_rng([self.seed, _STREAM, t])
-            if self.bootstrap:
-                sample = rng.integers(0, n, size=n)
-                X_t, y_t = csr[sample], y_idx[sample]
-            else:
-                X_t, y_t = csr, y_idx
-            self.trees_.append(_grow_tree(X_t, y_t, k, self.max_depth, rng))
-
+        # Stream keyed by (seed, tree index): no tree depends on another.
+        rngs = [np.random.default_rng([self.seed, _STREAM, t]) for t in range(self.n_trees)]
+        if self.bootstrap:
+            weights = np.array(
+                [np.bincount(rng.integers(0, n, size=n), minlength=n) for rng in rngs],
+                dtype=np.int32,
+            )
+        else:
+            weights = np.ones((self.n_trees, n), dtype=np.int32)
+        self.trees_ = _grow_forest(csr, y_idx, weights, k, self.max_depth, rngs)
         self.n_features_ = dims
         return self
 
     def _score_matrix(self, csr) -> np.ndarray:
+        trees = self.trees_
+        sizes = [tree.feature.size for tree in trees]
+        roots = np.cumsum([0] + sizes[:-1])
+        # The trees' flat arrays end to end, child ids shifted to match.
+        feature = np.concatenate([tree.feature for tree in trees])
+        threshold = np.concatenate([tree.threshold for tree in trees])
+        left = np.concatenate([tree.left + root for tree, root in zip(trees, roots)])
+        right = np.concatenate([tree.right + root for tree, root in zip(trees, roots)])
+        label = np.concatenate([tree.label for tree in trees])
+
         n = csr.shape[0]
         votes = np.zeros((n, 3))
-        # Densify in bounded chunks so (row, feature) gathers stay cheap.
-        chunk = max(1, int(4_000_000 // max(1, self.n_features_)))
+        # Densify in bounded chunks so (row, feature) gathers stay cheap and
+        # the (row, tree) pairs stay few.
+        chunk = max(1, min(4_000_000 // max(1, self.n_features_), 1_000_000 // len(trees)))
         for start in range(0, n, chunk):
             dense = csr[start : start + chunk].toarray()
             m = dense.shape[0]
-            sample_ids = np.arange(m)
-            for tree in self.trees_:
-                node = np.zeros(m, dtype=np.int32)
-                while True:
-                    f = tree.feature[node]
-                    internal = f >= 0
-                    if not internal.any():
-                        break
-                    vals = dense[sample_ids, np.where(internal, f, 0)]
-                    node = np.where(
-                        internal,
-                        np.where(
-                            vals <= tree.threshold[node], tree.left[node], tree.right[node]
-                        ),
-                        node,
-                    )
-                votes[start + sample_ids, tree.label[node]] += 1.0
+            pair_row = np.repeat(np.arange(m), len(trees))
+            node = np.tile(roots, m)
+            # Route every (row, tree) pair still at an internal node one level down.
+            live = np.flatnonzero(feature[node] >= 0)
+            while live.size:
+                at = node[live]
+                below = dense[pair_row[live], feature[at]] <= threshold[at]
+                node[live] = np.where(below, left[at], right[at])
+                live = live[feature[node[live]] >= 0]
+            leaf_votes = np.bincount(3 * pair_row + label[node], minlength=3 * m)
+            votes[start : start + m] = leaf_votes.reshape(m, 3)
         return votes / self.n_trees
 
     def state_to_dict(self) -> dict:

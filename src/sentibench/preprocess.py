@@ -1,6 +1,7 @@
 """Raw tweet text to cleaned, lemmatized tokens, and vocabulary building.
 
-Pipeline: clean_text -> split on whitespace -> drop stop-words -> lemmatize.
+Pipeline: lowercase and blank every non-letter -> split on whitespace ->
+drop stop-words -> lemmatize.
 StopWordList and Lemmatizer are immutable after construction. A
 TweetPreprocessor runs the pipeline through one token table of its own,
 filled the first time each distinct token is seen: it maps the token to
@@ -37,16 +38,6 @@ def _words(raw: str) -> TokenList:
     if text.isascii():
         return text.encode("ascii").translate(_ASCII_LETTERS).decode("ascii").split()
     return "".join(ch if ch.isalpha() else " " for ch in text).split()
-
-
-def clean_text(raw: str) -> str:
-    """Lowercase and strip every character that is not a letter.
-
-    '#', '@', digits and other symbols turn into spaces; whitespace runs
-    collapse to single spaces. Non-ASCII letters survive (lowercased);
-    emoji and numeric glyphs of any script do not. Idempotent.
-    """
-    return " ".join(_words(raw))
 
 
 @dataclass(frozen=True)

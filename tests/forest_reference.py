@@ -1,17 +1,22 @@
-"""Row-gather split search, kept as the reference for the forest's trees.
+"""Per-tree forest fit and predict, kept as the reference for the forest.
 
-This is the split scan the forest used before it switched to a
-column-major copy of each tree's matrix: every node gathers its rows'
-CSR entries (``X[rows]``) and drops the entries outside the sampled
-features. ``_grow_tree`` here has the signature of
-``sentibench.models.forest._grow_tree`` and must build identical trees.
-It expects CSR input without duplicate entries.
+``fit_trees`` grows one tree after another, each on its own resampled
+matrix ``csr[sample]``, with the row-gather split search the forest used
+before its column-major scan: every node gathers its rows' CSR entries
+(``X[rows]``) and drops the entries outside the sampled features.
+``_grow_tree`` expects CSR input without duplicate entries.
+``score_matrix`` routes the rows through one tree at a time. The
+lockstep forest in ``sentibench.models.forest`` must build identical
+trees and identical vote fractions.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from sentibench.models.base import check_X_y
 from sentibench.models.forest import _Tree, _sample_features
 
 
@@ -158,3 +163,54 @@ def _grow_tree(X, y, k, max_depth, rng) -> _Tree:
         label=np.array(label, dtype=np.int8),
         counts=np.vstack(counts),
     )
+
+
+def fit_trees(
+    X, y, n_trees=100, max_depth=40, max_features=None, bootstrap=True, seed=0
+) -> list[_Tree]:
+    """The per-tree forest fit, with ``RandomForest``'s hyperparameters.
+
+    Tree t draws from its own stream (seed, 3, t): first the bootstrap
+    sample, which becomes the row-gathered matrix ``csr[sample]``, then a
+    feature subset at each searched node, and grows with ``_grow_tree``.
+    """
+    csr, y_idx = check_X_y(X, y)
+    n, dims = csr.shape
+    if max_features is None:
+        k = math.isqrt(dims - 1) + 1 if dims else 0
+    else:
+        k = min(dims, max_features)
+    trees = []
+    for t in range(n_trees):
+        rng = np.random.default_rng([seed, 3, t])
+        if bootstrap:
+            sample = rng.integers(0, n, size=n)
+            X_t, y_t = csr[sample], y_idx[sample]
+        else:
+            X_t, y_t = csr, y_idx
+        trees.append(_grow_tree(X_t, y_t, k, max_depth, rng))
+    return trees
+
+
+def score_matrix(trees, csr) -> np.ndarray:
+    """Vote fractions, routing every row through one tree at a time, level
+    by level, over a dense copy of the rows."""
+    n = csr.shape[0]
+    votes = np.zeros((n, 3))
+    dense = csr.toarray()
+    sample_ids = np.arange(n)
+    for tree in trees:
+        node = np.zeros(n, dtype=np.int32)
+        while True:
+            f = tree.feature[node]
+            internal = f >= 0
+            if not internal.any():
+                break
+            vals = dense[sample_ids, np.where(internal, f, 0)]
+            node = np.where(
+                internal,
+                np.where(vals <= tree.threshold[node], tree.left[node], tree.right[node]),
+                node,
+            )
+        votes[sample_ids, tree.label[node]] += 1.0
+    return votes / len(trees)

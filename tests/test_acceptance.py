@@ -289,7 +289,8 @@ class TestCriterion4OfflinePropertySuites:
         assert train_c.ids != train_a.ids
 
     def test_preprocessing_idempotence(self):
-        from sentibench import clean_text, load_dataset
+        from preprocess_reference import clean_text
+        from sentibench import load_dataset
 
         lemmatizer = Lemmatizer()
         preprocessor = TweetPreprocessor(load_stopwords(), lemmatizer)

@@ -261,7 +261,8 @@ def rf_threshold(value):
     return corrupt
 
 
-# json reads NaN, Infinity and -Infinity; none may reach a model or a vectorizer
+# json reads NaN, Infinity and -Infinity; none may reach a model or a vectorizer,
+# nor may a threshold that float() would accept from a string or a bool
 NON_FINITE_CORRUPTIONS = {
     "tfidf idf Infinity": ("vectorizer_tfidf.json", rarest_idf(math.inf), "mnb", "tfidf"),
     "tfidf idf NaN": ("vectorizer_tfidf.json", rarest_idf(math.nan), "mnb", "tfidf"),
@@ -273,6 +274,8 @@ NON_FINITE_CORRUPTIONS = {
         "model_svm_bow.json", first_weight("weights", math.inf), "svm", "bow"),
     "logreg bias NaN": ("model_logreg_bow.json", first_weight("bias", math.nan), "logreg", "bow"),
     "rf threshold Infinity": ("model_rf_bow.json", rf_threshold(math.inf), "rf", "bow"),
+    "rf threshold string": ("model_rf_bow.json", rf_threshold("0.5"), "rf", "bow"),
+    "rf threshold true": ("model_rf_bow.json", rf_threshold(True), "rf", "bow"),
     "mnb alpha NaN": ("model_mnb_bow.json", hyperparameter("alpha", math.nan), "mnb", "bow"),
     "svm lam Infinity": ("model_svm_bow.json", hyperparameter("lam", math.inf), "svm", "bow"),
     "logreg l2 NaN": ("model_logreg_bow.json", hyperparameter("l2", math.nan), "logreg", "bow"),
@@ -473,6 +476,28 @@ class TestCompare:
             ("bow", train_size), ("bow", test_size),
             ("tfidf", train_size), ("tfidf", test_size),
         ]
+
+    def test_every_model_on_an_empty_vocabulary(self, tmp_path):
+        # Stop-words only: no term survives, so every model trains on 0 dims.
+        texts = ["the is", "he she", "that the", "is that", "the", "she is", "he", "the she"]
+        labels = ["negative", "positive", "neutral", "negative"] * 2
+        data = tmp_path / "stopwords.csv"
+        data.write_text(
+            "text,airline_sentiment\n" + "".join(f"{t},{y}\n" for t, y in zip(texts, labels))
+        )
+        out = tmp_path / "out"
+        assert run(["compare", "--data", data, "--out-dir", out, "--rf-trees", 3]) == 0
+        assert len(json.loads((out / "comparison.json").read_text())["rows"]) == 8
+
+        base = ["--data", data, "--out-dir", out]
+        assert run(["train", *base, "--model", "rf", "--vectorizer", "bow", "--rf-trees", 3]) == 0
+        model = load_model(out / "model_rf_bow.json")
+        assert model.dims == 0
+        assert [tree.feature.tolist() for tree in model.trees_] == [[-1]] * 3
+        assert run([
+            "evaluate", *base, "--model-artifact", out / "model_rf_bow.json",
+            "--vectorizer-artifact", out / "vectorizer_bow.json",
+        ]) == 0
 
 
 class TestConfigHandling:

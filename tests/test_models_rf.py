@@ -4,8 +4,8 @@ and equality with the row-gather reference split search."""
 import contextlib
 import hashlib
 import json
+import math
 import signal
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from scipy import sparse
 import forest_reference
 from sentibench import RandomForest, model_to_dict
 from sentibench.models import forest
-from sentibench.models.base import check_X_y
+from sentibench.models.base import check_X_y, check_vectors
 from helpers import csr
 
 
@@ -227,10 +227,9 @@ class TestMatchesRowGatherReference:
     def test_fit_builds_the_reference_trees(self, problem):
         X, y, hp = problem
         new = RandomForest(**hp).fit(X, y)
-        with mock.patch.object(forest, "_grow_tree", forest_reference._grow_tree):
-            ref = RandomForest(**hp).fit(X, y)
-        assert len(new.trees_) == len(ref.trees_)
-        for a, b in zip(new.trees_, ref.trees_):
+        ref = forest_reference.fit_trees(X, y, **hp)
+        assert len(new.trees_) == len(ref) == hp["n_trees"]
+        for a, b in zip(new.trees_, ref):
             assert_same_tree(a, b)
 
     @settings(max_examples=150, deadline=None)
@@ -238,12 +237,52 @@ class TestMatchesRowGatherReference:
     def test_grow_tree_on_raw_unsorted_csr(self, problem):
         X, y, hp = problem
         y_idx = np.array([LABELS.index(label) for label in y])
-        k = X.shape[1] if hp["max_features"] is None else hp["max_features"]
-        tree = forest._grow_tree(X, y_idx, k, hp["max_depth"], np.random.default_rng(hp["seed"]))
+        dims = X.shape[1]
+        k = math.isqrt(dims - 1) + 1 if hp["max_features"] is None else hp["max_features"]
+        model = RandomForest(
+            n_trees=1, max_depth=hp["max_depth"], max_features=hp["max_features"],
+            bootstrap=False, seed=hp["seed"],
+        ).fit(X, y)
         ref = forest_reference._grow_tree(
-            X, y_idx, k, hp["max_depth"], np.random.default_rng(hp["seed"])
+            X, y_idx, min(k, dims), hp["max_depth"], np.random.default_rng([hp["seed"], 3, 0])
         )
-        assert_same_tree(tree, ref)
+        assert_same_tree(model.trees_[0], ref)
+
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_problems(duplicates=True), st.data())
+    def test_score_matrix_matches_the_per_tree_routing(self, problem, data):
+        X, y, hp = problem
+        model = RandomForest(**hp).fit(X, y)
+        dims = X.shape[1]
+        probe = data.draw(st.lists(st.lists(VALUES, min_size=dims, max_size=dims), max_size=8))
+        for rows in (X, np.array(probe).reshape(len(probe), dims)):
+            csr = check_vectors(rows)
+            got = model._score_matrix(csr)
+            want = forest_reference.score_matrix(model.trees_, csr)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+class TestLockstep:
+    def test_a_tree_does_not_depend_on_its_batch_mates(self):
+        X, y = golden_matrix()
+        many = RandomForest(n_trees=20, max_depth=None, seed=9).fit(X, y)
+        few = RandomForest(n_trees=5, max_depth=None, seed=9).fit(X, y)
+        for a, b in zip(many.trees_[:5], few.trees_):
+            assert_same_tree(a, b)
+
+    @pytest.mark.parametrize("bootstrap", [False, True])
+    def test_no_features_gives_single_leaf_majority_trees(self, bootstrap):
+        # An empty vocabulary: 0 dims, as all-stop-word training text gives.
+        X = sparse.csr_matrix((6, 0))
+        y = ["positive", "positive", "positive", "negative", "neutral", "neutral"]
+        model = RandomForest(n_trees=4, bootstrap=bootstrap, seed=3).fit(X, y)
+        ref = forest_reference.fit_trees(X, y, n_trees=4, bootstrap=bootstrap, seed=3)
+        for tree, want in zip(model.trees_, ref):
+            assert tree.feature.tolist() == [-1]
+            assert tree.counts.sum() == 6
+            assert_same_tree(tree, want)
+        if not bootstrap:
+            assert model.predict(sparse.csr_matrix((2, 0))) == ["positive", "positive"]
 
 
 def golden_matrix():
