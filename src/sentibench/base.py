@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import inspect
 import json
-import math
+import sys
 from numbers import Integral, Real
 
 from .errors import SentibenchError
@@ -59,11 +59,13 @@ def check_int(name: str, value, minimum: int) -> None:
 def check_float(name: str, value, minimum: float, *, inclusive: bool = False) -> None:
     """Raise ValueError unless ``value`` is a finite real number (not a bool)
     above ``minimum``, or equal to it when ``inclusive``. NaN fails every
-    comparison, so a bare ``value <= minimum`` test would let it through."""
+    comparison, so a bare ``value <= minimum`` test would let it through;
+    the bound test also fails an int too large for a float, where
+    ``math.isfinite`` would raise OverflowError."""
     if (
         isinstance(value, bool)
         or not isinstance(value, Real)
-        or not math.isfinite(value)
+        or not abs(value) <= sys.float_info.max
         or value < minimum
         or (value == minimum and not inclusive)
     ):
@@ -79,11 +81,12 @@ def write_json(path, payload) -> None:
 
 
 def read_json(path, what: str, error: type[SentibenchError]):
-    """Parse a JSON file; an unreadable file or invalid JSON raises ``error``."""
+    """Parse a JSON file; an unreadable file, text that is not UTF-8, invalid
+    JSON or nesting too deep to decode raises ``error``."""
     try:
         with open(path, encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as exc:
         raise error(f"cannot read {what} {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: JSON or UTF-8 decoding
         raise error(f"{path}: invalid JSON: {exc}") from exc

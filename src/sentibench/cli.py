@@ -113,10 +113,14 @@ class ExperimentConfig:
         for fmt in self.formats:
             if fmt not in FORMATS:
                 raise ConfigError(f"unknown output format {fmt!r}")
+        # Only a hyperparameter can make a model fail to build, so building
+        # each model that has some, before any cell trains, checks them all.
         for kind in self.hyperparams:
-            if kind not in MODEL_KINDS:
-                raise ConfigError(f"hyperparams for unknown model {kind!r}")
-        for kind in self.models:  # every selected model, before any cell trains
+            if kind not in self.models:
+                raise ConfigError(
+                    f"hyperparameters for {kind!r}, but this run builds only "
+                    f"{','.join(self.models)}"
+                )
             self.build_model(kind)
         return self
 
@@ -144,105 +148,99 @@ def _csv_list(value: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in value.split(",") if part.strip())
 
 
+# Flag, type and help of each ExperimentConfig field; the field's name is
+# its config-file key. The hyperparams field takes the _HP_FLAGS instead.
+_FIELD_FLAGS = {
+    "data": ("--data", str, "dataset CSV path"),
+    "text_col": ("--text-col", str, "text column name"),
+    "label_col": ("--label-col", str, "label column name"),
+    "split_ratio": ("--split-ratio", float, "training share of the rows (default 0.75)"),
+    "seed": ("--seed", int, "split and training seed (default 0)"),
+    "stopwords": ("--stopwords", str, "stop-word file (default: packaged list)"),
+    "lemma_exceptions": ("--lemma-exceptions", str, "two-column 'word lemma' exceptions file"),
+    "out_dir": ("--out-dir", str, "output directory"),
+    "formats": ("--format", _csv_list, "comma-separated subset of json,csv,table"),
+    "models": ("--model", _csv_list, "comma-separated model kinds (default: all four)"),
+    "vectorizers": ("--vectorizer", _csv_list, "comma-separated vectorizer kinds (default: both)"),
+}
+
+_INPUT = ("data", "text_col", "label_col", "out_dir")
+_SPLIT = ("split_ratio", "seed")
+_TRAINING = ("stopwords", "lemma_exceptions", "hyperparams")
+
+# command -> (help, the ExperimentConfig fields it reads, its own required
+# flags with their choices). A command accepts the flags and config-file
+# keys of the fields it reads, and no others.
+COMMANDS = {
+    "stats": ("label frequency summary", (*_INPUT, "formats"), {}),
+    "train": ("train one model+vectorizer pair", (*_INPUT, *_SPLIT, *_TRAINING),
+              {"--model": MODEL_KINDS, "--vectorizer": VECTORIZER_KINDS}),
+    "evaluate": ("evaluate persisted artifacts", (*_INPUT, "formats", *_SPLIT),
+                 {"--model-artifact": None, "--vectorizer-artifact": None}),
+    "compare": ("run the full comparison grid",
+                (*_INPUT, "formats", *_SPLIT, *_TRAINING, "models", "vectorizers"), {}),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a ConfigError, which main prints as one line."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sentibench",
         description="Tweet sentiment benchmark: preprocessing, two vectorizers, "
         "four classifiers, weighted-metric comparison grid.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
+    for command, (help_text, fields, own_flags) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--data", help="dataset CSV path")
-        p.add_argument("--text-col", dest="text_col", help="text column name")
-        p.add_argument("--label-col", dest="label_col", help="label column name")
-        p.add_argument("--split-ratio", dest="split_ratio", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--stopwords", help="stop-word file (default: packaged list)")
-        p.add_argument(
-            "--lemma-exceptions",
-            dest="lemma_exceptions",
-            help="two-column 'word lemma' exceptions file",
-        )
-        p.add_argument("--out-dir", dest="out_dir", help="output directory")
-        p.add_argument(
-            "--format",
-            dest="formats",
-            type=_csv_list,
-            help="comma-separated subset of json,csv,table",
-        )
-        for flag, _, _, typ, help_text in _HP_FLAGS:
-            p.add_argument(
-                f"--{flag}", dest=flag.replace("-", "_"), type=typ, help=help_text
-            )
-
-    p_stats = sub.add_parser("stats", help="label frequency summary")
-    add_common(p_stats)
-
-    p_train = sub.add_parser("train", help="train one model+vectorizer pair")
-    add_common(p_train)
-    p_train.add_argument("--model", required=True, choices=MODEL_KINDS)
-    p_train.add_argument("--vectorizer", required=True, choices=VECTORIZER_KINDS)
-
-    p_eval = sub.add_parser("evaluate", help="evaluate persisted artifacts")
-    add_common(p_eval)
-    p_eval.add_argument("--model-artifact", required=True)
-    p_eval.add_argument("--vectorizer-artifact", required=True)
-
-    p_cmp = sub.add_parser("compare", help="run the full comparison grid")
-    add_common(p_cmp)
-    p_cmp.add_argument(
-        "--model",
-        dest="models",
-        type=_csv_list,
-        help="comma-separated model kinds (default: all four)",
-    )
-    p_cmp.add_argument(
-        "--vectorizer",
-        dest="vectorizers",
-        type=_csv_list,
-        help="comma-separated vectorizer kinds (default: both)",
-    )
+        for name in fields:
+            if name == "hyperparams":  # dest: the flag with "_" for "-"
+                for flag, _, _, typ, flag_help in _HP_FLAGS:
+                    p.add_argument(f"--{flag}", type=typ, help=flag_help)
+            else:
+                flag, typ, flag_help = _FIELD_FLAGS[name]
+                p.add_argument(flag, dest=name, type=typ, help=flag_help)
+        for flag, choices in own_flags.items():
+            p.add_argument(flag, required=True, choices=choices)
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    fields = COMMANDS[args.command][1]
     values: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         loaded = read_json(args.config, "config file", ConfigError)
         if not isinstance(loaded, dict):
             raise ConfigError(f"{args.config}: config must be a JSON object")
+        unread = sorted(set(loaded) - set(fields))
+        if unread:
+            raise ConfigError(f"{args.command} does not read config keys {unread}")
         values.update(loaded)
 
-    for name in (
-        "data",
-        "text_col",
-        "label_col",
-        "split_ratio",
-        "seed",
-        "stopwords",
-        "lemma_exceptions",
-        "out_dir",
-        "formats",
-        "models",
-        "vectorizers",
-    ):
-        flag_value = getattr(args, name, None)
-        if flag_value is not None:
-            values[name] = flag_value
+    for name in fields:
+        if name != "hyperparams" and getattr(args, name) is not None:
+            values[name] = getattr(args, name)
+    if args.command == "train":  # the one cell that its own two flags name
+        values.update(models=(args.model,), vectorizers=(args.vectorizer,))
 
-    file_hp = values.get("hyperparams", {})
-    if not isinstance(file_hp, dict) or not all(
-        isinstance(v, dict) for v in file_hp.values()
-    ):
-        raise ConfigError("hyperparams must map model kind -> {name: value}")
-    hyperparams = {k: dict(v) for k, v in file_hp.items()}
-    for flag, kind, arg_name, _, _ in _HP_FLAGS:
-        flag_value = getattr(args, flag.replace("-", "_"), None)
-        if flag_value is not None:
-            hyperparams.setdefault(kind, {})[arg_name] = flag_value
-    values["hyperparams"] = hyperparams
+    if "hyperparams" in fields:
+        file_hp = values.get("hyperparams", {})
+        if not isinstance(file_hp, dict) or not all(
+            isinstance(v, dict) for v in file_hp.values()
+        ):
+            raise ConfigError("hyperparams must map model kind -> {name: value}")
+        hyperparams = {k: dict(v) for k, v in file_hp.items()}
+        for flag, kind, arg_name, _, _ in _HP_FLAGS:
+            flag_value = getattr(args, flag.replace("-", "_"))
+            if flag_value is not None:
+                hyperparams.setdefault(kind, {})[arg_name] = flag_value
+        values["hyperparams"] = hyperparams
 
     for key in ("formats", "models", "vectorizers"):
         if key in values:
@@ -255,10 +253,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
                 )
             values[key] = tuple(value)
 
-    known = set(ExperimentConfig.__dataclass_fields__)
-    unknown = set(values) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "data" not in values:
         raise ConfigError("--data is required (flag or config file)")
     return ExperimentConfig(**values).validate()
@@ -478,9 +472,10 @@ def cmd_compare(config: ExperimentConfig) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args, extra = build_parser().parse_known_args(argv)
+        if extra:
+            raise ConfigError(f"{args.command} does not take {' '.join(extra)}")
         config = config_from_args(args)
         if args.command == "stats":
             return cmd_stats(config)
@@ -488,9 +483,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_train(config, args.model, args.vectorizer)
         if args.command == "evaluate":
             return cmd_evaluate(config, args.model_artifact, args.vectorizer_artifact)
-        if args.command == "compare":
-            return cmd_compare(config)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_compare(config)
     except SentibenchError as exc:
         print(f"error[{exc.category}]: {exc}", file=sys.stderr)
         return 1

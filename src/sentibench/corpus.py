@@ -66,9 +66,9 @@ def load_dataset(
 
     Row order is preserved; ids are the 1-based data-row numbers, blank
     lines included.
-    Raises DatasetError for a missing file, a missing column, malformed
-    quoting, or a row whose label does not parse (the message names the
-    offending row).
+    Raises DatasetError for a missing file, text that is not UTF-8, a
+    missing column, malformed quoting, or a row whose label does not parse
+    (the message names the offending row).
     """
     try:
         handle = open(path, newline="", encoding="utf-8-sig")
@@ -114,6 +114,8 @@ def load_dataset(
             raise DatasetError(
                 f"{path}: malformed CSV near row {reader.line_num}: {exc}"
             ) from exc
+        except UnicodeDecodeError as exc:
+            raise DatasetError(f"{path}: not UTF-8 text: {exc}") from exc
 
     return Corpus(ids, texts, labels)
 

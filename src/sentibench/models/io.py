@@ -46,7 +46,7 @@ def model_from_dict(doc: Mapping) -> BaseClassifier:
     """Rebuild a model; any malformed document raises ArtifactError."""
     try:
         return _decode_model(doc)
-    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+    except (LookupError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ArtifactError(
             f"malformed model artifact: {type(exc).__name__}: {exc}"
         ) from exc

@@ -88,7 +88,7 @@ def load_stopwords(path: str | None = None) -> StopWordList:
         try:
             with open(path, encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read stop-word file {path!r}: {exc}") from exc
     return StopWordList(words=frozenset(_read_word_lines(text)))
 
@@ -98,7 +98,7 @@ def load_lemma_exceptions(path: str) -> dict[str, str]:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read lemma exceptions file {path!r}: {exc}") from exc
     exceptions: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):

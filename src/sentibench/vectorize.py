@@ -270,7 +270,9 @@ def load_vectorizer(path: str) -> tuple[_Vectorizer, TweetPreprocessor]:
     doc = read_json(path, "vectorizer artifact", ArtifactError)
     try:
         return _decode_vectorizer(doc)
-    except (LookupError, TypeError, ValueError, AttributeError, ConfigError) as exc:
+    except (
+        LookupError, TypeError, ValueError, AttributeError, OverflowError, ConfigError
+    ) as exc:
         raise ArtifactError(
             f"malformed vectorizer artifact: {type(exc).__name__}: {exc}"
         ) from exc

@@ -35,6 +35,11 @@ def csr(dims: int, rows) -> sparse.csr_matrix:
     )
 
 
+# Short-run flags of each model. A command takes only those of the models it
+# builds, so a run passes the entries of its own models.
+SHORT_RUN = {"svm": ["--svm-epochs", "2"], "mnb": [], "rf": ["--rf-trees", "2"],
+             "logreg": ["--logreg-epochs", "2"]}
+
 # Rows up to 60 long: OpenBLAS ddot sums 16 or more entries in unrolled blocks.
 LONG_ROW = 60
 

@@ -20,7 +20,7 @@ from sentibench import (
     load_vectorizer,
 )
 from sentibench.cli import main
-from helpers import FIXTURE_COUNTS, FIXTURE_CSV
+from helpers import FIXTURE_COUNTS, FIXTURE_CSV, SHORT_RUN
 
 SEPARABLE_TEXTS = {
     "negative": "awful awful delay",
@@ -318,7 +318,7 @@ def trained_artifacts(tmp_path_factory):
                        ("mnb", "tfidf")):
         assert run([
             "train", "--data", FIXTURE_CSV, "--out-dir", out, "--model", model,
-            "--vectorizer", vec, "--svm-epochs", 2, "--logreg-epochs", 2, "--rf-trees", 2,
+            "--vectorizer", vec, *SHORT_RUN[model],
         ]) == 0
     return out
 
@@ -397,12 +397,59 @@ class TestArtifactShapes:
         assert len(err.strip().splitlines()) == 1
 
 
+def reader_argv(reader: str, path, artifacts) -> list:
+    """A command line that reads ``path`` with the named reader and every
+    other input from the fixture CSV and the trained artifacts."""
+    evaluate = ["evaluate", "--data", FIXTURE_CSV,
+                "--model-artifact", artifacts / "model_mnb_bow.json",
+                "--vectorizer-artifact", artifacts / "vectorizer_bow.json"]
+    train = ["train", "--data", FIXTURE_CSV, "--model", "mnb", "--vectorizer", "bow"]
+    return {
+        "dataset": ["stats", "--data", path],
+        "config": ["stats", "--data", FIXTURE_CSV, "--config", path],
+        "model": [*evaluate, "--model-artifact", path],
+        "vectorizer": [*evaluate, "--vectorizer-artifact", path],
+        "stopwords": [*train, "--stopwords", path],
+        "lemma exceptions": [*train, "--lemma-exceptions", path],
+    }[reader]
+
+
+READER_CATEGORIES = {
+    "dataset": "dataset", "config": "config", "model": "artifact", "vectorizer": "artifact",
+    "stopwords": "config", "lemma exceptions": "config",
+}
+
+
+UNREADABLE = {
+    "not UTF-8": b"\xff" + Path(FIXTURE_CSV).read_bytes(),
+    "100000 nested brackets": b"[" * 100_000,  # deeper than json can decode
+}
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize("reader, content", [
+        *((reader, "not UTF-8") for reader in sorted(READER_CATEGORIES)),
+        *((reader, "100000 nested brackets") for reader in ("config", "model", "vectorizer")),
+    ])
+    def test_is_one_error_of_the_readers_category(self, trained_artifacts, tmp_path,
+                                                  capsys, reader, content):
+        bad = tmp_path / "input"
+        bad.write_bytes(UNREADABLE[content])
+        code = run([*reader_argv(reader, bad, trained_artifacts), "--out-dir", tmp_path / "o"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error[{READER_CATEGORIES[reader]}]"), err
+        assert len(err.strip().splitlines()) == 1
+
+
 class TestCompare:
-    def grid(self, tmp_path, out_name, extra=()):
+    def grid(self, tmp_path, out_name, models="svm,mnb,rf,logreg"):
         out = tmp_path / out_name
+        ten = {"rf": ["--rf-trees", 10], "logreg": ["--logreg-epochs", 10],
+               "svm": ["--svm-epochs", 10], "mnb": []}
         code = run([
             "compare", "--data", FIXTURE_CSV, "--seed", 1, "--out-dir", out,
-            "--rf-trees", 10, "--logreg-epochs", 10, "--svm-epochs", 10, *extra,
+            "--model", models, *(flag for model in models.split(",") for flag in ten[model]),
         ])
         assert code == 0
         return out
@@ -421,7 +468,7 @@ class TestCompare:
         assert "* best accuracy" in (out / "comparison.txt").read_text()
 
     def test_restricted_grid(self, tmp_path):
-        out = self.grid(tmp_path, "mnb_only", extra=["--model", "mnb"])
+        out = self.grid(tmp_path, "mnb_only", models="mnb")
         payload = json.loads((out / "comparison.json").read_text())
         assert [r["model"] for r in payload["rows"]] == ["mnb", "mnb"]
         assert [r["vectorizer"] for r in payload["rows"]] == ["bow", "tfidf"]
@@ -466,7 +513,7 @@ class TestCompare:
 
             monkeypatch.setattr(cls, "transform", counting_transform)
 
-        out = self.grid(tmp_path, "counted", extra=["--model", "mnb,logreg"])
+        out = self.grid(tmp_path, "counted", models="mnb,logreg")
         payload = json.loads((out / "comparison.json").read_text())
         train_size, test_size = payload["train_size"], payload["test_size"]
         with open(FIXTURE_CSV, newline="", encoding="utf-8") as handle:
@@ -508,7 +555,6 @@ class TestConfigHandling:
             "seed": 9,
             "models": ["mnb"],
             "out_dir": str(tmp_path / "from_file"),
-            "hyperparams": {"rf": {"n_trees": 2}},
         }))
         out = tmp_path / "override"
         code = run(["compare", "--config", config, "--out-dir", out])
@@ -523,6 +569,37 @@ class TestConfigHandling:
         assert run(["stats", "--config", config]) == 1
         assert capsys.readouterr().err.startswith("error[config]")
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("stats", "seed", 1), ("stats", "hyperparams", {"mnb": {"alpha": 2.0}}),
+        ("evaluate", "stopwords", FIXTURE_CSV), ("train", "models", ["mnb"]),
+        ("train", "formats", ["json"]),
+    ])
+    def test_config_key_the_command_does_not_read(self, tmp_path, capsys, command, key, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"data": FIXTURE_CSV, key: value}))
+        own = {"train": ["--model", "mnb", "--vectorizer", "bow"],
+               "evaluate": ["--model-artifact", "m.json", "--vectorizer-artifact", "v.json"]}
+        assert run([command, "--config", config, *own.get(command, [])]) == 1
+        assert capsys.readouterr().err == (
+            f"error[config]: {command} does not read config keys ['{key}']\n"
+        )
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", [
+        ["train", "--model", "mnb", "--vectorizer", "bow"], ["compare", "--model", "mnb"],
+    ], ids=["train", "compare"])
+    def test_hyperparameters_for_a_model_the_run_does_not_build(self, tmp_path, capsys,
+                                                                 command, source):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"hyperparams": {"rf": {"n_trees": 3}}}))
+        extra = ["--rf-trees", 3] if source == "flag" else ["--config", config]
+        out = tmp_path / "o"
+        assert run([*command, "--data", FIXTURE_CSV, "--out-dir", out, *extra]) == 1
+        assert capsys.readouterr().err == (
+            "error[config]: hyperparameters for 'rf', but this run builds only mnb\n"
+        )
+        assert not out.exists()
+
     def test_bad_split_ratio(self, capsys):
         code = run(["compare", "--data", FIXTURE_CSV, "--split-ratio", "1.5"])
         assert code == 1
@@ -535,7 +612,8 @@ class TestConfigHandling:
 
     def test_missing_stopword_file(self, tmp_path, capsys):
         code = run([
-            "stats", "--data", FIXTURE_CSV, "--stopwords", tmp_path / "none.txt",
+            "train", "--data", FIXTURE_CSV, "--model", "mnb", "--vectorizer", "bow",
+            "--stopwords", tmp_path / "none.txt",
         ])
         assert code == 1
         assert capsys.readouterr().err.startswith("error[config]")
@@ -563,11 +641,11 @@ class TestConfigHandling:
     def test_malformed_config_field_types(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"data": FIXTURE_CSV, "split_ratio": "most"}))
-        assert run(["stats", "--config", config]) == 1
-        assert capsys.readouterr().err.startswith("error[config]")
+        assert run(["compare", "--config", config]) == 1
+        assert capsys.readouterr().err.startswith("error[config]: split ratio must be")
         config.write_text(json.dumps({"data": FIXTURE_CSV, "hyperparams": [1, 2]}))
-        assert run(["stats", "--config", config]) == 1
-        assert capsys.readouterr().err.startswith("error[config]")
+        assert run(["compare", "--config", config]) == 1
+        assert capsys.readouterr().err.startswith("error[config]: hyperparams must map")
 
     @pytest.mark.parametrize("values", [
         pytest.param({"hyperparams": {"svn": {"epochs": 2}}}, id="unknown model kind"),
@@ -587,6 +665,7 @@ class TestConfigHandling:
         pytest.param({"hyperparams": {"rf": {"max_features": 2.5}}}, id="rf features"),
         pytest.param({"hyperparams": {"svm": {"seed": 0.5}}}, id="svm seed"),
         pytest.param({"hyperparams": {"svm": {"lam": math.nan}}}, id="svm lam NaN"),
+        pytest.param({"hyperparams": {"svm": {"lam": 10**400}}}, id="svm lam 10**400"),
         pytest.param({"hyperparams": {"logreg": {"learning_rate": math.inf}}},
                      id="logreg learning rate Infinity"),
         pytest.param({"hyperparams": {"logreg": {"l2": math.inf}}}, id="logreg l2 Infinity"),
@@ -616,13 +695,16 @@ class TestConfigHandling:
         assert len(captured.err.strip().splitlines()) == 1
         assert "done:" not in captured.out
 
-    @pytest.mark.parametrize("key", [
-        "data", "stopwords", "lemma_exceptions", "out_dir", "formats", "models",
+    @pytest.mark.parametrize("command, key", [
+        pytest.param(command, key, id=key) for command, key in (
+            ("stats", "data"), ("compare", "stopwords"), ("compare", "lemma_exceptions"),
+            ("stats", "out_dir"), ("stats", "formats"), ("compare", "models"),
+        )
     ])
-    def test_config_field_of_wrong_json_type(self, tmp_path, capsys, key):
+    def test_config_field_of_wrong_json_type(self, tmp_path, capsys, command, key):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"data": FIXTURE_CSV, key: 5}))
-        assert run(["stats", "--config", config]) == 1
+        assert run([command, "--config", config]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error[config]: {key} must be"), captured.err
         assert len(captured.err.strip().splitlines()) == 1
@@ -667,6 +749,28 @@ class TestConfigHandling:
         assert captured.err == "error[config]: select at least one output format\n"
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["stats", "--data", FIXTURE_CSV, "--no-such-flag"], id="unknown flag"),
+        pytest.param(["compare", "--data", FIXTURE_CSV, "--seed", "abc"], id="seed abc"),
+        pytest.param(["train", "--data", FIXTURE_CSV, "--vectorizer", "bow"], id="no --model"),
+        pytest.param(["train", "--data", FIXTURE_CSV, "--model", "knn", "--vectorizer", "bow"],
+                     id="unknown model"),
+        pytest.param(["fit", "--data", FIXTURE_CSV], id="unknown command"),
+        pytest.param([], id="no command"),
+    ])
+    def test_usage_error_is_one_config_line(self, capsys, argv):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error[config]: "), captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+
+    def test_help_prints_usage_and_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run(["train", "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: sentibench train")
 
     def test_unexpected_exception_is_internal_error(self, monkeypatch, capsys):
         def broken(config):
