@@ -49,9 +49,8 @@ from .preprocess import (
 )
 from .vectorize import (
     BowVectorizer,
+    CsrMatrix,
     IdfTable,
-    SparseRows,
-    SparseVector,
     TfidfVectorizer,
     VECTORIZER_KINDS,
     load_vectorizer,

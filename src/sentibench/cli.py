@@ -192,12 +192,13 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="sentibench",
+        allow_abbrev=False,
         description="Tweet sentiment benchmark: preprocessing, two vectorizers, "
         "four classifiers, weighted-metric comparison grid.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, fields, own_flags) in COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file; flags override its values")
         for name in fields:
             if name == "hyperparams":  # dest: the flag with "_" for "-"

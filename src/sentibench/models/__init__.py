@@ -22,20 +22,3 @@ def make_model(kind: str, seed: int = 0, hyperparams: Mapping | None = None) -> 
     kwargs = dict(hyperparams or {})
     kwargs.setdefault("seed", seed)
     return MODEL_CLASSES[kind](**kwargs)
-
-
-__all__ = [
-    "BaseClassifier",
-    "LinearSvm",
-    "MODEL_KINDS",
-    "MultinomialNaiveBayes",
-    "RandomForest",
-    "SoftmaxRegression",
-    "check_X_y",
-    "check_vectors",
-    "load_model",
-    "make_model",
-    "model_from_dict",
-    "model_to_dict",
-    "save_model",
-]

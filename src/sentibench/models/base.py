@@ -2,8 +2,7 @@
 
 Classifiers are fitted once and immutable afterwards: predict and
 predict_scores are pure functions of (fitted state, input matrix). Every
-model takes one matrix, a row per sample: the vectorizer's CSR matrix,
-or any scipy sparse matrix or 2-d ndarray of the same width.
+model takes one ``CsrMatrix``, a row per sample, as the vectorizer builds.
 Score matrices keep columns in the fixed polarity order, and argmax
 resolves ties toward the earlier class, which pins the documented
 tie-break [negative, neutral, positive].
@@ -14,53 +13,36 @@ from __future__ import annotations
 from typing import Mapping
 
 import numpy as np
-from scipy import sparse
 
 from ..base import ParamsMixin, check_fitted
 from ..corpus import POLARITIES, POLARITY_INDEX
 from ..errors import ArtifactError, DimensionMismatchError, TrainingError
-from ..vectorize import SparseRows
+from ..vectorize import CsrMatrix
 
 
-def check_vectors(X, dims: int | None = None):
-    """Coerce model input to one CSR matrix, verifying dimensionality.
-
-    Accepts a vectorizer's SparseRows (its matrix is taken as is), any
-    scipy sparse matrix, or a 2-d ndarray. When ``dims`` is given the width
-    must match exactly. Sparse input with unsorted indices or duplicate
-    entries is canonicalized (duplicates summed) in a copy; the caller's
-    matrix is never modified.
-    """
-    if isinstance(X, SparseRows):
-        X = X.csr
-    if isinstance(X, np.ndarray):
-        X = sparse.csr_matrix(X)
-    if not sparse.issparse(X):
-        raise TypeError(f"expected a sparse matrix or an ndarray, got {type(X).__name__}")
-    csr = X.tocsr()
-    if not csr.has_canonical_format:
-        csr = csr.copy()
-        csr.sum_duplicates()
-    if dims is not None and csr.shape[1] != dims:
-        raise DimensionMismatchError(
-            f"input has {csr.shape[1]} dims, model expects {dims}"
-        )
-    return csr
+def check_vectors(X, dims: int | None = None) -> CsrMatrix:
+    """Model input as a canonical CsrMatrix, ``dims`` wide if given; unsorted
+    columns or duplicates (summed) are canonicalized in a copy, never in place."""
+    if not isinstance(X, CsrMatrix):
+        raise TypeError(f"expected a CsrMatrix, got {type(X).__name__}")
+    (n, width), ptr, idx = X.shape, X.indptr, X.indices
+    if not (ptr.shape == (n + 1,) and ptr[0] == 0 and ptr[-1] == idx.size == X.nnz
+            and (ptr[1:] >= ptr[:-1]).all() and ((idx >= 0) & (idx < width)).all()):
+        raise ValueError(f"malformed {n} x {width} CsrMatrix")
+    if dims is not None and width != dims:
+        raise DimensionMismatchError(f"input has {width} dims, model expects {dims}")
+    return X.canonical()
 
 
 def check_X_y(X, y):
-    """Validate a training set: equal non-zero lengths, known labels.
-
-    Returns (csr matrix, int class indices).
-    """
+    """Validate a training set (equal non-zero lengths, known labels);
+    returns (canonical CsrMatrix, int class indices)."""
     labels = list(y)
     if len(labels) == 0:
         raise TrainingError("training data is empty")
     csr = check_vectors(X)
     if csr.shape[0] != len(labels):
-        raise TrainingError(
-            f"{csr.shape[0]} vectors but {len(labels)} labels"
-        )
+        raise TrainingError(f"{csr.shape[0]} vectors but {len(labels)} labels")
     try:
         y_idx = np.array([POLARITY_INDEX[label] for label in labels], dtype=np.int64)
     except KeyError as exc:
@@ -100,17 +82,12 @@ class BaseClassifier(ParamsMixin):
         raise NotImplementedError
 
     def predict(self, X) -> list[str]:
-        csr = check_vectors(X, dims=self.dims)
-        scores = self._score_matrix(csr)
+        scores = self._score_matrix(check_vectors(X, dims=self.dims))
         return [POLARITIES[i] for i in np.argmax(scores, axis=1)]
 
     def predict_scores(self, X) -> list[dict[str, float]]:
-        csr = check_vectors(X, dims=self.dims)
-        scores = self._score_matrix(csr)
-        return [
-            {label: float(row[i]) for i, label in enumerate(POLARITIES)}
-            for row in scores
-        ]
+        scores = self._score_matrix(check_vectors(X, dims=self.dims))
+        return [{label: float(row[i]) for i, label in enumerate(POLARITIES)} for row in scores]
 
     def state_to_dict(self) -> dict:
         """Fitted state as the artifact's ``params`` section."""

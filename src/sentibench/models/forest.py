@@ -279,7 +279,7 @@ def _grow_forest(csr, y, weights, k, max_depth, rngs) -> list[_Tree]:
     lockstep; tree t draws each search's ``k`` features from ``rngs[t]``."""
     n_trees, n = weights.shape
     dims = csr.shape[1]
-    csc = csr.tocsc()
+    csc = csr.T
     columns = (csc.indptr, csc.indices, csc.data, y[csc.indices])
     # Row r of tree t is key t * n + r in the flat weight and flag arrays.
     flat_w = weights.ravel()

@@ -26,7 +26,7 @@ def softmax(scores: np.ndarray) -> np.ndarray:
 def softmax_loss_and_grad(W, b, X, y_idx, l2):
     """Regularized cross-entropy and its analytic gradient.
 
-    X is a scipy CSR batch; returns (loss, grad_W, grad_b) where the loss
+    X is a CsrMatrix batch; returns (loss, grad_W, grad_b) where the loss
     is mean cross-entropy + 0.5 * l2 * ||W||^2.
     """
     n = X.shape[0]
@@ -37,7 +37,7 @@ def softmax_loss_and_grad(W, b, X, y_idx, l2):
     loss = -np.mean(np.log(np.maximum(picked, 1e-300))) + penalty
     delta = probs
     delta[np.arange(n), y_idx] -= 1.0
-    grad_W = (X.T @ delta).T / n + l2 * W
+    grad_W = (delta.T @ X) / n + l2 * W
     grad_b = delta.mean(axis=0)
     return loss, grad_W, grad_b
 

@@ -41,11 +41,11 @@ class MultinomialNaiveBayes(BaseClassifier):
         n_samples, n_features = csr.shape
         class_counts = np.bincount(y_idx, minlength=n_classes).astype(np.float64)
 
-        term_totals = np.zeros((n_classes, n_features))
-        for c in range(n_classes):
-            members = np.flatnonzero(y_idx == c)
-            if members.size:
-                term_totals[c] = np.asarray(csr[members].sum(axis=0)).ravel()
+        # Each (class, term) total adds its entries in row order, from zero.
+        term_totals = np.bincount(
+            y_idx[csr.entry_rows()] * n_features + csr.indices,
+            weights=csr.data, minlength=n_classes * n_features,
+        ).reshape(n_classes, n_features)
 
         with np.errstate(divide="ignore"):
             self.class_log_prior_ = np.log(class_counts / n_samples)

@@ -26,10 +26,10 @@ breaks ties, so an all-zero model predicts the first class (negative).
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
 from ..base import check_float, check_int
 from ..errors import TrainingError
+from ..vectorize import CsrMatrix
 from .base import BaseClassifier, check_X_y, decode_array
 
 _STREAM = 2
@@ -84,9 +84,9 @@ class LinearSvm(BaseClassifier):
         if np.unique(y_idx).size < 2:
             raise TrainingError("svm training needs at least two distinct labels")
         n, dims = csr.shape
-        augmented = sparse.hstack(
-            [csr, np.ones((n, 1))], format="csr"
-        )
+        ends = csr.indptr[1:]  # each row's entries, then a 1.0 in the new last column
+        augmented = CsrMatrix(np.insert(csr.data, ends, 1.0), np.insert(csr.indices, ends, dims),
+                              csr.indptr + np.arange(n + 1), (n, dims + 1))
 
         weights = np.zeros((3, dims))
         bias = np.zeros(3)

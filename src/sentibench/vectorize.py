@@ -9,9 +9,7 @@ are pure, so fitted instances are safe to share across threads.
 ``transform`` vectorizes a whole corpus in one NumPy pass: every token
 is mapped to its vocabulary id, the sorted unique (row, term) pairs are
 counted with ``np.unique``, and their weights are computed as arrays.
-The result is one canonical CSR matrix, the input every model takes. It
-comes wrapped in ``SparseRows``, a plain row view whose ``csr`` is that
-matrix; a row becomes a ``SparseVector`` only when it is indexed.
+The result is one canonical ``CsrMatrix``, the input every model takes.
 
 The vectorizer artifact also records the preprocessing the vectorizer
 was fitted behind, so evaluation can rebuild it.
@@ -24,7 +22,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .base import ParamsMixin, check_fitted, check_int, read_json, write_json
 from .errors import ArtifactError, ConfigError, TrainingError
@@ -37,40 +34,87 @@ from .preprocess import (
 )
 
 
-@dataclass(frozen=True)
-class SparseVector:
-    """One row of a SparseRows matrix: sorted (index, weight) pairs."""
-
-    dims: int
-    indices: tuple[int, ...]
-    values: tuple[float, ...]
-
-    @property
-    def nnz(self) -> int:
-        return len(self.indices)
+def _indptr(counts) -> np.ndarray:
+    """Row pointers from the number of entries in each row."""
+    return np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
 
 
-class SparseRows(Sequence[SparseVector]):
-    """Read-only rows of one CSR matrix, each a SparseVector made on demand.
+class CsrMatrix:
+    """A sparse matrix in compressed sparse row form, the one matrix type
+    from vectorizer to model. Row i holds the columns ``indices[indptr[i]:
+    indptr[i + 1]]``, strictly increasing in a canonical matrix such as
+    ``transform`` builds, and the values at the same positions of ``data``;
+    iterating yields one-row matrices. Products and ``toarray`` build each
+    output value from zero, adding the entries one at a time in stored order."""
 
-    Models take ``csr`` as it is; ``transform`` builds it canonical, with
-    finite nonzero weights only.
-    """
+    __array_ufunc__ = None  # ``ndarray @ CsrMatrix`` calls __rmatmul__
 
-    def __init__(self, csr):
-        self.csr = csr
+    def __init__(self, data, indices, indptr, shape: tuple[int, int]):
+        self.data = np.asarray(data, dtype=np.float64)
+        self.indices = indices if isinstance(indices, np.ndarray) else np.array(indices, np.int64)
+        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.shape = (int(shape[0]), int(shape[1]))
+        self.nnz = self.data.size
 
     def __len__(self) -> int:
-        return self.csr.shape[0]
+        return self.shape[0]
 
-    def __getitem__(self, i: int) -> SparseVector:
-        i = range(len(self))[i]  # a negative or out-of-range i as for a list
-        lo, hi = self.csr.indptr[i:i + 2].tolist()
-        return SparseVector(
-            self.csr.shape[1],
-            tuple(self.csr.indices[lo:hi].tolist()),
-            tuple(self.csr.data[lo:hi].tolist()),
-        )
+    def __iter__(self):
+        for lo, hi in zip(self.indptr[:-1].tolist(), self.indptr[1:].tolist()):
+            yield CsrMatrix(self.data[lo:hi], self.indices[lo:hi], (0, hi - lo), (1, self.shape[1]))
+
+    def entry_rows(self) -> np.ndarray:
+        """The row of every stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def __getitem__(self, rows) -> "CsrMatrix":
+        """The rows that a slice or an integer array selects, in that order."""
+        rows = np.arange(self.shape[0])[rows]
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        indptr = _indptr(lengths)
+        take = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+        return CsrMatrix(self.data[take], self.indices[take], indptr, (rows.size, self.shape[1]))
+
+    def __matmul__(self, other: np.ndarray) -> np.ndarray:
+        """``self @ other`` for a dense (columns, k) array, in C order: numpy
+        sums the rows of an F-order array in another order."""
+        row, gathered = self.entry_rows(), other[self.indices]
+        out = np.zeros((self.shape[0], other.shape[1]))
+        for c in range(other.shape[1]):
+            out[:, c] = np.bincount(row, weights=self.data * gathered[:, c], minlength=len(out))
+        return out
+
+    def __rmatmul__(self, other: np.ndarray) -> np.ndarray:
+        """``other @ self`` for a dense (k, rows) array, without building ``self.T``."""
+        row, dims = self.entry_rows(), self.shape[1]
+        out = np.zeros((other.shape[0], dims))
+        for c in range(len(out)):
+            out[c] = np.bincount(self.indices, weights=self.data * other[c, row], minlength=dims)
+        return out
+
+    @property
+    def T(self) -> "CsrMatrix":
+        """The transpose, a column-major copy: entries stably sorted by column."""
+        order = np.argsort(self.indices, kind="stable")
+        indptr = _indptr(np.bincount(self.indices, minlength=self.shape[1]))
+        return CsrMatrix(self.data[order], self.entry_rows()[order], indptr, self.shape[::-1])
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        np.add.at(out, (self.entry_rows(), self.indices), self.data)
+        return out
+
+    def canonical(self) -> "CsrMatrix":
+        """This matrix if it is canonical, else a canonical copy: each row's
+        entries sorted by column, and duplicates summed in stored order."""
+        key = self.entry_rows() * self.shape[1] + self.indices
+        if (key[1:] > key[:-1]).all():
+            return self
+        key, inverse = np.unique(key, return_inverse=True)
+        row, col = np.divmod(key, self.shape[1])
+        indptr = _indptr(np.bincount(row, minlength=self.shape[0]))
+        return CsrMatrix(np.bincount(inverse, weights=self.data), col, indptr, self.shape)
 
 
 def _count_terms(docs: Sequence[Sequence[str]], index: Mapping[str, int]):
@@ -129,19 +173,15 @@ class _Vectorizer(ParamsMixin):
         and the length of its row's document."""
         raise NotImplementedError
 
-    def transform(self, docs: Iterable[Sequence[str]]) -> SparseRows:
+    def transform(self, docs: Iterable[Sequence[str]]) -> CsrMatrix:
         check_fitted(self, "vocabulary_")
         docs = list(docs)
-        dims = len(self.vocabulary_)
         row, term, counts, lengths = _count_terms(docs, self.vocabulary_.index)
         data = self._weights(term, counts, lengths[row])
         keep = data != 0.0
         row, term, data = row[keep], term[keep], data[keep]
-        indptr = np.zeros(len(docs) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(row, minlength=len(docs)), out=indptr[1:])
-        return SparseRows(sparse.csr_matrix(
-            (data, term.astype(np.int32), indptr), shape=(len(docs), dims)
-        ))
+        indptr = _indptr(np.bincount(row, minlength=len(docs)))
+        return CsrMatrix(data, term.astype(np.int32), indptr, (len(docs), self.dims))
 
     def state_to_dict(self) -> dict:
         """Fitted state as the artifact's top-level fields."""

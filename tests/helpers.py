@@ -1,4 +1,4 @@
-"""Shared test utilities: fixture paths, a CSR builder, reference data."""
+"""Shared test utilities: fixture paths, CsrMatrix builders, reference data."""
 
 from __future__ import annotations
 
@@ -7,9 +7,8 @@ from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
-from scipy import sparse
 
-from sentibench import Corpus
+from sentibench import Corpus, CsrMatrix
 
 DATA_DIR = Path(__file__).parent / "data"
 FIXTURE_CSV = str(DATA_DIR / "fixture_tweets.csv")
@@ -22,17 +21,24 @@ FIXTURE_LABELS = [
 FIXTURE_COUNTS = {"negative": 4, "neutral": 3, "positive": 3}
 
 
-def csr(dims: int, rows) -> sparse.csr_matrix:
-    """Build a CSR matrix, one row per list of unsorted (index, weight) pairs."""
+def csr(dims: int, rows) -> CsrMatrix:
+    """Build a CsrMatrix, one row per list of unsorted (index, weight) pairs."""
     indptr, indices, data = [0], [], []
     for pairs in rows:
         for i, v in sorted(pairs):
             indices.append(i)
             data.append(float(v))
         indptr.append(len(indices))
-    return sparse.csr_matrix(
-        (np.array(data, dtype=np.float64), indices, indptr), shape=(len(rows), dims)
+    return CsrMatrix(
+        np.array(data, dtype=np.float64), np.array(indices, dtype=np.int32),
+        np.array(indptr, dtype=np.int64), (len(rows), dims),
     )
+
+
+def from_dense(dense) -> CsrMatrix:
+    """The CsrMatrix of a 2-d array's nonzero entries, row by row."""
+    dense = np.asarray(dense, dtype=np.float64)
+    return csr(dense.shape[1], [[(j, v) for j, v in enumerate(row) if v] for row in dense])
 
 
 # Short-run flags of each model. A command takes only those of the models it
@@ -44,7 +50,7 @@ SHORT_RUN = {"svm": ["--svm-epochs", "2"], "mnb": [], "rf": ["--rf-trees", "2"],
 LONG_ROW = 60
 
 
-def random_csr(lengths, unit: bool, seed: int) -> sparse.csr_matrix:
+def random_csr(lengths, unit: bool, seed: int) -> CsrMatrix:
     """Canonical CSR with one row per entry of ``lengths`` (stored entries
     per row) over 2 * LONG_ROW columns; values are 1.0 (bag-of-words) when
     ``unit``, else uniform in [-4, 4)."""
@@ -58,7 +64,7 @@ def random_csr(lengths, unit: bool, seed: int) -> sparse.csr_matrix:
 
 
 @st.composite
-def canonical_csr(draw, n: int, unit: bool) -> sparse.csr_matrix:
+def canonical_csr(draw, n: int, unit: bool) -> CsrMatrix:
     """``random_csr`` with n rows of 1-LONG_ROW stored entries each."""
     lengths = draw(st.lists(st.integers(1, LONG_ROW), min_size=n, max_size=n))
     return random_csr(lengths, unit, draw(st.integers(0, 2**32 - 1)))

@@ -70,7 +70,7 @@ class TestCriterion1WorkedExampleExactness:
 
         # binary bag-of-words: exact
         bow = BowVectorizer().fit(docs)
-        assert bow.transform(docs).csr.toarray().tolist() == [
+        assert bow.transform(docs).toarray().tolist() == [
             [1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0],
             [1, 0, 0, 0, 1, 0, 0, 1, 1, 1, 1],
         ]
@@ -96,7 +96,7 @@ class TestCriterion1WorkedExampleExactness:
         reference_1 = {"beef": 0.0863, "cheese": 0.0863, "burger": 0.0863,
                        "taste": 0.0863, "cheeseburger": 0.0863}
         reference_2 = {"late": 0.115, "service": 0.115, "slow": 0.115}
-        dense1, dense2 = tfidf.transform(docs).csr.toarray()
+        dense1, dense2 = tfidf.transform(docs).toarray()
         for term in vocab.terms:
             assert abs(dense1[vocab.index[term]] - reference_1.get(term, 0.0)) <= 0.001
             assert abs(dense2[vocab.index[term]] - reference_2.get(term, 0.0)) <= 0.001

@@ -809,11 +809,23 @@ class TestSubprocessInterface:
         assert bad.stderr.startswith("error[config]")
         assert len(bad.stderr.strip().splitlines()) == 1
 
-    def test_cli_import_leaves_scipy_special_unloaded(self):
-        # no code path needs scipy.special, and importing it slows every start-up
+    def test_cli_import_leaves_scipy_special_unloaded(self, tmp_path):
+        # No code path needs scipy: it is not a run-time dependency, and
+        # importing it slows every start-up. Checked after the import and
+        # again after a compare run that trains every model on both vectorizers.
+        modules = ("scipy.special", "scipy")
+        argv = ["compare", "--data", FIXTURE_CSV, "--out-dir", str(tmp_path),
+                "--model", ",".join(SHORT_RUN), "--vectorizer", "bow,tfidf",
+                *(flag for flags in SHORT_RUN.values() for flag in flags)]
         probe = subprocess.run(
             [sys.executable, "-c",
-             "import sys, sentibench.cli; print('scipy.special' in sys.modules)"],
+             "import sys, sentibench.cli\n"
+             f"loaded = lambda: [m for m in {modules!r} if m in sys.modules]\n"
+             "print(loaded())\n"
+             f"assert sentibench.cli.main({argv!r}) == 0\n"
+             "print(loaded())\n"],
             capture_output=True, text=True, env=child_env(), check=True,
         )
-        assert probe.stdout.strip() == "False"
+        assert probe.stdout.splitlines()[0] == "[]"
+        assert probe.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "comparison.json").is_file()

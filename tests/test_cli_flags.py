@@ -3,8 +3,9 @@
 Every flag that `build_parser()` gives a subcommand, set to a non-default
 value, changes what the command writes or prints; every flag that the
 subcommands shared before they took only their own (29 command/flag
-pairs) is one `error[config]` line; and the README's flag table lists
-exactly the flags each subcommand accepts.
+pairs), and every prefix of an accepted flag, is one `error[config]`
+line; and the README's flag table lists exactly the flags each
+subcommand accepts.
 """
 
 import argparse
@@ -203,6 +204,34 @@ def test_each_flag_a_command_does_not_read_is_one_config_error(
     code, out, err, files = outcome(argv, tmp_path / "run", monkeypatch, capsys)
     assert code == 1
     assert err.startswith("error[config]: ") and flag in err, err
+    assert len(err.splitlines()) == 1
+    assert out == "" and files == {}
+
+
+PREFIXES = [
+    *((command, {flag: flag[:-1]}) for command in COMMANDS for flag in ACCEPTED[command]),
+    ("evaluate", {"--model-artifact": "--model", "--vectorizer-artifact": "--vectorizer"}),
+]
+
+
+@pytest.mark.parametrize("command, prefixes", [
+    pytest.param(command, prefixes, id=" ".join([command, *prefixes.values()]))
+    for command, prefixes in PREFIXES
+])
+def test_a_prefix_of_an_accepted_flag_is_one_config_error(
+    inputs, tmp_path, monkeypatch, capsys, command, prefixes
+):
+    # argparse's default allow_abbrev would take each prefix as its flag.
+    argv = base_argv(command, VALUES[next(iter(prefixes))][1], inputs)
+    for flag, prefix in prefixes.items():
+        assert prefix not in ACCEPTED[command]
+        if flag in argv:
+            argv[argv.index(flag)] = prefix
+        else:
+            argv += [prefix, flag_value(command, flag, inputs)]
+    code, out, err, files = outcome(argv, tmp_path / "run", monkeypatch, capsys)
+    assert code == 1
+    assert err.startswith("error[config]: ") and all(p in err for p in prefixes.values()), err
     assert len(err.splitlines()) == 1
     assert out == "" and files == {}
 

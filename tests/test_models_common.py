@@ -5,10 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from sentibench import (
     ArtifactError,
+    CsrMatrix,
     DimensionMismatchError,
     MODEL_KINDS,
     POLARITIES,
@@ -240,7 +240,7 @@ def messy_copy(csr):
         data += vals
         indices += cols
         indptr.append(len(data))
-    return sparse.csr_matrix((data, indices, indptr), shape=csr.shape)
+    return CsrMatrix(data, np.array(indices, dtype=np.int32), indptr, csr.shape)
 
 
 class TestNonCanonicalInput:
@@ -248,7 +248,7 @@ class TestNonCanonicalInput:
     def test_duplicates_are_summed_and_input_is_untouched(self, kind):
         clean, y = training_set()
         messy = messy_copy(clean)
-        assert not messy.has_canonical_format
+        assert messy.canonical() is not messy
         before = [a.copy() for a in (messy.data, messy.indices, messy.indptr)]
         hp = small_hyperparams(kind)
         got = make_model(kind, seed=3, hyperparams=hp).fit(messy, y)

@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from sentibench import MultinomialNaiveBayes, TrainingError, model_from_dict, model_to_dict
 from helpers import csr
@@ -15,7 +14,7 @@ from helpers import csr
 #   negative: [1,1,0], [1,0,0]   neutral: [0,1,1]   positive: [0,0,1]
 TOY_ROWS = [[(0, 1), (1, 1)], [(0, 1)], [(1, 1), (2, 1)], [(2, 1)]]
 TOY_X = csr(3, TOY_ROWS)
-TOY_X2 = sparse.vstack([TOY_X, TOY_X], format="csr")  # every doc twice
+TOY_X2 = TOY_X[np.tile(np.arange(len(TOY_ROWS)), 2)]  # every doc twice
 TOY_Y = ["negative", "negative", "neutral", "positive"]
 
 # Hand-smoothed likelihoods: (class term total + 1) / (class total + 3)

@@ -11,13 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import sparse
 
 import forest_reference
-from sentibench import RandomForest, model_to_dict
+from sentibench import CsrMatrix, RandomForest, model_to_dict
 from sentibench.models import forest
 from sentibench.models.base import check_X_y, check_vectors
-from helpers import csr
+from helpers import csr, from_dense
 
 
 def record_depth(record) -> int:
@@ -202,7 +201,7 @@ def sparse_problems(draw, duplicates: bool):
     indptr = np.cumsum([0] + [len(r) for r in rows])
     indices = np.array([j for r in rows for j, _ in r], dtype=np.int32)
     data = np.array([v for r in rows for _, v in r], dtype=np.float64)
-    X = sparse.csr_matrix((data, indices, indptr), shape=(n, dims))
+    X = CsrMatrix(data, indices, indptr, (n, dims))
     y = [LABELS[i] for i in draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))]
     hp = {
         "n_trees": draw(st.integers(1, 3)),
@@ -255,7 +254,7 @@ class TestMatchesRowGatherReference:
         model = RandomForest(**hp).fit(X, y)
         dims = X.shape[1]
         probe = data.draw(st.lists(st.lists(VALUES, min_size=dims, max_size=dims), max_size=8))
-        for rows in (X, np.array(probe).reshape(len(probe), dims)):
+        for rows in (X, from_dense(np.array(probe).reshape(len(probe), dims))):
             csr = check_vectors(rows)
             got = model._score_matrix(csr)
             want = forest_reference.score_matrix(model.trees_, csr)
@@ -273,7 +272,7 @@ class TestLockstep:
     @pytest.mark.parametrize("bootstrap", [False, True])
     def test_no_features_gives_single_leaf_majority_trees(self, bootstrap):
         # An empty vocabulary: 0 dims, as all-stop-word training text gives.
-        X = sparse.csr_matrix((6, 0))
+        X = csr(0, [[]] * 6)
         y = ["positive", "positive", "positive", "negative", "neutral", "neutral"]
         model = RandomForest(n_trees=4, bootstrap=bootstrap, seed=3).fit(X, y)
         ref = forest_reference.fit_trees(X, y, n_trees=4, bootstrap=bootstrap, seed=3)
@@ -282,7 +281,7 @@ class TestLockstep:
             assert tree.counts.sum() == 6
             assert_same_tree(tree, want)
         if not bootstrap:
-            assert model.predict(sparse.csr_matrix((2, 0))) == ["positive", "positive"]
+            assert model.predict(csr(0, [[], []])) == ["positive", "positive"]
 
 
 def golden_matrix():
@@ -291,7 +290,7 @@ def golden_matrix():
     dense[rng.random((90, 24)) < 0.7] = 0.0
     dense[:, :6] += rng.normal(size=(90, 6)) * (rng.random((90, 6)) < 0.3)
     labels = [LABELS[i] for i in rng.integers(0, 3, 90)]
-    return sparse.csr_matrix(dense), labels
+    return from_dense(dense), labels
 
 
 class TestGoldenArtifact:
@@ -325,26 +324,23 @@ def time_limit(seconds: float):
 class TestNonCanonicalInput:
     def test_duplicate_entries_are_summed_and_fit_terminates(self):
         # Row 0 stores feature 0 five times (sum 8), row 1 four times (sum 1).
-        X = sparse.csr_matrix(
-            ([1.0, 2.0, 2.0, 2.0, 1.0, -1.0, 1.0, -1.0, 2.0], np.zeros(9, dtype=np.int32),
-             [0, 5, 9]),
-            shape=(2, 1),
+        X = CsrMatrix(
+            [1.0, 2.0, 2.0, 2.0, 1.0, -1.0, 1.0, -1.0, 2.0], np.zeros(9, dtype=np.int32),
+            [0, 5, 9], (2, 1),
         )
         y = ["neutral", "negative"]
         with time_limit(10.0):
             model = RandomForest(n_trees=2, max_depth=None, seed=0).fit(X, y)
         summed = RandomForest(n_trees=2, max_depth=None, seed=0).fit(
-            sparse.csr_matrix([[8.0], [1.0]]), y
+            from_dense([[8.0], [1.0]]), y
         )
         assert model_to_dict(model) == model_to_dict(summed)
 
     def test_check_x_y_leaves_the_callers_matrix_alone(self):
-        X = sparse.csr_matrix(
-            ([3.0, 1.0, 2.0, 2.0], [2, 0, 1, 1], [0, 2, 4]), shape=(2, 3)
-        )
+        X = CsrMatrix([3.0, 1.0, 2.0, 2.0], [2, 0, 1, 1], [0, 2, 4], (2, 3))
         before = [a.copy() for a in (X.data, X.indices, X.indptr)]
         canonical, _ = check_X_y(X, ["negative", "positive"])
         for got, want in zip((X.data, X.indices, X.indptr), before):
             assert np.array_equal(got, want)
-        assert canonical.has_canonical_format
+        assert canonical.canonical() is canonical
         assert canonical.toarray().tolist() == [[1.0, 0.0, 3.0], [0.0, 4.0, 0.0]]

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import sparse
 
 import svm_reference
 from sentibench import LinearSvm, TrainingError
 from sentibench.models.svm import _pegasos_binary
 from svm_reference import hinge_sample_objective, hinge_sample_subgradient
-from helpers import LONG_ROW, canonical_csr, csr, random_csr
+from helpers import LONG_ROW, canonical_csr, csr, from_dense, random_csr
 
 SEPARABLE_X = csr(3, [[(c, 1.0)] for c in (0, 0, 1, 1, 2, 2)])
 SEPARABLE_Y = ["negative", "negative", "neutral", "neutral", "positive", "positive"]
@@ -44,7 +43,7 @@ class TestSignFlipSymmetry:
         augmented = np.hstack([SEPARABLE_X.toarray(), np.ones((6, 1))])
         y_pm = np.where(np.array([0, 0, 1, 1, 2, 2]) == 0, 1.0, -1.0)
         rng = np.random.default_rng(2)
-        w = _pegasos_binary(sparse.csr_matrix(augmented), y_pm, 1e-4, 10, rng)
+        w = _pegasos_binary(from_dense(augmented), y_pm, 1e-4, 10, rng)
         margins = augmented @ w
         flipped = augmented @ (-w)
         assert np.allclose(margins, -flipped, atol=0)
@@ -82,7 +81,7 @@ class TestSubgradientCheck:
         y_pm = rng.choice([-1.0, 1.0], size=12)
         for lam in (1e-2, 0.5):
             got = _pegasos_binary(
-                sparse.csr_matrix(dense), y_pm, lam, 3, np.random.default_rng(1)
+                from_dense(dense), y_pm, lam, 3, np.random.default_rng(1)
             )
             want = svm_reference.pegasos(dense, y_pm, lam, 3, np.random.default_rng(1))
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12)

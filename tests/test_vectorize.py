@@ -1,4 +1,4 @@
-"""Bag-of-words and tf-idf vectorizers, their CSR rows, serialization."""
+"""Bag-of-words and tf-idf vectorizers, their CsrMatrix rows, serialization."""
 
 import json
 import math
@@ -9,17 +9,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import sparse
 
 import vectorize_reference
 from sentibench import (
     ArtifactError,
     BowVectorizer,
+    CsrMatrix,
     DimensionMismatchError,
     IdfTable,
     Lemmatizer,
-    SparseRows,
-    SparseVector,
     StopWordList,
     TfidfVectorizer,
     TrainingError,
@@ -37,61 +35,78 @@ DOCS = [EXAMPLE_TOKENS_1, EXAMPLE_TOKENS_2]
 DEFAULT_PREPROCESSOR = TweetPreprocessor()
 
 
-def row(vec, doc) -> SparseVector:
-    """The one row ``transform`` makes of one document."""
-    return vec.transform([doc])[0]
+def entries(matrix) -> list[tuple[tuple, tuple]]:
+    """Each row of a CsrMatrix as its (indices, values)."""
+    return [(tuple(r.indices.tolist()), tuple(r.data.tolist())) for r in matrix]
+
+
+def row(vec, doc) -> tuple[tuple, tuple]:
+    """The (indices, values) of the one row ``transform`` makes of one document."""
+    (out,) = entries(vec.transform([doc]))
+    return out
 
 
 def dense(vec, doc) -> np.ndarray:
-    return vec.transform([doc]).csr.toarray()[0]
+    return vec.transform([doc]).toarray()[0]
 
 
-class TestSparseVector:
+class TestCsrMatrix:
     def test_valid_roundtrip_to_dense(self):
-        rows = SparseRows(csr(5, [[(3, 2.5), (0, 1.0)]]))
-        assert rows.csr.toarray().tolist() == [[1.0, 0.0, 0.0, 2.5, 0.0]]
-        assert rows[0] == SparseVector(5, (0, 3), (1.0, 2.5))
-        assert rows[0].nnz == 2
+        rows = csr(5, [[(3, 2.5), (0, 1.0)]])
+        assert rows.toarray().tolist() == [[1.0, 0.0, 0.0, 2.5, 0.0]]
+        assert entries(rows) == [((0, 3), (1.0, 2.5))]
+        assert rows.nnz == 2
+        empty = CsrMatrix([], [], [0, 0, 0], (2, 3))  # from lists, with no entries
+        assert (empty @ np.ones((3, 2))).tolist() == [[0.0, 0.0]] * 2
+        assert empty.toarray().tolist() == [[0.0] * 3] * 2
 
     def test_no_explicit_zeros_or_nonfinite(self):
         # transform drops zero weights, and a non-finite idf never loads
         rows = TfidfVectorizer().fit(DOCS).transform(DOCS)
-        assert 0.0 not in rows.csr.data and np.isfinite(rows.csr.data).all()
+        assert 0.0 not in rows.data and np.isfinite(rows.data).all()
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError, match="finite"):
                 IdfTable(doc_count=2, df=(1,), idf=(bad,))
 
-    def test_csr_stacking(self):
-        stacked = check_vectors(np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 3.0]]))
-        assert sparse.isspmatrix_csr(stacked)
-        assert stacked.toarray().tolist() == [[1.0, 0.0, 0.0], [0.0, 2.0, 3.0]]
-
     def test_csr_dims_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             check_vectors(csr(4, [[(0, 1.0)]]), dims=3)
-        with pytest.raises(TypeError):
-            check_vectors([SparseVector(3, (0,), (1.0,))])
+        for other in (np.array([[1.0, 0.0, 0.0]]), [((0,), (1.0,))]):
+            with pytest.raises(TypeError):
+                check_vectors(other)
+
+    @pytest.mark.parametrize("data, indices, indptr", [
+        pytest.param([1.0], [3], [0, 1, 1], id="column index past the width"),
+        pytest.param([1.0], [-1], [0, 1, 1], id="negative column index"),
+        pytest.param([1.0, 2.0], [0, 1], [0, 1, 1], id="more entries than indptr holds"),
+        pytest.param([1.0], [0], [0, 1], id="indptr one short"),
+        pytest.param([1.0], [0], [1, 0, 1], id="decreasing indptr"),
+        pytest.param([1.0, 2.0], [0], [0, 1, 1], id="data longer than indices"),
+    ])
+    def test_malformed_arrays_are_refused(self, data, indices, indptr):
+        with pytest.raises(ValueError, match="malformed 2 x 3 CsrMatrix"):
+            check_vectors(CsrMatrix(data, np.array(indices), indptr, (2, 3)))
 
 
 class TestBow:
     def test_worked_example_vectors(self):
         bow = BowVectorizer().fit(DOCS)
         assert bow.dims == 11
-        assert bow.transform(DOCS).csr.toarray().tolist() == [
+        assert bow.transform(DOCS).toarray().tolist() == [
             [1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0],
             [1, 0, 0, 0, 1, 0, 0, 1, 1, 1, 1],
         ]
 
     def test_empty_doc(self):
         bow = BowVectorizer().fit(DOCS)
-        assert row(bow, []).nnz == 0
+        assert row(bow, []) == ((), ())
 
     def test_presence_not_counts(self):
         bow = BowVectorizer().fit(DOCS)
         doc = ["late", "late", "late", "slow"]
         once = row(bow, ["late", "slow"])
         assert row(bow, doc) == once
-        assert set(once.values) == {1.0}
+        assert set(once[1]) == {1.0}
 
     def test_doubled_doc_equals_doc(self):
         bow = BowVectorizer().fit(DOCS)
@@ -100,11 +115,11 @@ class TestBow:
 
     def test_unknown_tokens_ignored(self):
         bow = BowVectorizer().fit(DOCS)
-        assert row(bow, ["pizza", "sushi"]).nnz == 0
+        assert row(bow, ["pizza", "sushi"]) == ((), ())
 
     def test_transform_matches_per_doc(self):
         bow = BowVectorizer().fit(DOCS)
-        assert list(bow.transform(DOCS)) == vectorize_reference.transform(bow, DOCS)
+        assert entries(bow.transform(DOCS)) == vectorize_reference.transform(bow, DOCS)
 
     def test_transform_deterministic(self):
         bow = BowVectorizer().fit(DOCS)
@@ -189,13 +204,12 @@ class TestTfidfTransform:
         tfidf = TfidfVectorizer().fit(DOCS)
         vocab = tfidf.vocabulary_
         rows = tfidf.transform(DOCS)
-        dense1, dense2 = rows.csr.toarray()
+        dense1, dense2 = rows.toarray()
         assert dense1[vocab.index["beef"]] == pytest.approx(math.log(2) / 8, abs=1e-15)
         assert dense2[vocab.index["late"]] == pytest.approx(math.log(2) / 6, abs=1e-15)
         # terms in every fit document drop out entirely
         for term in ("delicious", "mcdonald", "hamburger"):
-            assert vocab.index[term] not in rows[0].indices
-            assert vocab.index[term] not in rows[1].indices
+            assert vocab.index[term] not in rows.indices
 
     def test_requires_fit_docs(self):
         with pytest.raises(TrainingError):
@@ -203,21 +217,21 @@ class TestTfidfTransform:
 
     def test_unseen_only_doc_is_empty(self):
         tfidf = TfidfVectorizer().fit(DOCS)
-        assert row(tfidf, ["pizza", "sushi"]).nnz == 0
+        assert row(tfidf, ["pizza", "sushi"]) == ((), ())
 
     def test_empty_doc_is_empty_vector(self):
         tfidf = TfidfVectorizer().fit(DOCS)
-        assert row(tfidf, []).nnz == 0
+        assert row(tfidf, []) == ((), ())
 
     def test_transform_corpus_matches_per_doc(self):
         tfidf = TfidfVectorizer().fit(DOCS)
-        assert list(tfidf.transform(DOCS)) == vectorize_reference.transform(tfidf, DOCS)
+        assert entries(tfidf.transform(DOCS)) == vectorize_reference.transform(tfidf, DOCS)
 
     def test_transform_bit_identical(self):
         tfidf = TfidfVectorizer().fit(DOCS)
         a = row(tfidf, EXAMPLE_TOKENS_2)
         b = row(tfidf, EXAMPLE_TOKENS_2)
-        assert a.values == b.values
+        assert a[1] == b[1]
 
     def test_brute_force_equivalence_on_random_corpora(self):
         # Direct evaluation of tf * ln(N/df), term by term, on tiny corpora.
@@ -254,7 +268,7 @@ def assert_matches_reference(kind, fit_docs, docs):
         table = vectorize_reference.idf_table(fit_docs, vocab)
         assert (vec.idf_table_.doc_count, vec.idf_table_.df) == (table.doc_count, table.df)
         assert np.array(vec.idf_table_.idf).tobytes() == np.array(table.idf).tobytes()
-    got = vec.transform(docs).csr
+    got = vec.transform(docs)
     want = vectorize_reference.transform_csr(vec, docs)
     assert got.shape == want.shape
     for name in ("indptr", "indices"):
@@ -292,30 +306,24 @@ class TestBulkTransform:
         assert_matches_reference(kind, fit_docs, docs)
 
 
-class TestSparseRows:
+class TestTransformRows:
     @pytest.mark.parametrize("kind", ["bow", "tfidf"])
     def test_row_sequence_contract(self, kind):
         vec = make_vectorizer(kind).fit(DOCS)
         docs = [*DOCS, [], ["pizza"], EXAMPLE_TOKENS_2 * 2]
         out = vec.transform(docs)
-        assert len(out) == out.csr.shape[0] == len(docs)
-        assert sum(v.nnz for v in out) == out.csr.nnz
-        for i, doc in enumerate(docs):
-            assert out[i] == row(vec, doc)
-        assert out[-1] == out[len(docs) - 1]
-        with pytest.raises(IndexError):
-            out[len(docs)]
-        assert check_vectors(out) is out.csr
-        assert check_vectors(out, dims=vec.dims) is out.csr
+        assert len(out) == out.shape[0] == len(docs)
+        assert sum(v.nnz for v in out) == out.nnz
+        assert entries(out) == [row(vec, doc) for doc in docs]
+        assert entries(out[-1:]) == entries(out[len(docs) - 1:])
+        assert check_vectors(out) is out
+        assert check_vectors(out, dims=vec.dims) is out
         with pytest.raises(DimensionMismatchError):
             check_vectors(out, dims=vec.dims + 1)
 
     def test_index_may_fall_between_rows(self):
-        matrix = sparse.csr_matrix(([1.0, 2.0, 3.0], [2, 0, 1], [0, 1, 1, 3]), shape=(3, 3))
-        assert list(SparseRows(matrix)) == [
-            SparseVector(3, (2,), (1.0,)), SparseVector(3, (), ()),
-            SparseVector(3, (0, 1), (2.0, 3.0)),
-        ]
+        matrix = CsrMatrix([1.0, 2.0, 3.0], [2, 0, 1], [0, 1, 1, 3], (3, 3))
+        assert entries(matrix) == [((2,), (1.0,)), ((), ()), ((0, 1), (2.0, 3.0))]
 
 
 class TestSerialization:

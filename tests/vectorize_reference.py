@@ -2,8 +2,8 @@
 
 These are the bag-of-words and tf-idf weightings the vectorizers used
 before they built one CSR matrix for a whole corpus with NumPy: each
-document is counted on its own, through ``term_frequency``, and its
-(index, weight) pairs become one ``SparseVector``. ``idf_table`` is the
+document is counted on its own, through ``term_frequency``, into its
+sorted (indices, weights). ``idf_table`` is the
 per-document df count the tf-idf fit used. The bulk code must produce
 the same vocabulary, df, idf and CSR matrix, bit for bit.
 """
@@ -16,10 +16,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import sparse
-
 from sentibench.preprocess import Vocabulary
-from sentibench.vectorize import IdfTable, SparseVector
+from sentibench.vectorize import CsrMatrix, IdfTable
 
 
 @dataclass(frozen=True)
@@ -81,21 +79,21 @@ def tfidf_weights(doc: Sequence[str], vocab: Vocabulary, idf: Sequence[float]):
     return tuple(i for i, _ in entries), tuple(w for _, w in entries)
 
 
-def transform(vec, docs: Sequence[Sequence[str]]) -> list[SparseVector]:
-    """One SparseVector per document, weighted the way ``vec.kind`` does."""
+def transform(vec, docs: Sequence[Sequence[str]]) -> list[tuple[tuple, tuple]]:
+    """(indices, weights) per document, weighted the way ``vec.kind`` does."""
     vocab = vec.vocabulary_
     if vec.kind == "bow":
         pairs = [bow_weights(doc, vocab) for doc in docs]
     else:
         pairs = [tfidf_weights(doc, vocab, vec.idf_table_.idf) for doc in docs]
-    return [SparseVector(len(vocab), *p) for p in pairs]
+    return pairs
 
 
 def transform_csr(vec, docs: Sequence[Sequence[str]]):
-    """The per-document vectors stacked row by row into one CSR matrix."""
+    """The per-document vectors stacked row by row into one CsrMatrix."""
     rows = transform(vec, docs)
     indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum([row.nnz for row in rows], out=indptr[1:])
-    indices = np.array([i for row in rows for i in row.indices], dtype=np.int32)
-    data = np.array([w for row in rows for w in row.values], dtype=np.float64)
-    return sparse.csr_matrix((data, indices, indptr), shape=(len(rows), len(vec.vocabulary_)))
+    np.cumsum([len(indices) for indices, _ in rows], out=indptr[1:])
+    indices = np.array([i for row, _ in rows for i in row], dtype=np.int32)
+    data = np.array([w for _, weights in rows for w in weights], dtype=np.float64)
+    return CsrMatrix(data, indices, indptr, (len(rows), len(vec.vocabulary_)))
