@@ -8,6 +8,14 @@ random forest; weighted precision/recall/F1 evaluation; and a CLI that
 reproduces the full model-by-vectorizer comparison grid.
 """
 
+from .artifacts import (
+    load_model,
+    load_vectorizer,
+    model_from_dict,
+    model_to_dict,
+    save_model,
+    save_vectorizer,
+)
 from .corpus import (
     Corpus,
     POLARITIES,
@@ -32,30 +40,22 @@ from .models import (
     MultinomialNaiveBayes,
     RandomForest,
     SoftmaxRegression,
-    load_model,
     make_model,
-    model_from_dict,
-    model_to_dict,
-    save_model,
 )
 from .preprocess import (
     Lemmatizer,
     StopWordList,
     TweetPreprocessor,
-    Vocabulary,
-    build_vocabulary,
     load_lemma_exceptions,
     load_stopwords,
 )
 from .vectorize import (
     BowVectorizer,
     CsrMatrix,
-    IdfTable,
     TfidfVectorizer,
     VECTORIZER_KINDS,
-    load_vectorizer,
+    build_vocabulary,
     make_vectorizer,
-    save_vectorizer,
 )
 
 __version__ = "0.1.0"

@@ -1,41 +1,15 @@
-"""Minimal estimator plumbing shared by vectorizers and classifiers.
-
-Follows the scikit-learn convention: every constructor argument is a
-hyperparameter stored under its own name, introspectable through
-``get_params`` (which the model artifacts record and ``__repr__`` shows).
-
-Also home of the hyperparameter and artifact-count checks, and of the one
-JSON file writer and reader behind every artifact and report.
+"""Checks and file plumbing shared across the toolkit: the fitted-state,
+hyperparameter and artifact-count checks, and the one JSON file writer
+and reader behind every artifact and report.
 """
 
 from __future__ import annotations
 
-import inspect
 import json
 import sys
 from numbers import Integral, Real
 
 from .errors import SentibenchError
-
-
-class ParamsMixin:
-    """get_params over the constructor signature."""
-
-    @classmethod
-    def _param_names(cls) -> list[str]:
-        sig = inspect.signature(cls.__init__)
-        return [
-            name
-            for name, p in sig.parameters.items()
-            if name != "self" and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
-        ]
-
-    def get_params(self) -> dict:
-        return {name: getattr(self, name) for name in self._param_names()}
-
-    def __repr__(self) -> str:
-        args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
-        return f"{type(self).__name__}({args})"
 
 
 def check_fitted(obj, attribute: str) -> None:

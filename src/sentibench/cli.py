@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from numbers import Real
 from pathlib import Path
 
+from .artifacts import load_model, load_vectorizer, save_model, save_vectorizer
 from .base import read_json, write_json
 from .corpus import (
     DEFAULT_LABEL_COLUMN,
@@ -30,19 +31,14 @@ from .corpus import (
 )
 from .errors import ConfigError, DatasetError, SentibenchError
 from .metrics import MetricsReport, evaluate
-from .models import MODEL_KINDS, load_model, make_model, save_model
+from .models import MODEL_KINDS, make_model
 from .preprocess import (
     Lemmatizer,
     TweetPreprocessor,
     load_lemma_exceptions,
     load_stopwords,
 )
-from .vectorize import (
-    VECTORIZER_KINDS,
-    load_vectorizer,
-    make_vectorizer,
-    save_vectorizer,
-)
+from .vectorize import VECTORIZER_KINDS, make_vectorizer
 
 FORMATS = ("json", "csv", "table")
 

@@ -1,4 +1,7 @@
-"""The four classifier variants plus shared validation and persistence."""
+"""The four classifier variants and their shared input validation.
+
+``artifacts`` saves and loads fitted models.
+"""
 
 from __future__ import annotations
 
@@ -6,12 +9,15 @@ from typing import Mapping
 
 from .base import BaseClassifier, check_vectors, check_X_y
 from .forest import RandomForest
-from .io import MODEL_CLASSES, load_model, model_from_dict, model_to_dict, save_model
 from .logistic import SoftmaxRegression
 from .naive_bayes import MultinomialNaiveBayes
 from .svm import LinearSvm
 
-# Presentation order of the benchmark grid.
+# Variant -> class, in the presentation order of the benchmark grid.
+MODEL_CLASSES = {
+    cls.variant: cls
+    for cls in (LinearSvm, MultinomialNaiveBayes, RandomForest, SoftmaxRegression)
+}
 MODEL_KINDS = tuple(MODEL_CLASSES)
 
 

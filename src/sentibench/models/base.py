@@ -10,11 +10,12 @@ tie-break [negative, neutral, positive].
 
 from __future__ import annotations
 
+import inspect
 from typing import Mapping
 
 import numpy as np
 
-from ..base import ParamsMixin, check_fitted
+from ..base import check_fitted
 from ..corpus import POLARITIES, POLARITY_INDEX
 from ..errors import ArtifactError, DimensionMismatchError, TrainingError
 from ..vectorize import CsrMatrix
@@ -60,14 +61,34 @@ def decode_array(values, shape: tuple[int, ...], name: str) -> np.ndarray:
     return array
 
 
-class BaseClassifier(ParamsMixin):
+class BaseClassifier:
     """fit / predict / predict_scores over polarity classes, plus the
-    fitted state that the model artifact stores."""
+    fitted state that the model artifact stores.
+
+    Follows the scikit-learn convention: every constructor argument is a
+    hyperparameter stored under its own name, which ``get_params`` returns
+    (the model artifact records them and ``__repr__`` shows them)."""
 
     variant = "base"
 
     def __init__(self):
         self.n_features_: int | None = None
+
+    @classmethod
+    def _param_names(cls) -> list[str]:
+        sig = inspect.signature(cls.__init__)
+        return [
+            name
+            for name, p in sig.parameters.items()
+            if name != "self" and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
+        ]
+
+    def get_params(self) -> dict:
+        return {name: getattr(self, name) for name in self._param_names()}
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
+        return f"{type(self).__name__}({args})"
 
     @property
     def dims(self) -> int:

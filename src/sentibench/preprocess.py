@@ -1,4 +1,4 @@
-"""Raw tweet text to cleaned, lemmatized tokens, and vocabulary building.
+"""Raw tweet text to cleaned, lemmatized tokens.
 
 Pipeline: lowercase and blank every non-letter -> split on whitespace ->
 drop stop-words -> lemmatize.
@@ -11,10 +11,9 @@ and lemmatized once per instance, not once per occurrence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
-from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import ConfigError
 
@@ -204,33 +203,6 @@ class Lemmatizer:
         if _measure(stem) == 1 and _ends_cvc(stem):
             return stem + "e"
         return stem
-
-
-@dataclass(frozen=True)
-class Vocabulary:
-    """Unique lemmas in first-occurrence order; defines vector dimensions."""
-
-    terms: tuple[str, ...]
-    index: dict[str, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        index = {}
-        for i, term in enumerate(self.terms):
-            if term in index:
-                raise ValueError(f"duplicate vocabulary term {term!r}")
-            index[term] = i
-        object.__setattr__(self, "index", index)
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __contains__(self, term: str) -> bool:
-        return term in self.index
-
-
-def build_vocabulary(docs: Iterable[Sequence[str]]) -> Vocabulary:
-    """Collect unique lemmas across docs in first-occurrence order."""
-    return Vocabulary(terms=tuple(dict.fromkeys(chain.from_iterable(docs))))
 
 
 class _TokenTable(dict):

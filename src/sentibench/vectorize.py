@@ -11,27 +11,21 @@ is mapped to its vocabulary id, the sorted unique (row, term) pairs are
 counted with ``np.unique``, and their weights are computed as arrays.
 The result is one canonical ``CsrMatrix``, the input every model takes.
 
-The vectorizer artifact also records the preprocessing the vectorizer
-was fitted behind, so evaluation can rebuild it.
+Fitted state is plain values: ``vocabulary_`` maps each term to its
+column, and tf-idf adds the fit's document count and per-column df and
+idf arrays. ``artifacts`` saves and loads it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .base import ParamsMixin, check_fitted, check_int, read_json, write_json
-from .errors import ArtifactError, ConfigError, TrainingError
-from .preprocess import (
-    Lemmatizer,
-    StopWordList,
-    TweetPreprocessor,
-    Vocabulary,
-    build_vocabulary,
-)
+from .base import check_fitted
+from .errors import TrainingError
 
 
 def _indptr(counts) -> np.ndarray:
@@ -134,34 +128,23 @@ def _count_terms(docs: Sequence[Sequence[str]], index: Mapping[str, int]):
     return row, term, counts, lengths
 
 
-@dataclass(frozen=True)
-class IdfTable:
-    """Per-term inverse document frequencies: idf = ln(doc_count / df)."""
-
-    doc_count: int
-    df: tuple[int, ...]
-    idf: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if self.doc_count < 1:
-            raise ValueError("doc_count must be >= 1")
-        if len(self.df) != len(self.idf):
-            raise ValueError("df and idf must have equal length")
-        for d, w in zip(self.df, self.idf):
-            if not (1 <= d <= self.doc_count):
-                raise ValueError(f"df {d} outside [1, {self.doc_count}]")
-            if not (math.isfinite(w) and w >= 0.0):
-                raise ValueError(f"idf {w} is not finite and non-negative")
-            if (w == 0.0) != (d == self.doc_count):
-                raise ValueError("idf is zero exactly when df equals doc_count")
+def build_vocabulary(docs: Iterable[Sequence[str]]) -> dict[str, int]:
+    """Term -> column over the unique tokens of docs, in first-occurrence order."""
+    terms = dict.fromkeys(chain.from_iterable(docs))
+    return dict(zip(terms, range(len(terms))))
 
 
-class _Vectorizer(ParamsMixin):
+def inverse_document_frequencies(doc_count: int, df) -> np.ndarray:
+    """ln(doc_count / d) for each document frequency d, as float64."""
+    return np.array([math.log(doc_count / d) for d in df], dtype=np.float64)
+
+
+class _Vectorizer:
     """Shared vocabulary, dims and transform; subclasses define fit and
-    the weights of the counted terms, and extend the artifact state."""
+    the weights of the counted terms."""
 
     def __init__(self):
-        self.vocabulary_: Vocabulary | None = None
+        self.vocabulary_: dict[str, int] | None = None
 
     @property
     def dims(self) -> int:
@@ -176,24 +159,12 @@ class _Vectorizer(ParamsMixin):
     def transform(self, docs: Iterable[Sequence[str]]) -> CsrMatrix:
         check_fitted(self, "vocabulary_")
         docs = list(docs)
-        row, term, counts, lengths = _count_terms(docs, self.vocabulary_.index)
+        row, term, counts, lengths = _count_terms(docs, self.vocabulary_)
         data = self._weights(term, counts, lengths[row])
         keep = data != 0.0
         row, term, data = row[keep], term[keep], data[keep]
         indptr = _indptr(np.bincount(row, minlength=len(docs)))
         return CsrMatrix(data, term.astype(np.int32), indptr, (len(docs), self.dims))
-
-    def state_to_dict(self) -> dict:
-        """Fitted state as the artifact's top-level fields."""
-        check_fitted(self, "vocabulary_")
-        return {"terms": list(self.vocabulary_.terms)}
-
-    def load_state(self, doc: Mapping) -> None:
-        """Restore fitted state from an artifact document."""
-        terms = doc["terms"]
-        if not (isinstance(terms, list) and all(isinstance(t, str) for t in terms)):
-            raise ArtifactError("terms must be a list of strings")
-        self.vocabulary_ = Vocabulary(terms=tuple(terms))
 
 
 class BowVectorizer(_Vectorizer):
@@ -210,7 +181,8 @@ class BowVectorizer(_Vectorizer):
 
 
 class TfidfVectorizer(_Vectorizer):
-    """tf * ln(N/df) weighting over the fitted vocabulary."""
+    """tf * ln(N/df) weighting over the fitted vocabulary: ``doc_count_`` is
+    N, and ``df_`` (int64) and ``idf_`` (float64) hold one entry per column."""
 
     kind = "tfidf"
 
@@ -218,101 +190,22 @@ class TfidfVectorizer(_Vectorizer):
         if len(docs) == 0:
             raise TrainingError("tfidf requires at least one fit document")
         self.vocabulary_ = build_vocabulary(docs)
-        _, term, _, _ = _count_terms(docs, self.vocabulary_.index)
-        df = np.bincount(term, minlength=len(self.vocabulary_)).tolist()
-        n = len(docs)
-        self.idf_table_ = IdfTable(
-            doc_count=n, df=tuple(df), idf=tuple(math.log(n / d) for d in df)
-        )
+        _, term, _, _ = _count_terms(docs, self.vocabulary_)
+        self.doc_count_ = len(docs)
+        self.df_ = np.bincount(term, minlength=len(self.vocabulary_))
+        self.idf_ = inverse_document_frequencies(self.doc_count_, self.df_.tolist())
         return self
 
     def _weights(self, term, counts, lengths):
         # left to right: count / length first, then * idf (another order changes the last bits)
-        return counts / lengths * np.array(self.idf_table_.idf)[term]
-
-    def state_to_dict(self) -> dict:
-        return {
-            **super().state_to_dict(),  # first: raises if not fitted
-            "doc_count": self.idf_table_.doc_count,
-            "df": list(self.idf_table_.df),
-            "idf": list(self.idf_table_.idf),
-        }
-
-    def load_state(self, doc: Mapping) -> None:
-        super().load_state(doc)
-        doc_count, df = doc["doc_count"], tuple(doc["df"])
-        check_int("doc_count", doc_count, 1)
-        for d in df:
-            check_int("df", d, 1)
-        self.idf_table_ = IdfTable(
-            doc_count=doc_count,
-            df=df,
-            idf=tuple(float(w) for w in doc["idf"]),
-        )
-        if len(self.idf_table_.df) != len(self.vocabulary_):
-            raise ArtifactError(f"df/idf length {len(self.idf_table_.df)} != terms length")
+        return counts / lengths * self.idf_[term]
 
 
-_VECTORIZERS = {cls.kind: cls for cls in (BowVectorizer, TfidfVectorizer)}
-VECTORIZER_KINDS = tuple(_VECTORIZERS)
-
-_VECTORIZER_FORMAT = "sentibench/vectorizer"
-_VECTORIZER_VERSION = 1
+VECTORIZER_CLASSES = {cls.kind: cls for cls in (BowVectorizer, TfidfVectorizer)}
+VECTORIZER_KINDS = tuple(VECTORIZER_CLASSES)
 
 
 def make_vectorizer(kind: str) -> BowVectorizer | TfidfVectorizer:
-    if kind not in _VECTORIZERS:
+    if kind not in VECTORIZER_CLASSES:
         raise ValueError(f"unknown vectorizer kind {kind!r}")
-    return _VECTORIZERS[kind]()
-
-
-def _decode_vectorizer(doc: Mapping) -> tuple[_Vectorizer, TweetPreprocessor]:
-    if doc.get("format") != _VECTORIZER_FORMAT:
-        raise ArtifactError("not a vectorizer artifact (bad format field)")
-    if doc.get("version") != _VECTORIZER_VERSION:
-        raise ArtifactError(f"unsupported vectorizer version {doc.get('version')!r}")
-    cls = _VECTORIZERS.get(doc.get("kind"))
-    if cls is None:
-        raise ArtifactError(f"unknown vectorizer kind {doc.get('kind')!r}")
-    vec = cls()
-    vec.load_state(doc)
-    section = doc.get("preprocessing")
-    if section is None:
-        return vec, TweetPreprocessor()
-    words, exceptions = section["stopwords"], section.get("lemma_exceptions", {})
-    if not (isinstance(words, list) and isinstance(exceptions, dict) and all(
-        isinstance(s, str) for s in (*words, *exceptions, *exceptions.values())
-    )):
-        raise ArtifactError(
-            "preprocessing needs a stopwords list and a lemma_exceptions map of strings"
-        )
-    return vec, TweetPreprocessor(StopWordList(frozenset(words)), Lemmatizer(exceptions))
-
-
-def save_vectorizer(vec: _Vectorizer, path: str, preprocessor: TweetPreprocessor) -> None:
-    """Write the vectorizer artifact, with the preprocessing it was fitted behind."""
-    write_json(path, {
-        "format": _VECTORIZER_FORMAT,
-        "version": _VECTORIZER_VERSION,
-        "kind": vec.kind,
-        **vec.state_to_dict(),
-        "preprocessing": {
-            "stopwords": sorted(preprocessor.stoplist.words),
-            "lemma_exceptions": dict(sorted(preprocessor.lemmatizer.exceptions.items())),
-        },
-    })
-
-
-def load_vectorizer(path: str) -> tuple[_Vectorizer, TweetPreprocessor]:
-    """Read an artifact back as (vectorizer, preprocessor); a malformed one
-    raises ArtifactError. Without a preprocessing section the preprocessor
-    is the default one."""
-    doc = read_json(path, "vectorizer artifact", ArtifactError)
-    try:
-        return _decode_vectorizer(doc)
-    except (
-        LookupError, TypeError, ValueError, AttributeError, OverflowError, ConfigError
-    ) as exc:
-        raise ArtifactError(
-            f"malformed vectorizer artifact: {type(exc).__name__}: {exc}"
-        ) from exc
+    return VECTORIZER_CLASSES[kind]()

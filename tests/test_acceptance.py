@@ -61,7 +61,7 @@ class TestCriterion1WorkedExampleExactness:
 
         # vocabulary: 11 terms, first-occurrence order
         vocab = build_vocabulary([doc1, doc2])
-        assert vocab.terms == EXAMPLE_VOCAB
+        assert tuple(vocab) == EXAMPLE_VOCAB
         assert len(vocab) == 11
 
         # The numeric reference grid uses the six-token variant of the
@@ -81,29 +81,29 @@ class TestCriterion1WorkedExampleExactness:
         tf2 = term_frequency(docs[1], vocab)
         assert tf1.total_terms == 8 and tf2.total_terms == 6
         for term in EXAMPLE_TOKENS_1:
-            assert Fraction(tf1.counts[vocab.index[term]], tf1.total_terms) == Fraction(1, 8)
+            assert Fraction(tf1.counts[vocab[term]], tf1.total_terms) == Fraction(1, 8)
         for term in EXAMPLE_TOKENS_2:
-            assert Fraction(tf2.counts[vocab.index[term]], tf2.total_terms) == Fraction(1, 6)
+            assert Fraction(tf2.counts[vocab[term]], tf2.total_terms) == Fraction(1, 6)
 
         # idf: within ±0.005 of the reference column {0, 0.69}
         tfidf = TfidfVectorizer().fit(docs)
         shared = ("delicious", "mcdonald", "hamburger")
-        for term in vocab.terms:
+        for term, i in vocab.items():
             reference = 0.0 if term in shared else 0.69
-            assert abs(tfidf.idf_table_.idf[vocab.index[term]] - reference) <= 0.005
+            assert abs(tfidf.idf_[i] - reference) <= 0.005
 
         # tf-idf: within ±0.001 of the reference grid
         reference_1 = {"beef": 0.0863, "cheese": 0.0863, "burger": 0.0863,
                        "taste": 0.0863, "cheeseburger": 0.0863}
         reference_2 = {"late": 0.115, "service": 0.115, "slow": 0.115}
         dense1, dense2 = tfidf.transform(docs).toarray()
-        for term in vocab.terms:
-            assert abs(dense1[vocab.index[term]] - reference_1.get(term, 0.0)) <= 0.001
-            assert abs(dense2[vocab.index[term]] - reference_2.get(term, 0.0)) <= 0.001
+        for term, i in vocab.items():
+            assert abs(dense1[i] - reference_1.get(term, 0.0)) <= 0.001
+            assert abs(dense2[i] - reference_2.get(term, 0.0)) <= 0.001
         # each stored weight is tf * idf with the exact tf above, bit for bit
         for dense, freqs in ((dense1, tf1), (dense2, tf2)):
             for i, tf in freqs.tf_map().items():
-                assert dense[i] == tf * tfidf.idf_table_.idf[i]
+                assert dense[i] == tf * tfidf.idf_[i]
 
 
 EXPECTED_GRID = {
@@ -188,9 +188,9 @@ class TestCriterion4OfflinePropertySuites:
     def test_idf_monotonicity(self):
         docs = [["a"], ["a", "b"], ["a", "b", "c"], ["a", "b", "c", "d"],
                 ["a", "b", "c", "d", "e"]]
-        table = TfidfVectorizer().fit(docs).idf_table_
-        for i, (df_i, idf_i) in enumerate(zip(table.df, table.idf)):
-            for df_j, idf_j in zip(table.df, table.idf):
+        tfidf = TfidfVectorizer().fit(docs)
+        for df_i, idf_i in zip(tfidf.df_, tfidf.idf_):
+            for df_j, idf_j in zip(tfidf.df_, tfidf.idf_):
                 if df_i < df_j:
                     assert idf_i > idf_j
 

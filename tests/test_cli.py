@@ -372,6 +372,42 @@ class TestArtifactShapes:
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "e").exists()
 
+    def test_tampered_idf_is_one_artifact_error(self, trained_artifacts, tmp_path, capsys):
+        # every idf still finite and >= 0, but no longer ln(doc_count / df)
+        code, err = evaluate_corrupted(
+            trained_artifacts, tmp_path, capsys, "vectorizer_tfidf.json",
+            lambda d: d.update(idf=[7 * w for w in d["idf"]]), "mnb", "tfidf",
+        )
+        assert code == 1
+        assert err.startswith("error[artifact]") and "idf" in err, err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "e").exists()
+
+    @pytest.mark.parametrize("artifact, key", [
+        *(("model_mnb_tfidf.json", key) for key in (
+            "format", "version", "variant", "class_order", "dims", "hyperparameters",
+            "params")),
+        *(("vectorizer_tfidf.json", key) for key in (
+            "format", "version", "kind", "terms", "doc_count", "df", "idf")),
+    ])
+    def test_missing_field_is_one_artifact_error(self, trained_artifacts, tmp_path, capsys,
+                                                 artifact, key):
+        code, err = evaluate_corrupted(
+            trained_artifacts, tmp_path, capsys, artifact, lambda d: d.pop(key), "mnb", "tfidf"
+        )
+        assert code == 1
+        assert err.startswith("error[artifact]") and repr(key) in err, err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_missing_preprocessing_means_the_default(self, trained_artifacts, tmp_path,
+                                                     capsys):
+        code, err = evaluate_corrupted(
+            trained_artifacts, tmp_path, capsys, "vectorizer_tfidf.json",
+            lambda d: d.pop("preprocessing"), "mnb", "tfidf",
+        )
+        assert (code, err) == (0, "")
+        assert (tmp_path / "e" / "report_mnb_tfidf.json").is_file()
+
     def test_terms_string_is_one_artifact_error(self, trained_artifacts, tmp_path, capsys):
         # "usa" would load as the terms u, s, a; with a 3-wide model to match,
         # every test vector would be empty and evaluate would still exit 0.

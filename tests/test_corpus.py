@@ -3,6 +3,7 @@
 import csv
 import io
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -166,6 +167,42 @@ class TestLoadDatasetProperties:
         path = tmp_path / "tweets.csv"
         path.write_bytes((b"\xef\xbb\xbf" if bom else b"") + out.getvalue().encode("utf-8"))
         assert load_dataset(str(path)) == expected
+
+
+# Bytes a mutation favours: CSV syntax, line ends, NUL, a UTF-8 BOM, and
+# bytes that are not valid UTF-8 where they land.
+_SPECIAL_BYTES = st.sampled_from([
+    b"\x00", b"\r", b"\n", b'"', b",", b"\xef\xbb\xbf", b"\xef", b"\xff", b"\xc3", b"\x80",
+])
+_FIXTURE_BYTES = Path(FIXTURE_CSV).read_bytes()
+
+
+class TestLoadDatasetFuzz:
+    @given(data=st.data())
+    @settings(
+        max_examples=300, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_mutated_fixture_loads_or_raises_dataset_error(self, tmp_path, data):
+        content = bytearray(_FIXTURE_BYTES)
+        for _ in range(data.draw(st.integers(1, 4))):
+            new = data.draw(_SPECIAL_BYTES | st.binary(min_size=1, max_size=3))
+            at = data.draw(st.integers(0, len(content)))
+            kind = data.draw(st.sampled_from(["set", "insert", "delete"]))
+            if kind == "set":
+                content[at:at + len(new)] = new
+            elif kind == "insert":
+                content[at:at] = new
+            else:
+                del content[at:at + data.draw(st.integers(1, 3))]
+        path = tmp_path / "mutated.csv"
+        path.write_bytes(bytes(content))
+        try:
+            corpus = load_dataset(str(path))
+        except DatasetError:
+            return
+        assert set(corpus.labels) <= set(POLARITIES) and all(corpus.texts)
+        assert len(corpus.ids) == len(corpus.texts) == len(corpus.labels)
 
 
 class TestLabelFrequencies:

@@ -143,6 +143,8 @@ class TestPersistence:
         for corruption in (
             {"format": "other"},
             {"version": 99},
+            {"version": True},
+            {"version": 1.0},
             {"class_order": ["positive", "neutral", "negative"]},
             {"variant": "perceptron"},
         ):

@@ -310,7 +310,7 @@ class TestVocabulary:
             TweetPreprocessor(stoplist, lem)(EXAMPLE_TWEET_2),
         ]
         vocab = build_vocabulary(docs)
-        assert vocab.terms == EXAMPLE_VOCAB
+        assert tuple(vocab) == EXAMPLE_VOCAB
         assert len(vocab) == 11
 
     def test_no_docs(self):
@@ -318,17 +318,18 @@ class TestVocabulary:
 
     def test_duplicate_docs_add_nothing(self):
         doc = EXAMPLE_TOKENS_2
-        assert build_vocabulary([doc, doc]).terms == build_vocabulary([doc]).terms
+        assert build_vocabulary([doc, doc]) == build_vocabulary([doc])
 
     def test_size_bounded_and_terms_occur(self):
         docs = [EXAMPLE_TOKENS_1, EXAMPLE_TOKENS_2, EXAMPLE_TOKENS_2]
         vocab = build_vocabulary(docs)
         assert len(vocab) <= sum(len(d) for d in docs)
         everything = {t for d in docs for t in d}
-        assert set(vocab.terms) == everything
+        assert set(vocab) == everything
 
     def test_index_is_bijection(self):
         vocab = build_vocabulary([EXAMPLE_TOKENS_1])
-        assert sorted(vocab.index.values()) == list(range(len(vocab)))
-        for term, idx in vocab.index.items():
-            assert vocab.terms[idx] == term
+        assert list(vocab.values()) == list(range(len(vocab)))
+        terms = list(vocab)
+        for term, idx in vocab.items():
+            assert terms[idx] == term

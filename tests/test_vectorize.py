@@ -16,7 +16,6 @@ from sentibench import (
     BowVectorizer,
     CsrMatrix,
     DimensionMismatchError,
-    IdfTable,
     Lemmatizer,
     StopWordList,
     TfidfVectorizer,
@@ -50,6 +49,16 @@ def dense(vec, doc) -> np.ndarray:
     return vec.transform([doc]).toarray()[0]
 
 
+def load_tampered_tfidf(tmp_path, corrupt):
+    """Load a tf-idf artifact of DOCS after ``corrupt`` edits its JSON in place."""
+    path = tmp_path / "vec.json"
+    save_vectorizer(TfidfVectorizer().fit(DOCS), str(path), DEFAULT_PREPROCESSOR)
+    doc = json.loads(path.read_text())
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    return load_vectorizer(str(path))
+
+
 class TestCsrMatrix:
     def test_valid_roundtrip_to_dense(self):
         rows = csr(5, [[(3, 2.5), (0, 1.0)]])
@@ -60,13 +69,13 @@ class TestCsrMatrix:
         assert (empty @ np.ones((3, 2))).tolist() == [[0.0, 0.0]] * 2
         assert empty.toarray().tolist() == [[0.0] * 3] * 2
 
-    def test_no_explicit_zeros_or_nonfinite(self):
+    def test_no_explicit_zeros_or_nonfinite(self, tmp_path):
         # transform drops zero weights, and a non-finite idf never loads
         rows = TfidfVectorizer().fit(DOCS).transform(DOCS)
         assert 0.0 not in rows.data and np.isfinite(rows.data).all()
         for bad in (math.inf, math.nan):
-            with pytest.raises(ValueError, match="finite"):
-                IdfTable(doc_count=2, df=(1,), idf=(bad,))
+            with pytest.raises(ArtifactError, match="finite"):
+                load_tampered_tfidf(tmp_path, lambda d: d["idf"].__setitem__(-1, bad))
 
     def test_csr_dims_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -134,17 +143,17 @@ class TestTermFrequency:
         vocab = build_vocabulary(DOCS)
         freqs = term_frequency(EXAMPLE_TOKENS_1, vocab)
         assert freqs.total_terms == 8
-        assert freqs.counts[vocab.index["delicious"]] == 1
-        assert freqs.tf(vocab.index["delicious"]) == Fraction(1, 8)
+        assert freqs.counts[vocab["delicious"]] == 1
+        assert freqs.tf(vocab["delicious"]) == Fraction(1, 8)
 
     def test_worked_example_doc_two(self):
         vocab = build_vocabulary(DOCS)
         freqs = term_frequency(EXAMPLE_TOKENS_2, vocab)
         assert freqs.total_terms == 6
         # exact rational as integers; the float is the rounded division
-        assert Fraction(freqs.counts[vocab.index["late"]], freqs.total_terms) == Fraction(1, 6)
-        assert freqs.tf(vocab.index["late"]) == 1 / 6
-        assert freqs.tf(vocab.index["beef"]) == 0.0
+        assert Fraction(freqs.counts[vocab["late"]], freqs.total_terms) == Fraction(1, 6)
+        assert freqs.tf(vocab["late"]) == 1 / 6
+        assert freqs.tf(vocab["beef"]) == 0.0
 
     def test_hand_counts(self):
         vocab = build_vocabulary([["a", "b", "c"]])
@@ -173,30 +182,34 @@ class TestTermFrequency:
 class TestIdf:
     def test_worked_example_values(self):
         tfidf = TfidfVectorizer().fit(DOCS)
-        vocab = tfidf.vocabulary_
-        idf = tfidf.idf_table_.idf
-        assert idf[vocab.index["delicious"]] == 0.0
-        assert abs(idf[vocab.index["beef"]] - math.log(2)) < 1e-15
+        vocab, idf = tfidf.vocabulary_, tfidf.idf_
+        assert idf[vocab["delicious"]] == 0.0
+        assert abs(idf[vocab["beef"]] - math.log(2)) < 1e-15
 
     def test_single_document_all_zero(self):
         tfidf = TfidfVectorizer().fit([EXAMPLE_TOKENS_1])
-        assert set(tfidf.idf_table_.idf) == {0.0}
+        assert set(tfidf.idf_.tolist()) == {0.0}
 
     def test_monotonicity(self):
         docs = [["a"], ["a", "b"], ["a", "b", "c"], ["a", "b", "c", "d"]]
-        table = TfidfVectorizer().fit(docs).idf_table_
-        for i in range(len(table.df)):
-            for j in range(len(table.df)):
-                if table.df[i] < table.df[j]:
-                    assert table.idf[i] > table.idf[j]
+        tfidf = TfidfVectorizer().fit(docs)
+        df, idf = tfidf.df_, tfidf.idf_
+        for i in range(len(df)):
+            for j in range(len(df)):
+                if df[i] < df[j]:
+                    assert idf[i] > idf[j]
 
-    def test_invariant_validation(self):
-        with pytest.raises(ValueError):
-            IdfTable(doc_count=2, df=(0,), idf=(0.0,))
-        with pytest.raises(ValueError):
-            IdfTable(doc_count=2, df=(2,), idf=(0.5,))
-        with pytest.raises(ValueError):
-            IdfTable(doc_count=2, df=(1,), idf=(0.0,))
+    def test_invariant_validation(self, tmp_path):
+        # at load: each df an integer in [1, doc_count], each idf ln(doc_count / df)
+        for corrupt, message in [
+            (lambda d: d.update(df=[0] * len(d["df"])), "df must be an integer >= 1"),
+            (lambda d: d["df"].__setitem__(0, d["doc_count"] + 1), "exceeds doc_count"),
+            (lambda d: d["idf"].__setitem__(d["df"].index(2), 0.5), "ln"),
+            (lambda d: d["idf"].__setitem__(d["df"].index(1), 0.0), "ln"),
+            (lambda d: d.update(idf=[7 * w for w in d["idf"]]), "ln"),
+        ]:
+            with pytest.raises(ArtifactError, match=message):
+                load_tampered_tfidf(tmp_path, corrupt)
 
 
 class TestTfidfTransform:
@@ -205,11 +218,11 @@ class TestTfidfTransform:
         vocab = tfidf.vocabulary_
         rows = tfidf.transform(DOCS)
         dense1, dense2 = rows.toarray()
-        assert dense1[vocab.index["beef"]] == pytest.approx(math.log(2) / 8, abs=1e-15)
-        assert dense2[vocab.index["late"]] == pytest.approx(math.log(2) / 6, abs=1e-15)
+        assert dense1[vocab["beef"]] == pytest.approx(math.log(2) / 8, abs=1e-15)
+        assert dense2[vocab["late"]] == pytest.approx(math.log(2) / 6, abs=1e-15)
         # terms in every fit document drop out entirely
         for term in ("delicious", "mcdonald", "hamburger"):
-            assert vocab.index[term] not in rows.indices
+            assert vocab[term] not in rows.indices
 
     def test_requires_fit_docs(self):
         with pytest.raises(TrainingError):
@@ -247,7 +260,7 @@ class TestTfidfTransform:
             vocab = tfidf.vocabulary_
             for doc in docs:
                 weights = dense(tfidf, doc)
-                for term, idx in vocab.index.items():
+                for term, idx in vocab.items():
                     tf = doc.count(term) / len(doc)
                     df = sum(1 for d in docs if term in d)
                     expected = tf * math.log(n_docs / df)
@@ -263,11 +276,12 @@ def assert_matches_reference(kind, fit_docs, docs):
     bit for bit."""
     vec = make_vectorizer(kind).fit(fit_docs)
     vocab = vectorize_reference.vocabulary(fit_docs)
-    assert vec.vocabulary_.terms == vocab.terms
+    assert list(vec.vocabulary_.items()) == list(vocab.items())
     if kind == "tfidf":
-        table = vectorize_reference.idf_table(fit_docs, vocab)
-        assert (vec.idf_table_.doc_count, vec.idf_table_.df) == (table.doc_count, table.df)
-        assert np.array(vec.idf_table_.idf).tobytes() == np.array(table.idf).tobytes()
+        df, idf = vectorize_reference.document_frequencies(fit_docs, vocab)
+        assert vec.doc_count_ == len(fit_docs)
+        assert vec.df_.dtype == np.int64 and vec.df_.tolist() == df
+        assert vec.idf_.dtype == np.float64 and vec.idf_.tobytes() == np.array(idf).tobytes()
     got = vec.transform(docs)
     want = vectorize_reference.transform_csr(vec, docs)
     assert got.shape == want.shape
@@ -333,7 +347,7 @@ class TestSerialization:
         save_vectorizer(bow, str(path), DEFAULT_PREPROCESSOR)
         loaded, _ = load_vectorizer(str(path))
         assert loaded.kind == "bow"
-        assert loaded.vocabulary_.terms == bow.vocabulary_.terms
+        assert list(loaded.vocabulary_.items()) == list(bow.vocabulary_.items())
         assert json.loads(path.read_text())["version"] == 1
 
     def test_round_trip_tfidf_preserves_idf(self, tmp_path):
@@ -341,7 +355,9 @@ class TestSerialization:
         path = tmp_path / "vec.json"
         save_vectorizer(tfidf, str(path), DEFAULT_PREPROCESSOR)
         loaded, _ = load_vectorizer(str(path))
-        assert loaded.idf_table_ == tfidf.idf_table_
+        assert loaded.doc_count_ == tfidf.doc_count_
+        assert loaded.df_.dtype == np.int64 and loaded.df_.tolist() == tfidf.df_.tolist()
+        assert loaded.idf_.tobytes() == tfidf.idf_.tobytes()
         assert row(loaded, EXAMPLE_TOKENS_2) == row(tfidf, EXAMPLE_TOKENS_2)
 
     def test_save_is_deterministic(self, tmp_path):
@@ -380,10 +396,11 @@ class TestSerialization:
         with pytest.raises(ArtifactError):
             load_vectorizer(str(path))
         doc["format"] = "sentibench/vectorizer"
-        doc["version"] = 99
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ArtifactError):
-            load_vectorizer(str(path))
+        for version in (99, True, 1.0):
+            doc["version"] = version
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ArtifactError, match="version"):
+                load_vectorizer(str(path))
 
     @pytest.mark.parametrize("kind, key", [
         ("bow", "terms"), ("tfidf", "terms"), ("tfidf", "df"), ("tfidf", "idf"),

@@ -3,9 +3,10 @@
 These are the bag-of-words and tf-idf weightings the vectorizers used
 before they built one CSR matrix for a whole corpus with NumPy: each
 document is counted on its own, through ``term_frequency``, into its
-sorted (indices, weights). ``idf_table`` is the
-per-document df count the tf-idf fit used. The bulk code must produce
-the same vocabulary, df, idf and CSR matrix, bit for bit.
+sorted (indices, weights). ``document_frequencies`` is the per-document
+df count and idf the tf-idf fit used. The bulk code must produce the same
+vocabulary, df, idf and CSR matrix, bit for bit. A vocabulary is a term ->
+column dict, as the vectorizers keep it.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from sentibench.preprocess import Vocabulary
-from sentibench.vectorize import CsrMatrix, IdfTable
+from sentibench.vectorize import CsrMatrix
 
 
 @dataclass(frozen=True)
@@ -38,38 +38,37 @@ class TermFrequencies:
         return {i: n / self.total_terms for i, n in self.counts.items()}
 
 
-def term_frequency(doc: Sequence[str], vocab: Vocabulary) -> TermFrequencies:
+def term_frequency(doc: Sequence[str], vocab: Mapping[str, int]) -> TermFrequencies:
     """Count vocabulary terms in the doc; unknown tokens only add to the total."""
-    counts = Counter(vocab.index[t] for t in doc if t in vocab)
+    counts = Counter(vocab[t] for t in doc if t in vocab)
     return TermFrequencies(counts=dict(counts), total_terms=len(doc))
 
 
-def vocabulary(docs: Sequence[Sequence[str]]) -> Vocabulary:
+def vocabulary(docs: Sequence[Sequence[str]]) -> dict[str, int]:
     """Unique tokens in first-occurrence order, one setdefault per token."""
-    seen: dict[str, None] = {}
+    seen: dict[str, int] = {}
     for doc in docs:
         for token in doc:
-            seen.setdefault(token, None)
-    return Vocabulary(terms=tuple(seen))
+            seen.setdefault(token, len(seen))
+    return seen
 
 
-def idf_table(docs: Sequence[Sequence[str]], vocab: Vocabulary) -> IdfTable:
+def document_frequencies(docs: Sequence[Sequence[str]], vocab: Mapping[str, int]):
+    """(df, idf) as lists, one entry per vocabulary column."""
     n = len(docs)
     df = [0] * len(vocab)
     for doc in docs:
-        for idx in {vocab.index[t] for t in doc if t in vocab}:
+        for idx in {vocab[t] for t in doc if t in vocab}:
             df[idx] += 1
-    idf = tuple(math.log(n / d) if d else 0.0 for d in df)
-    return IdfTable(doc_count=n, df=tuple(df), idf=idf)
+    return df, [math.log(n / d) if d else 0.0 for d in df]
 
 
-def bow_weights(doc: Sequence[str], vocab: Vocabulary):
-    index = vocab.index
-    present = tuple(sorted({index[t] for t in doc if t in index}))
+def bow_weights(doc: Sequence[str], vocab: Mapping[str, int]):
+    present = tuple(sorted({vocab[t] for t in doc if t in vocab}))
     return present, (1.0,) * len(present)
 
 
-def tfidf_weights(doc: Sequence[str], vocab: Vocabulary, idf: Sequence[float]):
+def tfidf_weights(doc: Sequence[str], vocab: Mapping[str, int], idf: Sequence[float]):
     freqs = term_frequency(doc, vocab)
     entries = []
     for idx in sorted(freqs.counts):
@@ -85,7 +84,7 @@ def transform(vec, docs: Sequence[Sequence[str]]) -> list[tuple[tuple, tuple]]:
     if vec.kind == "bow":
         pairs = [bow_weights(doc, vocab) for doc in docs]
     else:
-        pairs = [tfidf_weights(doc, vocab, vec.idf_table_.idf) for doc in docs]
+        pairs = [tfidf_weights(doc, vocab, vec.idf_.tolist()) for doc in docs]
     return pairs
 
 
