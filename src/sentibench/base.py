@@ -9,6 +9,8 @@ import json
 import sys
 from numbers import Integral, Real
 
+import numpy as np
+
 from .errors import SentibenchError
 
 
@@ -22,12 +24,18 @@ def check_fitted(obj, attribute: str) -> None:
 
 def check_int(name: str, value, minimum: int) -> None:
     """Raise ValueError unless ``value`` is an integer (not a bool) >= ``minimum``."""
-    # type() first: a tree artifact checks tens of thousands of counts, and the
-    # Integral check (an ABC) costs about 1 us a call
-    if (
-        type(value) is not int and (isinstance(value, bool) or not isinstance(value, Integral))
-    ) or value < minimum:
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_ints(name: str, values, minimum: int) -> np.ndarray:
+    """A JSON list of integers (not bools) >= ``minimum`` as int64, else ValueError."""
+    if type(values) is not list or not set(map(type, values)) <= {int}:
+        raise ValueError(f"{name} must be a list of integers")
+    array = np.array(values, dtype=np.int64)
+    if array.size and array.min() < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {array.min()}")
+    return array
 
 
 def check_float(name: str, value, minimum: float, *, inclusive: bool = False) -> None:
@@ -47,11 +55,13 @@ def check_float(name: str, value, minimum: float, *, inclusive: bool = False) ->
         raise ValueError(f"{name} must be a finite number {bound} {minimum}, got {value!r}")
 
 
-def write_json(path, payload) -> None:
-    """Deterministic JSON file: sorted keys, indent 1, trailing newline."""
+def write_json(path, payload, compact: bool = False) -> None:
+    """Deterministic JSON file: sorted keys, trailing newline, and indent 1,
+    or compact for artifacts (json encodes only that form in C)."""
+    text = json.dumps(payload, sort_keys=True, indent=None if compact else 1,
+                      separators=(",", ":") if compact else None)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=1)
-        handle.write("\n")
+        handle.write(text + "\n")
 
 
 def read_json(path, what: str, error: type[SentibenchError]):

@@ -349,7 +349,7 @@ def cmd_train(config: ExperimentConfig, model_kind: str, vectorizer_kind: str) -
     vec_path = out / f"vectorizer_{vectorizer_kind}.json"
     model_path = out / f"model_{model_kind}_{vectorizer_kind}.json"
     save_vectorizer(vectorizer, str(vec_path), preprocessor)
-    save_model(model, str(model_path))
+    save_model(model, str(model_path), vectorizer_kind)
     print(f"vectorizer: {vec_path}")
     print(f"model: {model_path}")
     return 0
@@ -357,7 +357,7 @@ def cmd_train(config: ExperimentConfig, model_kind: str, vectorizer_kind: str) -
 
 def cmd_evaluate(config: ExperimentConfig, model_path: str, vectorizer_path: str) -> int:
     vectorizer, preprocessor = load_vectorizer(vectorizer_path)
-    model = load_model(model_path)
+    model = load_model(model_path, vectorizer.kind)
     _, test = _split(config)
     test_vectors = vectorizer.transform(preprocessor.preprocess_corpus(test.texts))
 

@@ -36,17 +36,19 @@ entries of the sampled columns, not with rows x features.
 
 Prediction routes every (row, tree) pair together, one level per pass,
 through the trees' flat arrays laid end to end.
+
+An artifact stores each tree's feature, threshold, left and counts as
+lists, checked on load by array operations, so any depth saves and loads.
 """
 
 from __future__ import annotations
 
 import math
-from numbers import Real
+from itertools import chain
 
 import numpy as np
 
-from ..base import check_int
-from ..corpus import POLARITIES
+from ..base import check_int, check_ints
 from ..errors import ArtifactError
 from .base import BaseClassifier, check_X_y
 
@@ -54,94 +56,52 @@ _STREAM = 3
 
 
 class _Tree:
-    """Flat array form: feature < 0 marks a leaf; label is the majority class."""
+    """Flat arrays, one entry per node, root first: feature < 0 marks a leaf
+    (left = right = -1), else right = left + 1; label: counts' first majority."""
 
     __slots__ = ("feature", "threshold", "left", "right", "label", "counts")
 
-    def __init__(self, feature, threshold, left, right, label, counts):
-        self.feature = feature
-        self.threshold = threshold
-        self.left = left
-        self.right = right
-        self.label = label
-        self.counts = counts
-
-    def to_record(self) -> dict:
-        """Nested artifact record: leaves carry class and counts, internal
-        nodes feature, threshold and two children."""
-        n = len(self.feature)
-        records: list[dict | None] = [None] * n
-        for i in range(n - 1, -1, -1):  # children always have higher ids
-            if self.feature[i] < 0:
-                records[i] = {
-                    "class": POLARITIES[self.label[i]],
-                    "counts": [int(c) for c in self.counts[i]],
-                }
-            else:
-                records[i] = {
-                    "feature": int(self.feature[i]),
-                    "threshold": float(self.threshold[i]),
-                    "left": records[self.left[i]],
-                    "right": records[self.right[i]],
-                }
-        return records[0]
+    def __init__(self, feature, threshold, left, counts):
+        self.feature = np.asarray(feature, dtype=np.int32)
+        self.threshold = np.asarray(threshold, dtype=np.float64)
+        self.left = np.asarray(left, dtype=np.int32)
+        self.right = np.where(self.left < 0, -1, self.left + 1).astype(np.int32)
+        self.counts = np.asarray(counts, dtype=np.int64)
+        self.label = self.counts.argmax(axis=1).astype(np.int8)
 
     @classmethod
-    def from_record(cls, record, dims: int) -> "_Tree":
-        """Inverse of to_record; every internal feature must be in [0, dims)."""
-        # (feature, threshold, left, right, label, counts) per node, with
-        # ids allocated as in training, so save/load/save round-trips
-        # reproduce the artifact byte for byte.
-        nodes: list = [None]
-        stack = [(record, 0)]
-        while stack:
-            rec, slot = stack.pop()
-            if "class" in rec:
-                counts = list(rec["counts"])
-                for c in counts:
-                    check_int("leaf count", c, 0)
-                if len(counts) != 3:
-                    raise ArtifactError(f"leaf counts {counts} are not 3 counts")
-                nodes[slot] = (-1, 0.0, -1, -1, POLARITIES.index(rec["class"]), counts)
-            else:
-                feature = rec["feature"]
-                check_int("tree feature", feature, 0)
-                if feature >= dims:
-                    raise ArtifactError(f"tree feature {feature} outside [0, {dims})")
-                lid = len(nodes)
-                nodes += [None, None]
-                threshold = rec["threshold"]
-                # type() first, as in check_int: a forest has thousands of thresholds
-                if (
-                    type(threshold) is not float
-                    and (isinstance(threshold, bool) or not isinstance(threshold, Real))
-                ) or not math.isfinite(threshold):
-                    raise ArtifactError(
-                        f"tree threshold {threshold!r} is not a finite real number"
-                    )
-                nodes[slot] = (feature, float(threshold), lid, lid + 1, 0, [0, 0, 0])
-                stack += [(rec["right"], lid + 1), (rec["left"], lid)]
-        # Only leaves carry counts in the record; rebuild internal-node
-        # histograms and majority labels bottom-up (children have higher ids).
-        for i in range(len(nodes) - 1, -1, -1):
-            f, thr, lid, rid, _, _ = nodes[i]
-            if f >= 0:
-                hist = [a + b for a, b in zip(nodes[lid][5], nodes[rid][5])]
-                nodes[i] = (f, thr, lid, rid, hist.index(max(hist)), hist)
-        return cls.from_nodes(nodes)
-
-    @classmethod
-    def from_nodes(cls, nodes) -> "_Tree":
-        """From one (feature, threshold, left, right, label, counts) per node."""
-        feature, threshold, left, right, label, counts = zip(*nodes)
-        return cls(
-            feature=np.array(feature, dtype=np.int32),
-            threshold=np.array(threshold, dtype=np.float64),
-            left=np.array(left, dtype=np.int32),
-            right=np.array(right, dtype=np.int32),
-            label=np.array(label, dtype=np.int8),
-            counts=np.array(counts, dtype=np.int64),
-        )
+    def from_arrays(cls, record, dims: int) -> "_Tree":
+        """The tree of an artifact's {feature, threshold, left, counts} lists;
+        what fit could not grow over ``dims`` features raises ArtifactError."""
+        feature = check_ints("tree feature", record["feature"], -1)
+        left = check_ints("tree left", record["left"], -1)
+        rows = record["counts"]
+        if type(rows) is not list or not set(map(len, rows)) <= {3}:
+            raise ArtifactError("tree counts must hold 3 integers per node")
+        counts = check_ints("tree counts", list(chain.from_iterable(rows)), 0).reshape(-1, 3)
+        threshold = record["threshold"]
+        if type(threshold) is not list or not set(map(type, threshold)) <= {int, float}:
+            raise ArtifactError("tree threshold must be a list of finite numbers")
+        threshold = np.array(threshold, dtype=np.float64)  # OverflowError past a float
+        n = feature.size
+        if not 0 < n == left.size == threshold.size == len(counts):
+            raise ArtifactError("tree lists must be parallel and non-empty")
+        if not np.isfinite(threshold).all() or (feature >= dims).any():
+            raise ArtifactError(f"tree thresholds must be finite, features below {dims}")
+        leaf = feature < 0
+        if (left[leaf] != -1).any() or (threshold[leaf] != 0.0).any():
+            raise ArtifactError("a tree leaf must have left -1 and threshold 0.0")
+        # Children follow their parent, so no route can cycle.
+        inner = np.flatnonzero(~leaf)
+        lid = left[inner]
+        if (lid <= inner).any() or not np.array_equal(
+            np.sort(np.concatenate([lid, lid + 1])), np.arange(1, n)
+        ):
+            raise ArtifactError("each tree node but the root must be the child of "
+                                "exactly one node before it")
+        if not np.array_equal(counts[inner], counts[lid] + counts[lid + 1]):
+            raise ArtifactError("an internal tree node's counts must sum its children's")
+        return cls(feature, threshold, left, counts)
 
 
 def _sample_features(rng, dims: int, k: int) -> np.ndarray:
@@ -160,8 +120,8 @@ def _splittable(hist, depth, max_depth) -> np.ndarray:
 
 
 class _GrowingTree:
-    """A tree during fit: a [feature, threshold, left, right, label, class
-    histogram] list per node so far, and its depth-first stack of the
+    """A tree during fit: a [feature, threshold, left, class histogram] list
+    per node so far, and its depth-first stack of the
     nodes still to search, as (row keys, depth, node id, histogram)."""
 
     __slots__ = ("nodes", "stack")
@@ -171,7 +131,7 @@ class _GrowingTree:
         self.stack: list[tuple] = []
 
     def add_node(self, hist) -> int:
-        self.nodes.append([-1, 0.0, -1, -1, int(hist.argmax()), hist])
+        self.nodes.append([-1, 0.0, -1, hist])
         return len(self.nodes) - 1
 
 
@@ -315,7 +275,7 @@ def _grow_forest(csr, y, weights, k, max_depth, rngs) -> list[_Tree]:
             tree = growing[t]
             lid = tree.add_node(left_hist[j])
             rid = tree.add_node(right_hist[j])
-            tree.nodes[slot][:4] = features[j], thresholds[j], lid, rid
+            tree.nodes[slot][:3] = features[j], thresholds[j], lid
             if push_left[j] or push_right[j]:
                 goes_right = flags[keys] != (thresholds[j] < 0.0)
                 if push_right[j]:
@@ -323,7 +283,7 @@ def _grow_forest(csr, y, weights, k, max_depth, rngs) -> list[_Tree]:
                 if push_left[j]:
                     tree.stack.append((keys[~goes_right], depth[j], lid, left_hist[j]))
         flags[crossed] = False
-    return [_Tree.from_nodes(tree.nodes) for tree in growing]
+    return [_Tree(*zip(*tree.nodes)) for tree in growing]
 
 
 class RandomForest(BaseClassifier):
@@ -406,9 +366,10 @@ class RandomForest(BaseClassifier):
         return votes / self.n_trees
 
     def state_to_dict(self) -> dict:
-        return {"trees": [tree.to_record() for tree in self.trees_]}
+        keys = ("feature", "threshold", "left", "counts")  # right and label are derived
+        return {"trees": [{k: getattr(tree, k).tolist() for k in keys} for tree in self.trees_]}
 
     def load_state(self, params, dims: int) -> None:
-        self.trees_ = [_Tree.from_record(record, dims) for record in params["trees"]]
+        self.trees_ = [_Tree.from_arrays(record, dims) for record in params["trees"]]
         if len(self.trees_) != self.n_trees:
             raise ArtifactError(f"{len(self.trees_)} trees, n_trees is {self.n_trees}")

@@ -155,14 +155,9 @@ def _grow_tree(X, y, k, max_depth, rng) -> _Tree:
         stack.append((right_rows, depth + 1, rid))
         stack.append((left_rows, depth + 1, lid))
 
-    return _Tree(
-        feature=np.array(feature, dtype=np.int32),
-        threshold=np.array(threshold, dtype=np.float64),
-        left=np.array(left, dtype=np.int32),
-        right=np.array(right, dtype=np.int32),
-        label=np.array(label, dtype=np.int8),
-        counts=np.vstack(counts),
-    )
+    tree = _Tree(feature, threshold, left, np.vstack(counts))
+    assert tree.right.tolist() == right and tree.label.tolist() == label
+    return tree
 
 
 def fit_trees(

@@ -8,10 +8,12 @@ from pathlib import Path
 import numpy as np
 from hypothesis import strategies as st
 
-from sentibench import Corpus, CsrMatrix
+from sentibench import POLARITIES, Corpus, CsrMatrix
 
 DATA_DIR = Path(__file__).parent / "data"
 FIXTURE_CSV = str(DATA_DIR / "fixture_tweets.csv")
+# The fixture's train artifacts (seed 2) as format version 1 wrote them.
+V1_ARTIFACTS = DATA_DIR / "v1"
 
 # Hand-read from the fixture file, row by row.
 FIXTURE_LABELS = [
@@ -68,6 +70,32 @@ def canonical_csr(draw, n: int, unit: bool) -> CsrMatrix:
     """``random_csr`` with n rows of 1-LONG_ROW stored entries each."""
     lengths = draw(st.lists(st.integers(1, LONG_ROW), min_size=n, max_size=n))
     return random_csr(lengths, unit, draw(st.integers(0, 2**32 - 1)))
+
+
+def as_version_1(doc: dict) -> dict:
+    """A version 2 model artifact as format version 1 held it: no
+    ``vectorizer`` field, and each forest tree as nested records, a leaf
+    {class, counts} and an internal node {feature, threshold, left, right}."""
+    old = {key: value for key, value in doc.items() if key != "vectorizer"}
+    old["version"] = 1
+    if doc["variant"] == "rf":
+        old["params"] = {"trees": [_nested_tree(tree) for tree in doc["params"]["trees"]]}
+    return old
+
+
+def _nested_tree(tree: dict) -> dict:
+    feature, threshold, left, counts = (
+        tree[key] for key in ("feature", "threshold", "left", "counts")
+    )
+    records = [None] * len(feature)
+    for i in reversed(range(len(feature))):  # children have higher ids
+        if feature[i] < 0:
+            records[i] = {"class": POLARITIES[counts[i].index(max(counts[i]))],
+                          "counts": counts[i]}
+        else:
+            records[i] = {"feature": feature[i], "threshold": threshold[i],
+                          "left": records[left[i]], "right": records[left[i] + 1]}
+    return records[0]
 
 
 def make_corpus(texts_labels) -> Corpus:

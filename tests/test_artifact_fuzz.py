@@ -2,7 +2,7 @@
 SentibenchError (one `error[...]` line in the CLI), never another exception.
 
 Mutations of a saved artifact of each model variant and of both vectorizer
-kinds: drop a key or list entry, swap any value (the whole document
+kinds, and of the committed version 1 forest artifact: drop a key or list entry, swap any value (the whole document
 included) for a JSON value of any type, truncate a list, or extend one
 with a copy of an entry or a new value.
 """
@@ -17,11 +17,11 @@ from hypothesis import strategies as st
 from sentibench import load_model, load_vectorizer
 from sentibench.cli import main
 from sentibench.errors import SentibenchError
-from helpers import FIXTURE_CSV, SHORT_RUN
+from helpers import FIXTURE_CSV, SHORT_RUN, V1_ARTIFACTS
 
 ARTIFACTS = (
     "model_svm_bow.json", "model_mnb_bow.json", "model_rf_bow.json", "model_logreg_bow.json",
-    "vectorizer_bow.json", "vectorizer_tfidf.json",
+    "vectorizer_bow.json", "vectorizer_tfidf.json", "v1/model_rf_bow.json",
 )
 
 # Half the new values are edge cases: JSON reads any integer, NaN and
@@ -38,12 +38,17 @@ JSON_VALUES = st.sampled_from(EDGES).map(copy.deepcopy) | st.recursive(
 
 @pytest.fixture(scope="module")
 def artifacts(tmp_path_factory):
-    """{file name: parsed artifact}, trained on the fixture CSV."""
+    """{file name: parsed artifact}, trained on the fixture CSV; "v1/" names
+    a committed version 1 artifact."""
     out = tmp_path_factory.mktemp("fuzz")
     for model, vec in (*((model, "bow") for model in SHORT_RUN), ("mnb", "tfidf")):
         assert main(["train", "--data", FIXTURE_CSV, "--out-dir", str(out),
                      "--model", model, "--vectorizer", vec, *SHORT_RUN[model]]) == 0
-    return out, {name: json.loads((out / name).read_text()) for name in ARTIFACTS}
+    return out, {
+        name: json.loads((V1_ARTIFACTS.parent / name if name.startswith("v1/") else out / name)
+                         .read_text())
+        for name in ARTIFACTS
+    }
 
 
 def locations(value, path=()):
@@ -97,7 +102,7 @@ def test_a_mutated_artifact_loads_or_raises_sentibench_error(artifacts, name, da
         doc = mutate(doc, data)
     path = out / "mutated.json"
     path.write_text(json.dumps(doc))
-    load = load_model if name.startswith("model") else load_vectorizer
+    load = load_vectorizer if "vectorizer" in name else load_model
     try:
         load(str(path))
     except SentibenchError:

@@ -20,7 +20,7 @@ from sentibench import (
     load_vectorizer,
 )
 from sentibench.cli import main
-from helpers import FIXTURE_COUNTS, FIXTURE_CSV, SHORT_RUN
+from helpers import FIXTURE_COUNTS, FIXTURE_CSV, SHORT_RUN, V1_ARTIFACTS
 
 SEPARABLE_TEXTS = {
     "negative": "awful awful delay",
@@ -152,14 +152,14 @@ class TestEvaluate:
         other = tmp_path / "other"
         data = write_separable_csv(tmp_path / "sep.csv")
         run([
-            "train", "--data", data, "--model", "mnb", "--vectorizer", "tfidf",
+            "train", "--data", data, "--model", "mnb", "--vectorizer", "bow",
             "--out-dir", other,
         ])
         capsys.readouterr()
         code = run([
             "evaluate", "--data", FIXTURE_CSV, "--out-dir", tmp_path / "e",
             "--model-artifact", out / "model_mnb_bow.json",
-            "--vectorizer-artifact", other / "vectorizer_tfidf.json",
+            "--vectorizer-artifact", other / "vectorizer_bow.json",
         ])
         assert code == 1
         assert capsys.readouterr().err.startswith("error[dimension]")
@@ -197,11 +197,15 @@ class TestEvaluate:
 
 
 def rf_root(doc, feature):
-    """Make tree 0 a single internal node that splits on ``feature``."""
-    leaf = {"class": "negative", "counts": [1, 0, 0]}
-    doc["params"]["trees"][0] = {
-        "feature": feature, "threshold": 0.5, "left": leaf, "right": leaf,
-    }
+    """Make tree 0 a single internal node that splits on ``feature``, in the
+    form of the artifact's version."""
+    if doc["version"] == 1:
+        leaf = {"class": "negative", "counts": [1, 0, 0]}
+        tree = {"feature": feature, "threshold": 0.5, "left": leaf, "right": leaf}
+    else:
+        tree = {"feature": [feature, -1, -1], "threshold": [0.5, 0.0, 0.0],
+                "left": [1, -1, -1], "counts": [[2, 0, 0], [1, 0, 0], [1, 0, 0]]}
+    doc["params"]["trees"][0] = tree
 
 
 def narrow(key):
@@ -257,7 +261,11 @@ def hyperparameter(key, value):
 def rf_threshold(value):
     def corrupt(d):
         rf_root(d, 0)
-        d["params"]["trees"][0]["threshold"] = value
+        tree = d["params"]["trees"][0]
+        if d["version"] == 1:
+            tree["threshold"] = value
+        else:
+            tree["threshold"][0] = value
     return corrupt
 
 
@@ -285,7 +293,11 @@ NON_FINITE_CORRUPTIONS = {
 def rf_leaf_counts(counts):
     def corrupt(d):
         rf_root(d, 0)
-        d["params"]["trees"][0]["left"] = {"class": "negative", "counts": counts}
+        tree = d["params"]["trees"][0]
+        if d["version"] == 1:
+            tree["left"] = {"class": "negative", "counts": counts}
+        else:
+            tree["counts"][1] = counts
     return corrupt
 
 
@@ -311,6 +323,47 @@ NON_INTEGER_CORRUPTIONS = {
 }
 
 
+def rf_tree(**changes):
+    """Make tree 0 of a version 2 artifact a valid five-node tree, then
+    apply ``changes``: {list name: {node id: new value}}."""
+    def corrupt(d):
+        tree = {
+            "feature": [0, 1, -1, -1, -1], "threshold": [0.5, 0.5, 0.0, 0.0, 0.0],
+            "left": [1, 3, -1, -1, -1],
+            "counts": [[3, 1, 0], [1, 1, 0], [2, 0, 0], [1, 0, 0], [0, 1, 0]],
+        }
+        for name, nodes in changes.items():
+            for node, value in nodes.items():
+                tree[name][node] = value
+        d["params"]["trees"][0] = tree
+    return corrupt
+
+
+def rf_v1_leaf_class(label):
+    def corrupt(d):
+        rf_root(d, 0)
+        d["params"]["trees"][0]["right"] = {"class": label, "counts": [1, 1, 0]}
+    return corrupt
+
+
+# (artifact set, corruption, a word the error names) of trees that fit no
+# training run could grow; all but the last are version 2 lists
+TREE_CORRUPTIONS = {
+    "child id below its parent": ("v2", rf_tree(left={1: 0}), "child of exactly one"),
+    "child id equal to its parent": ("v2", rf_tree(left={1: 1}), "child of exactly one"),
+    "child id past the last node": ("v2", rf_tree(left={1: 4}), "child of exactly one"),
+    "node with two parents": ("v2", rf_tree(left={1: 2}), "child of exactly one"),
+    "internal counts not the children's sum": ("v2", rf_tree(counts={0: [4, 1, 0]}), "sum"),
+    "left on a leaf": ("v2", rf_tree(left={2: 3}), "leaf"),
+    "threshold on a leaf": ("v2", rf_tree(threshold={3: 0.5}), "leaf"),
+    "counts of two entries": ("v2", rf_tree(counts={3: [1, 0]}), "3 integers"),
+    "counts list shorter than the tree": (
+        "v2", lambda d: (rf_tree()(d), d["params"]["trees"][0]["counts"].pop()), "parallel"),
+    "v1 leaf class not its counts' first majority": ("v1", rf_v1_leaf_class("neutral"),
+                                                     "majority"),
+}
+
+
 @pytest.fixture(scope="module")
 def trained_artifacts(tmp_path_factory):
     out = tmp_path_factory.mktemp("artifacts")
@@ -321,6 +374,12 @@ def trained_artifacts(tmp_path_factory):
             "--vectorizer", vec, *SHORT_RUN[model],
         ]) == 0
     return out
+
+
+def artifact_sets(trained, artifact) -> list:
+    """A forest case runs on a fresh (version 2) artifact and on the
+    committed version 1 fixture; any other case on the fresh one."""
+    return [trained, V1_ARTIFACTS] if artifact.startswith("model_rf") else [trained]
 
 
 def evaluate_corrupted(artifacts, tmp_path, capsys, artifact, corrupt, model, vec):
@@ -343,32 +402,60 @@ class TestArtifactShapes:
     @pytest.mark.parametrize("case", sorted(NON_FINITE_CORRUPTIONS))
     def test_non_finite_value_is_one_artifact_error(self, trained_artifacts, tmp_path,
                                                     capsys, case):
-        code, err = evaluate_corrupted(
-            trained_artifacts, tmp_path, capsys, *NON_FINITE_CORRUPTIONS[case]
-        )
-        assert code == 1
-        assert err.startswith("error[artifact]") and "finite" in err, err
-        assert len(err.strip().splitlines()) == 1
-        assert not (tmp_path / "e").exists()
+        for artifacts in artifact_sets(trained_artifacts, NON_FINITE_CORRUPTIONS[case][0]):
+            code, err = evaluate_corrupted(
+                artifacts, tmp_path, capsys, *NON_FINITE_CORRUPTIONS[case]
+            )
+            assert code == 1
+            assert err.startswith("error[artifact]") and "finite" in err, err
+            assert len(err.strip().splitlines()) == 1
+            assert not (tmp_path / "e").exists()
 
     @pytest.mark.parametrize("case", sorted(SHAPE_CORRUPTIONS))
     def test_shape_mismatch_is_one_artifact_error(self, trained_artifacts, tmp_path,
                                                    capsys, case):
-        code, err = evaluate_corrupted(
-            trained_artifacts, tmp_path, capsys, *SHAPE_CORRUPTIONS[case]
-        )
-        assert code == 1
-        assert err.startswith("error[artifact]"), err
-        assert len(err.strip().splitlines()) == 1
+        for artifacts in artifact_sets(trained_artifacts, SHAPE_CORRUPTIONS[case][0]):
+            code, err = evaluate_corrupted(artifacts, tmp_path, capsys, *SHAPE_CORRUPTIONS[case])
+            assert code == 1
+            assert err.startswith("error[artifact]"), err
+            assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("case", sorted(NON_INTEGER_CORRUPTIONS))
     def test_non_integer_count_is_one_artifact_error(self, trained_artifacts, tmp_path,
                                                      capsys, case):
+        for artifacts in artifact_sets(trained_artifacts, NON_INTEGER_CORRUPTIONS[case][0]):
+            code, err = evaluate_corrupted(
+                artifacts, tmp_path, capsys, *NON_INTEGER_CORRUPTIONS[case]
+            )
+            assert code == 1
+            assert err.startswith("error[artifact]") and "integer" in err, err
+            assert len(err.strip().splitlines()) == 1
+            assert not (tmp_path / "e").exists()
+
+    @pytest.mark.parametrize("case", sorted(TREE_CORRUPTIONS))
+    def test_malformed_tree_is_one_artifact_error(self, trained_artifacts, tmp_path, capsys,
+                                                  case):
+        form, corrupt, word = TREE_CORRUPTIONS[case]
+        artifacts = trained_artifacts if form == "v2" else V1_ARTIFACTS
         code, err = evaluate_corrupted(
-            trained_artifacts, tmp_path, capsys, *NON_INTEGER_CORRUPTIONS[case]
+            artifacts, tmp_path, capsys, "model_rf_bow.json", corrupt, "rf", "bow"
         )
         assert code == 1
-        assert err.startswith("error[artifact]") and "integer" in err, err
+        assert err.startswith("error[artifact]") and word in err, err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "e").exists()
+
+    def test_model_of_another_vectorizer_is_one_artifact_error(self, trained_artifacts,
+                                                              tmp_path, capsys):
+        capsys.readouterr()
+        code = run([
+            "evaluate", "--data", FIXTURE_CSV, "--out-dir", tmp_path / "e",
+            "--model-artifact", trained_artifacts / "model_svm_bow.json",
+            "--vectorizer-artifact", trained_artifacts / "vectorizer_tfidf.json",
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error[artifact]") and "bow" in err and "tfidf" in err, err
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "e").exists()
 

@@ -65,7 +65,7 @@ VALUES = {
     "--model": ("logreg", "mnb"),
     "--vectorizer": ("tfidf", "mnb"),
     "--model-artifact": ("model_logreg_bow.json", "mnb"),
-    "--vectorizer-artifact": ("vectorizer_tfidf.json", "mnb"),
+    "--vectorizer-artifact": ("vectorizer_bow_stopwords.json", "mnb"),
     "--nb-alpha": ("20", "mnb"),
     "--logreg-rate": ("5", "logreg"),
     "--logreg-epochs": ("1", "logreg"),
@@ -136,6 +136,11 @@ def inputs(tmp_path_factory) -> Path:
     for model, vec in (("mnb", "bow"), ("logreg", "bow"), ("mnb", "tfidf")):
         assert main(["train", "--data", str(root / "tweets.csv"), "--out-dir", str(root),
                      "--model", model, "--vectorizer", vec]) == 0
+    # The bow vectorizer with three class markers added to its stop words: the
+    # same terms, so it fits the bow model, but other test vectors.
+    doc = json.loads((root / "vectorizer_bow.json").read_text())
+    doc["preprocessing"]["stopwords"] += ["great", "awful", "gate"]
+    (root / "vectorizer_bow_stopwords.json").write_text(json.dumps(doc))
     return root
 
 

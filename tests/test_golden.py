@@ -9,8 +9,12 @@ emoji, non-Latin digits and no-break spaces. Paths are
 relative to a temporary working directory, so the `dataset` field of the
 reports does not depend on where the checkout lives.
 
-Taken with numpy 2.4.6 and scipy 1.17.1 (Python 3.11); other versions may
-round the last bits of a float differently and so change a digest.
+Taken with numpy 2.4.6 (Python 3.11); another version may round the last
+bits of a float differently and so change a digest.
+
+`tests/data/v1/` holds the fixture's `train` artifacts as format version 1
+wrote them (pretty-printed, forest trees as nested records). They must keep
+their version 1 digests and still evaluate to today's golden reports.
 """
 
 import csv
@@ -21,8 +25,9 @@ from pathlib import Path
 
 import pytest
 
+from sentibench import load_model, save_model
 from sentibench.cli import main
-from helpers import FIXTURE_CSV
+from helpers import FIXTURE_CSV, V1_ARTIFACTS, as_version_1
 
 MODELS = ("svm", "mnb", "rf", "logreg")
 VECTORIZERS = ("bow", "tfidf")
@@ -192,25 +197,25 @@ GOLDEN = {
         "stats/stats.txt":
             "4ae47094ae51426612bc3d52ab07f94572ffacaa264c0f1004714c0a011037d7",
         "train/model_logreg_bow.json":
-            "648cc2d606e12027a037ee0cde4155751b8f5149eab25039a8b6b00f4eeb1622",
+            "9433ab7c48ea3796731e476e8dba69a980ad14b53142660f05f8cdad8d447075",
         "train/model_logreg_tfidf.json":
-            "5be518b97e22560f09a3c7f77821e474ee1a931e4206084e88622f9531fec6a4",
+            "960107114498ef3bad22a51b44cee48b0419f752e4701d09942f6042d086719b",
         "train/model_mnb_bow.json":
-            "c590ce9651e00720eeacd7919bf4d2dcd1ed02412e44656e4a68d97ca4c7660a",
+            "1d627630889106441fa33075e071cee1d1975808d381d2b1cd269f1ebd80f23d",
         "train/model_mnb_tfidf.json":
-            "b1e506494fb6366feaf566abcb07e4c9e30f130d04abab515dc02064669be0c6",
+            "f9b17937a580d70a04f1a9a517919bb9d9e02b679dfd066a210e595ae0d3ad77",
         "train/model_rf_bow.json":
-            "77ac0b2207f4df58a9031c0c59a4dcdf6949941cca91fd95b8c9a130890d66fb",
+            "66ee72c115f867a75e333234feb4d44afbdebb5849900e5e45c4d5a65cac5f54",
         "train/model_rf_tfidf.json":
-            "7051a8572cafe2223716ce37c4d5c5c25328c5c24d97fa3d7e9d5caf4d41c664",
+            "c425661d46873db01e3614c74f82ef1c1fad5643b01ed44322d4ca7a202b925b",
         "train/model_svm_bow.json":
-            "df77e1f0aac23fae11e9cebe70c36a32d08c4188ebbd5c3e383446e12b974331",
+            "dbcbac2048f21aaf91c32c4552c03a905340c9a2ccc63b81cb21bf47e321424d",
         "train/model_svm_tfidf.json":
-            "c73538fe14f04dc8ad9d677df2bc94ca7efcd9d9cbc9dfe16cf5c995e203145c",
+            "f5603673502d5a3cfaa44e84c1559aef400d9f03d88b60d3fb67a6bf5f09ad2f",
         "train/vectorizer_bow.json":
-            "c6f52fd46d7615c7b4271673f22f4219d9ef2351a1f30239e3768bdac8ee4318",
+            "f2b2ed97706b6278ce11a75941484a4456ac09dd40a9d8b24abd8a524490e6fb",
         "train/vectorizer_tfidf.json":
-            "ddc45ee9fe992e29548abd93a5663c1f8e7121581d46a9ddba36b1ff2ce9fbdd",
+            "5dc723d7abbfe9d54ab14161119e668f2383bd20076df30d910aa15d68296515",
     },
     "synthetic": {
         "compare/comparison.csv":
@@ -290,25 +295,25 @@ GOLDEN = {
         "stats/stats.txt":
             "d6211ac1cf448191b798226881fe198379982244dd8da24a1011bd03a28ff3ff",
         "train/model_logreg_bow.json":
-            "4bafbfb9365f3e93e6b8b538928575c26557715c45d4866350c8111f51025303",
+            "c43a61ab079e8666f59d9d155f9e734c15c61db37131c83f1a40a0c20385612d",
         "train/model_logreg_tfidf.json":
-            "59b0119458cc05eccfc51305a497d9aa455938af17642f3c9f14b20d1c94d04b",
+            "5ddf3890b01037d98f4a46e8dd2cff2f582a9e3e3dd073c70fc5b1be291b1666",
         "train/model_mnb_bow.json":
-            "012dfc3fd512fcf38e4e3578e8ab756a21d023a419b803796a18d7fddb59ca7c",
+            "e677ceccf01a8faeb3a7e6da11bd8b631f2e5ab87423f3f2b4276f3a55062fd8",
         "train/model_mnb_tfidf.json":
-            "058eb31aaa588caf8cc40866b80da00d9fe5591d0eae722a888a115a64a03e85",
+            "7cece7a5f17491fc5f1b1a1bb4e199d2a2d988ca1d656241823afb32251ab9cf",
         "train/model_rf_bow.json":
-            "29669692a2557629040066569817ea1c6a85110994ec73f12ddb35e8417136a4",
+            "a17d54a9cf175292f67bf98c1a0610119b163df94c28532103c0514fa10f9eb0",
         "train/model_rf_tfidf.json":
-            "daa3c3d7d7d625a31532d06fede43ee1c1346c0f5fc693184c0baa0003f1ae54",
+            "94b167e125ba20c6dfce462bfc632e244dddc4c1bec6fda7fb1b5beb2d13669f",
         "train/model_svm_bow.json":
-            "182eca6c9ec2ec0c1e1fd4dd6fcdca9a143a9928967dcfe02e5331aa8ad7b779",
+            "d7883008ae2a317f3d2cc78bc02c7633db92b6c95003a8b2f42e8bf86617b45c",
         "train/model_svm_tfidf.json":
-            "d48e4d3340eae6a3e94c6a638c713e5f14cb2c9ab1042c22dce2719648331d96",
+            "a6b89677ed08ce7bdb837d336cc4fd72e8090bd5407fdd4db02f9886d465cb9e",
         "train/vectorizer_bow.json":
-            "8487dbc26845470cd93976b8d98f46f05140edfc5a508d671968826dfbbddbd1",
+            "c6bbe61c8aff0e89d265ff7211569abd7d5a5661cc11891ea34b75acadaea2ea",
         "train/vectorizer_tfidf.json":
-            "676722b3774d59d73a76b3b88f2c2544124f16f63d1fff995cb5929a2046e7a3",
+            "ab1ff5c74f48d05974a27f8842731aa78fb8177d784d7db9ebf3be76d661e53d",
     },
     "unicode": {
         "compare/comparison.csv":
@@ -388,26 +393,42 @@ GOLDEN = {
         "stats/stats.txt":
             "d6211ac1cf448191b798226881fe198379982244dd8da24a1011bd03a28ff3ff",
         "train/model_logreg_bow.json":
-            "60554e1835781a15c1aa0bb15bd256fa7e26d5ccd201765f9778d76fc7350cb2",
+            "3236e1b0f8528b56cdf40d3094ba8602b92048e0a658a113a5118b94f94be7a5",
         "train/model_logreg_tfidf.json":
-            "d9775f489a60e9d06a76fbf730ec8334a59e9757f198e50d81992cf662661d96",
+            "f51289fff3df41350948006725f7da1a129e1e247bbc98721dda6a6497d80900",
         "train/model_mnb_bow.json":
-            "8497f2723bd39c4b032d6f9c30665387443859a5c2354eb19666606acaef3b11",
+            "cb79c39c47576a2a858d6917ab904085f8b2005b35b88294ffa3cea7fe6f7a78",
         "train/model_mnb_tfidf.json":
-            "48cc85135b5aa787cc7faa4d6fd61ee33277a912193786f51822a9d74e2d45ae",
+            "f95626065c4a66ec98312cc14ce0cbedcf5cbef382b908146970f22887ed0559",
         "train/model_rf_bow.json":
-            "0fedc35f41a78a381d62540a03bc48e9afa8c7ece2883c094d566c4ebe055521",
+            "abe4dd3a3ede09b196376703007680b5feb211a60e66ae33774ad6eb6b2963f9",
         "train/model_rf_tfidf.json":
-            "7b648d2ea393dc201a15cc7e0ecbd56f63d582e93c63309a6a074a7d16b26247",
+            "8bc6076410e836ba2fc681905e1a165b0179dc0fc54cb3f49179ae33eb3b321c",
         "train/model_svm_bow.json":
-            "55a5be3e3ef427c049aea8f70bdad927840688dcf2ea3dfe778fa910943dbc4d",
+            "b9bc4a1f59f4798e08338122bee5f5fbe8da7f9eef22567a8c6c4ada2715f642",
         "train/model_svm_tfidf.json":
-            "eabac94ae94bc21961390b628c351fdae3f21023b2215d9bcf6107818330adc9",
+            "329452578b6814d3e2ff536fe5de7e2a76801c1cbbca045f0b4f2bdaca203a41",
         "train/vectorizer_bow.json":
-            "e961af2bf651cb30d3c51243c96f75a0cfb1a95efff836049c7b07e3e77f1f01",
+            "e01f8b074a3c6da797bf7a393b0c959850dab80e9f7dd9c258a8760adf7aeec5",
         "train/vectorizer_tfidf.json":
-            "0d7b5222cdaa76eb84c296d75b2629ea024febf41743a8144cb962cb0c3139f6",
+            "4d298602ec2981265ec646f8a147cc7259f5599536a51dcad89d6eb11ce4176f",
     },
+}
+
+
+# The fixture's train/* digests under format version 1: model artifacts
+# before version 2, and vectorizer artifacts before the compact writer.
+GOLDEN_V1 = {
+    "model_logreg_bow.json": "648cc2d606e12027a037ee0cde4155751b8f5149eab25039a8b6b00f4eeb1622",
+    "model_logreg_tfidf.json": "5be518b97e22560f09a3c7f77821e474ee1a931e4206084e88622f9531fec6a4",
+    "model_mnb_bow.json": "c590ce9651e00720eeacd7919bf4d2dcd1ed02412e44656e4a68d97ca4c7660a",
+    "model_mnb_tfidf.json": "b1e506494fb6366feaf566abcb07e4c9e30f130d04abab515dc02064669be0c6",
+    "model_rf_bow.json": "77ac0b2207f4df58a9031c0c59a4dcdf6949941cca91fd95b8c9a130890d66fb",
+    "model_rf_tfidf.json": "7051a8572cafe2223716ce37c4d5c5c25328c5c24d97fa3d7e9d5caf4d41c664",
+    "model_svm_bow.json": "df77e1f0aac23fae11e9cebe70c36a32d08c4188ebbd5c3e383446e12b974331",
+    "model_svm_tfidf.json": "c73538fe14f04dc8ad9d677df2bc94ca7efcd9d9cbc9dfe16cf5c995e203145c",
+    "vectorizer_bow.json": "c6f52fd46d7615c7b4271673f22f4219d9ef2351a1f30239e3768bdac8ee4318",
+    "vectorizer_tfidf.json": "ddc45ee9fe992e29548abd93a5663c1f8e7121581d46a9ddba36b1ff2ce9fbdd",
 }
 
 
@@ -432,4 +453,40 @@ def test_synthetic_forest_trees_have_more_than_one_node(outputs):
     workdir = outputs["synthetic"][0]
     for vec in VECTORIZERS:
         doc = json.loads((workdir / "train" / f"model_rf_{vec}.json").read_text())
-        assert all("feature" in tree for tree in doc["params"]["trees"])
+        assert all(len(tree["feature"]) > 1 for tree in doc["params"]["trees"])
+
+
+def test_v1_fixtures_keep_their_version_1_digests():
+    assert {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(V1_ARTIFACTS.iterdir())
+    } == GOLDEN_V1
+
+
+def test_v1_fixtures_hold_todays_fixture_models(outputs, tmp_path):
+    # A version 1 model loads as the model it was saved from: saved again, it
+    # is byte for byte the version 2 artifact that training writes today.
+    train = outputs["fixture"][0] / "train"
+    for path in sorted(V1_ARTIFACTS.glob("model_*.json")):
+        today = train / path.name
+        assert as_version_1(json.loads(today.read_text())) == json.loads(path.read_text())
+        vectorizer = path.stem.rsplit("_", 1)[1]
+        save_model(load_model(str(path)), str(tmp_path / path.name), vectorizer)
+        assert (tmp_path / path.name).read_bytes() == today.read_bytes(), path.name
+
+
+def test_v1_fixtures_evaluate_to_the_golden_reports(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_corpus(tmp_path / "tweets.csv", "fixture")
+    for model in MODELS:
+        for vec in VECTORIZERS:
+            assert main([
+                "evaluate", "--data", "tweets.csv", "--seed", "2", "--out-dir", "evaluate",
+                "--model-artifact", str(V1_ARTIFACTS / f"model_{model}_{vec}.json"),
+                "--vectorizer-artifact", str(V1_ARTIFACTS / f"vectorizer_{vec}.json"),
+            ]) == 0
+    digests = {
+        f"evaluate/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted((tmp_path / "evaluate").iterdir())
+    }
+    assert digests == {k: v for k, v in GOLDEN["fixture"].items() if k.startswith("evaluate/")}

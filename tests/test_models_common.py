@@ -20,7 +20,7 @@ from sentibench import (
     save_model,
 )
 from sentibench.models import check_X_y
-from helpers import csr
+from helpers import as_version_1, csr
 
 DIMS = 6
 
@@ -94,7 +94,7 @@ class TestPersistence:
         vectors = probes(25, seed=6)
         for kind, model in fitted_models.items():
             path = tmp_path / f"{kind}.json"
-            save_model(model, str(path))
+            save_model(model, str(path), "bow")
             loaded = load_model(str(path))
             assert loaded.predict(vectors) == model.predict(vectors), kind
             assert loaded.get_params() == model.get_params(), kind
@@ -103,15 +103,15 @@ class TestPersistence:
         for kind, model in fitted_models.items():
             first = tmp_path / f"{kind}_1.json"
             second = tmp_path / f"{kind}_2.json"
-            save_model(model, str(first))
-            save_model(load_model(str(first)), str(second))
+            save_model(model, str(first), "bow")
+            save_model(load_model(str(first)), str(second), "bow")
             assert first.read_bytes() == second.read_bytes(), kind
 
     @pytest.mark.parametrize("kind, key", [
         ("svm", "weights"), ("logreg", "bias"), ("mnb", "class_log_prior"), ("rf", "trees"),
     ])
     def test_missing_params_key_is_artifact_error(self, fitted_models, kind, key):
-        doc = model_to_dict(fitted_models[kind])
+        doc = model_to_dict(fitted_models[kind], "bow")
         del doc["params"][key]
         with pytest.raises(ArtifactError, match=key):
             model_from_dict(doc)
@@ -124,7 +124,7 @@ class TestPersistence:
             ("logreg", lambda d: d.update(hyperparameters=[1, 2])),
             ("mnb", lambda d: d["params"].update(class_log_prior=[[0.5], 1.0])),
         ):
-            doc = model_to_dict(fitted_models[kind])
+            doc = model_to_dict(fitted_models[kind], "bow")
             corrupt(doc)
             with pytest.raises(ArtifactError):
                 model_from_dict(doc)
@@ -132,14 +132,14 @@ class TestPersistence:
             model_from_dict(["not", "a", "mapping"])
 
     def test_unknown_hyperparameter_is_artifact_error(self, fitted_models):
-        doc = model_to_dict(fitted_models["logreg"])
+        doc = model_to_dict(fitted_models["logreg"], "bow")
         doc["hyperparameters"]["bogus"] = 1
         with pytest.raises(ArtifactError, match="bogus"):
             model_from_dict(doc)
 
     def test_bad_artifacts_rejected(self, fitted_models, tmp_path):
         model = fitted_models["mnb"]
-        doc = model_to_dict(model)
+        doc = model_to_dict(model, "bow")
         for corruption in (
             {"format": "other"},
             {"version": 99},
@@ -153,19 +153,43 @@ class TestPersistence:
                 model_from_dict(bad)
 
     def test_forest_tree_count_and_leaf_counts_are_checked(self, fitted_models):
-        leaf = {"class": "neutral", "counts": [1, 2, 0]}
-        for corrupt in (
-            lambda d: d["params"]["trees"].pop(),
-            lambda d: d["params"]["trees"].__setitem__(0, {**leaf, "counts": [1, 2]}),
-            lambda d: d["params"]["trees"].__setitem__(0, {**leaf, "counts": [1, -2, 0]}),
-        ):
-            doc = model_to_dict(fitted_models["rf"])
-            corrupt(doc)
-            with pytest.raises(ArtifactError):
-                model_from_dict(doc)
-        doc = model_to_dict(fitted_models["rf"])
-        doc["params"]["trees"][0] = leaf
-        assert model_from_dict(doc).trees_[0].counts.tolist() == [[1, 2, 0]]
+        # Each case as version 2 lists and as a version 1 nested record.
+        leaf = {"feature": [-1], "threshold": [0.0], "left": [-1], "counts": [[1, 2, 0]]}
+        v1_leaf = {"class": "neutral", "counts": [1, 2, 0]}
+        for version, one_leaf in ((2, leaf), (1, v1_leaf)):
+            for corrupt in (
+                lambda d: d["params"]["trees"].pop(),
+                lambda d: d["params"]["trees"].__setitem__(
+                    0, {**one_leaf, "counts": [1, 2] if version == 1 else [[1, 2]]}),
+                lambda d: d["params"]["trees"].__setitem__(
+                    0, {**one_leaf, "counts": [1, -2, 0] if version == 1 else [[1, -2, 0]]}),
+            ):
+                doc = self.forest_doc(fitted_models, version)
+                corrupt(doc)
+                with pytest.raises(ArtifactError):
+                    model_from_dict(doc)
+            doc = self.forest_doc(fitted_models, version)
+            doc["params"]["trees"][0] = one_leaf
+            assert model_from_dict(doc).trees_[0].counts.tolist() == [[1, 2, 0]]
+
+    @staticmethod
+    def forest_doc(fitted_models, version: int) -> dict:
+        doc = json.loads(json.dumps(model_to_dict(fitted_models["rf"], "bow")))
+        return as_version_1(doc) if version == 1 else doc
+
+    def test_vectorizer_kind_is_checked(self, fitted_models):
+        doc = model_to_dict(fitted_models["svm"], "bow")
+        assert model_from_dict(doc, "bow").dims == DIMS
+        with pytest.raises(ArtifactError, match="trained on bow vectors.*is tfidf"):
+            model_from_dict(doc, "tfidf")
+        for bad in ({"vectorizer": "word2vec"}, {"vectorizer": ["bow"]}):
+            with pytest.raises(ArtifactError, match="vectorizer"):
+                model_from_dict({**doc, **bad})
+        del doc["vectorizer"]
+        with pytest.raises(ArtifactError, match="vectorizer"):
+            model_from_dict(doc)
+        # Version 1 recorded no vectorizer kind: only the dims check remains.
+        assert model_from_dict(as_version_1(doc), "tfidf").dims == DIMS
 
     @pytest.mark.parametrize("kind, key", [
         ("svm", "weights"), ("svm", "bias"), ("logreg", "weights"), ("logreg", "bias"),
@@ -174,7 +198,7 @@ class TestPersistence:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_params_are_artifact_errors(self, fitted_models, tmp_path, kind,
                                                    key, bad):
-        doc = model_to_dict(fitted_models[kind])
+        doc = model_to_dict(fitted_models[kind], "bow")
         values = doc["params"][key]
         (values[0] if isinstance(values[0], list) else values)[0] = bad
         path = tmp_path / "model.json"
@@ -255,6 +279,6 @@ class TestNonCanonicalInput:
         hp = small_hyperparams(kind)
         got = make_model(kind, seed=3, hyperparams=hp).fit(messy, y)
         want = make_model(kind, seed=3, hyperparams=hp).fit(clean, y)
-        assert model_to_dict(got) == model_to_dict(want)
+        assert model_to_dict(got, "bow") == model_to_dict(want, "bow")
         for after, original in zip((messy.data, messy.indices, messy.indptr), before):
             assert np.array_equal(after, original)

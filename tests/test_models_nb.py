@@ -79,7 +79,7 @@ class TestDegenerateAndErrors:
 
     def test_absent_class_prior_round_trips_as_null(self):
         model = MultinomialNaiveBayes().fit(TOY_X[:3], TOY_Y[:3])
-        doc = model_to_dict(model)
+        doc = model_to_dict(model, "bow")
         assert doc["params"]["class_log_prior"][2] is None
         assert model_from_dict(doc).class_log_prior_[2] == -math.inf
 

@@ -13,16 +13,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import forest_reference
-from sentibench import CsrMatrix, RandomForest, model_to_dict
+from sentibench import (
+    CsrMatrix, RandomForest, load_model, model_from_dict, model_to_dict, save_model,
+)
 from sentibench.models import forest
 from sentibench.models.base import check_X_y, check_vectors
-from helpers import csr, from_dense
+from helpers import as_version_1, csr, from_dense
 
 
-def record_depth(record) -> int:
-    if "class" in record:
-        return 0
-    return 1 + max(record_depth(record["left"]), record_depth(record["right"]))
+def forms(model) -> list:
+    """The fitted model, and the model loaded back from its version 2
+    artifact and from the same forest as a version 1 artifact."""
+    doc = json.loads(json.dumps(model_to_dict(model, "bow")))
+    return [model, model_from_dict(doc), model_from_dict(as_version_1(doc))]
+
+
+def tree_depth(tree) -> int:
+    depth, frontier = 0, np.array([0])
+    while True:
+        frontier = frontier[tree.feature[frontier] >= 0]
+        if frontier.size == 0:
+            return depth
+        frontier = np.concatenate([tree.left[frontier], tree.right[frontier]])
+        depth += 1
 
 
 def weighted_gini_for_split(dense, y_idx, feature, threshold):
@@ -91,8 +104,8 @@ class TestPerfectFeature:
     def test_every_root_split_uses_the_deciding_feature(self):
         X, y = self.build()
         model = RandomForest(n_trees=10, max_features=10, seed=1).fit(X, y)
-        for record in model_to_dict(model)["params"]["trees"]:
-            assert record["feature"] == 5
+        for form in forms(model):
+            assert [tree.feature[0] for tree in form.trees_] == [5] * 10
 
     def test_root_choice_matches_brute_force_gini(self):
         X, y = self.build()
@@ -101,9 +114,10 @@ class TestPerfectFeature:
         _, best_feature, _ = brute_force_best_root(dense, y_idx)
         assert best_feature == 5
         model = RandomForest(n_trees=1, bootstrap=False, max_features=10, seed=1).fit(X, y)
-        root = model_to_dict(model)["params"]["trees"][0]
-        assert root["feature"] == 5
-        assert root["threshold"] == 0.5  # midpoint of observed {0, 1}
+        for form in forms(model):
+            root = form.trees_[0]
+            assert root.feature[0] == 5
+            assert root.threshold[0] == 0.5  # midpoint of observed {0, 1}
 
     def test_forest_fits_training_data(self):
         X, y = self.build()
@@ -118,17 +132,10 @@ class TestThresholdsAreMidpoints:
         model = RandomForest(
             n_trees=1, bootstrap=False, max_depth=None, max_features=1, seed=0
         ).fit(X, y)
-
-        def collect(record, out):
-            if "class" not in record:
-                out.append(record["threshold"])
-                collect(record["left"], out)
-                collect(record["right"], out)
-
-        thresholds = []
-        collect(model_to_dict(model)["params"]["trees"][0], thresholds)
-        assert sorted(thresholds) == [1.0, 3.0]
-        assert model.predict(X) == y
+        for form in forms(model):
+            tree = form.trees_[0]
+            assert sorted(tree.threshold[tree.feature >= 0]) == [1.0, 3.0]
+            assert form.predict(X) == y
 
 
 class TestDepthAndVotes:
@@ -138,8 +145,8 @@ class TestDepthAndVotes:
                     for _ in range(40)])
         y = [("negative", "neutral", "positive")[i] for i in rng.integers(0, 3, 40)]
         model = RandomForest(n_trees=3, max_depth=2, max_features=6, seed=2).fit(X, y)
-        for record in model_to_dict(model)["params"]["trees"]:
-            assert record_depth(record) <= 2
+        for form in forms(model):
+            assert max(tree_depth(tree) for tree in form.trees_) <= 2
 
     def test_vote_fractions(self):
         rng = np.random.default_rng(5)
@@ -169,7 +176,7 @@ class TestDeterminism:
         y = [("negative", "neutral", "positive")[i] for i in rng.integers(0, 3, 50)]
         a = RandomForest(n_trees=8, seed=21).fit(X, y)
         b = RandomForest(n_trees=8, seed=21).fit(X, y)
-        assert model_to_dict(a) == model_to_dict(b)
+        assert model_to_dict(a, "bow") == model_to_dict(b, "bow")
         probe = csr(8, [[(j, 1.0) for j in range(8)]])
         assert a.predict(probe) == b.predict(probe)
 
@@ -293,18 +300,47 @@ def golden_matrix():
     return from_dense(dense), labels
 
 
+GOLDEN_HP = [
+    {"n_trees": 6, "max_depth": None, "seed": 5},
+    {"n_trees": 6, "max_depth": 3, "bootstrap": False, "max_features": 30, "seed": 2},
+]
+# sha256 of each forest's artifact, as format version 1 wrote it (indented,
+# nested trees; taken with the row-gather split search) and as saved today.
+GOLDEN_DIGESTS = [
+    ("1b8365a86e3124c9f351a7f336b959b3d672a4363d76acf46487bfc803aeaa03",
+     "a1049c513e9bfc401b6f2a8e2015606dcd9a248adfec5690919b855c979715ac"),
+    ("145d3738ba00283bc2ef3235723dabca9434b9ef9554cce7cf18a8e746e2efc9",
+     "1a1544d875408fde17339e15b2f82c6f6155486d91d7569fdb3433bada4f13e3"),
+]
+
+
 class TestGoldenArtifact:
-    # sha256 of the artifact JSON, taken with the row-gather split search.
-    @pytest.mark.parametrize("hp, digest", [
-        ({"n_trees": 6, "max_depth": None, "seed": 5},
-         "1b8365a86e3124c9f351a7f336b959b3d672a4363d76acf46487bfc803aeaa03"),
-        ({"n_trees": 6, "max_depth": 3, "bootstrap": False, "max_features": 30, "seed": 2},
-         "145d3738ba00283bc2ef3235723dabca9434b9ef9554cce7cf18a8e746e2efc9"),
+    @pytest.mark.parametrize("hp, v1_digest, digest", [
+        pytest.param(hp, v1, v2, id=f"hp{i}-{v1}")
+        for i, (hp, (v1, v2)) in enumerate(zip(GOLDEN_HP, GOLDEN_DIGESTS))
     ])
-    def test_artifact_digest(self, hp, digest):
+    def test_artifact_digest(self, hp, v1_digest, digest, tmp_path):
         X, y = golden_matrix()
-        text = json.dumps(model_to_dict(RandomForest(**hp).fit(X, y)), sort_keys=True, indent=1)
-        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+        path = tmp_path / "model.json"
+        save_model(RandomForest(**hp).fit(X, y), str(path), "bow")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        legacy = as_version_1(json.loads(path.read_text()))
+        text = json.dumps(legacy, sort_keys=True, indent=1)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == v1_digest
+
+
+class TestDeepTree:
+    def test_a_tree_deeper_than_the_recursion_limit_saves_and_loads(self, tmp_path):
+        # Distinct values with cycling labels: each split peels off one row,
+        # so the tree is a chain 1,499 levels deep.
+        n = 1500
+        X = from_dense(np.arange(1.0, n + 1.0)[:, None])
+        y = [LABELS[i % 3] for i in range(n)]
+        model = RandomForest(n_trees=1, max_depth=None, bootstrap=False, seed=0).fit(X, y)
+        assert tree_depth(model.trees_[0]) == n - 1
+        path = tmp_path / "deep.json"
+        save_model(model, str(path), "bow")
+        assert load_model(str(path)).predict(X) == model.predict(X) == y
 
 
 @contextlib.contextmanager
@@ -334,7 +370,7 @@ class TestNonCanonicalInput:
         summed = RandomForest(n_trees=2, max_depth=None, seed=0).fit(
             from_dense([[8.0], [1.0]]), y
         )
-        assert model_to_dict(model) == model_to_dict(summed)
+        assert model_to_dict(model, "bow") == model_to_dict(summed, "bow")
 
     def test_check_x_y_leaves_the_callers_matrix_alone(self):
         X = CsrMatrix([3.0, 1.0, 2.0, 2.0], [2, 0, 1, 1], [0, 2, 4], (2, 3))
