@@ -54,7 +54,6 @@ from .vectorize import (
     CsrMatrix,
     TfidfVectorizer,
     VECTORIZER_KINDS,
-    build_vocabulary,
     make_vectorizer,
 )
 

@@ -11,6 +11,7 @@ tie-break [negative, neutral, positive].
 from __future__ import annotations
 
 import inspect
+from itertools import chain
 from typing import Mapping
 
 import numpy as np
@@ -52,10 +53,16 @@ def check_X_y(X, y):
 
 
 def decode_array(values, shape: tuple[int, ...], name: str) -> np.ndarray:
-    """Finite float array from artifact JSON that must have exactly ``shape``."""
+    """Finite float array from artifact JSON: lists nested to exactly
+    ``shape`` that hold JSON numbers only (float() would also convert a
+    string or a bool)."""
     array = np.array(values, dtype=np.float64)
     if array.shape != shape:
         raise ArtifactError(f"{name} has shape {array.shape}, expected {shape}")
+    for _ in shape[1:]:
+        values = list(chain.from_iterable(values))
+    if not set(map(type, values)) <= {int, float}:
+        raise ArtifactError(f"{name} must hold numbers only")
     if not np.isfinite(array).all():
         raise ArtifactError(f"{name} holds a value that is not finite")
     return array

@@ -1,12 +1,17 @@
-"""Raw tweet text to cleaned, lemmatized tokens.
+"""Raw tweet text to cleaned, lemmatized, counted tokens.
 
 Pipeline: lowercase and blank every non-letter -> split on whitespace ->
-drop stop-words -> lemmatize.
+drop stop-words -> lemmatize -> count.
 StopWordList and Lemmatizer are immutable after construction. A
 TweetPreprocessor runs the pipeline through one token table of its own,
 filled the first time each distinct token is seen: it maps the token to
-its lemma, or to None for a stop-word, so each distinct token is checked
-and lemmatized once per instance, not once per occurrence.
+its lemma's id, or to -1 for a stop-word, so each distinct token is
+checked and lemmatized once per instance, not once per occurrence.
+
+``preprocess_corpus`` extends one flat id list per corpus, drops the
+stop-words as one array operation and counts the ids once, into the
+``TermCounts`` that both vectorizers weight. ``__call__`` gives one
+tweet's tokens as a list.
 """
 
 from __future__ import annotations
@@ -15,7 +20,10 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .errors import ConfigError
+from .vectorize import TermCounts
 
 TokenList = list[str]
 
@@ -206,17 +214,26 @@ class Lemmatizer:
 
 
 class _TokenTable(dict):
-    """Token -> lemma, or None for a stop-word, filled on first sight."""
+    """Token -> lemma id, or -1 for a stop-word, filled on first sight;
+    ``lemmas`` lists the lemma of each id, in the order first seen."""
 
     def __init__(self, stoplist: StopWordList, lemmatizer: Lemmatizer):
         super().__init__()
         self.stoplist = stoplist
         self.lemmatizer = lemmatizer
+        self.lemmas: list[str] = []
+        self._ids: dict[str, int] = {}
 
-    def __missing__(self, token: str) -> str | None:
-        lemma = None if token in self.stoplist else self.lemmatizer.lemmatize(token)
-        self[token] = lemma
-        return lemma
+    def __missing__(self, token: str) -> int:
+        if token in self.stoplist:
+            lemma_id = -1
+        else:
+            lemma = self.lemmatizer.lemmatize(token)
+            lemma_id = self._ids.setdefault(lemma, len(self.lemmas))
+            if lemma_id == len(self.lemmas):
+                self.lemmas.append(lemma)
+        self[token] = lemma_id
+        return lemma_id
 
 
 class TweetPreprocessor:
@@ -237,11 +254,19 @@ class TweetPreprocessor:
 
     def __call__(self, raw: str) -> TokenList:
         """One tweet's tokens, duplicates kept, in order; may be empty."""
-        return self.preprocess_corpus([raw])[0]
+        lemmas = self._table.lemmas
+        return [lemmas[i] for i in map(self._table.__getitem__, _words(raw)) if i >= 0]
 
-    def preprocess_corpus(self, texts: Iterable[str]) -> list[TokenList]:
-        """One token list per text, one text at a time."""
+    def preprocess_corpus(self, texts: Iterable[str]) -> TermCounts:
+        """The texts' tokens, counted: one row per text, and one column per
+        lemma of these texts, in the order they first occur in them."""
         lookup = self._table.__getitem__
-        return [
-            [t for t in map(lookup, _words(raw)) if t is not None] for raw in texts
-        ]
+        ids, ends = [], [0]
+        for raw in texts:
+            ids += map(lookup, _words(raw))
+            ends.append(len(ids))
+        ids = np.array(ids, dtype=np.int64)
+        known = ids >= 0
+        lengths = np.diff(np.concatenate(([0], np.cumsum(known)))[ends])
+        ids = ids[known]  # frees the stop-word ids before counting
+        return TermCounts.count(ids, lengths, self._table.lemmas)

@@ -1,4 +1,4 @@
-"""Token lists to sparse numeric vectors: binary bag-of-words and tf-idf.
+"""Counted corpora to sparse numeric vectors: binary bag-of-words and tf-idf.
 
 Bag-of-words marks term presence with weight 1 (not counts). Tf-idf uses
 tf = count / document-length and idf = ln(N / df) with no smoothing, so a
@@ -6,9 +6,14 @@ term present in every fit document has idf 0 and drops out of every
 transformed vector. Vectorizers are immutable after fit and transforms
 are pure, so fitted instances are safe to share across threads.
 
-``transform`` vectorizes a whole corpus in one NumPy pass: every token
-is mapped to its vocabulary id, the sorted unique (row, term) pairs are
-counted with ``np.unique``, and their weights are computed as arrays.
+A corpus is counted once, by ``TermCounts.count``: into a (docs, terms)
+``CsrMatrix`` of term counts whose columns are the corpus's own terms in
+first-occurrence order, and each doc's length. ``preprocess_corpus``
+returns one; a plain sequence of token lists is counted on entry to
+``fit`` or ``transform``. ``fit`` takes its vocabulary from the terms and
+tf-idf's df from the count columns. ``transform`` weights the counts as
+they are when the corpus's terms are the vocabulary (the fit corpus),
+and otherwise first maps their columns onto it, dropping unknown terms.
 The result is one canonical ``CsrMatrix``, the input every model takes.
 
 Fitted state is plain values: ``vocabulary_`` maps each term to its
@@ -19,8 +24,8 @@ idf arrays. ``artifacts`` saves and loads it.
 from __future__ import annotations
 
 import math
-from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -111,27 +116,48 @@ class CsrMatrix:
         return CsrMatrix(np.bincount(inverse, weights=self.data), col, indptr, self.shape)
 
 
-def _count_terms(docs: Sequence[Sequence[str]], index: Mapping[str, int]):
-    """Sorted unique (row, term) pairs of the docs' in-vocabulary tokens,
-    with their counts, and the length of every doc (all of its tokens).
+@dataclass(frozen=True, eq=False)  # eq would compare arrays elementwise
+class TermCounts:
+    """A counted corpus: ``counts`` is a (docs, terms) ``CsrMatrix`` of term
+    counts, whose columns are ``terms``, the corpus's own terms in
+    first-occurrence order, and ``lengths`` holds each doc's token count."""
 
-    Returns (row, term, counts, lengths) as int64 arrays.
-    """
+    counts: CsrMatrix
+    terms: list[str]
+    lengths: np.ndarray
+
+    def __len__(self) -> int:
+        return self.lengths.size
+
+    @classmethod
+    def count(cls, ids, lengths: np.ndarray, names: Sequence[str]) -> "TermCounts":
+        """Count a corpus given as the flat term ids of all its tokens, doc
+        after doc, and each doc's token count; id i is the term ``names[i]``."""
+        ids = np.asarray(ids, dtype=np.int64)
+        first = np.full(len(names), ids.size)
+        np.minimum.at(first, ids, np.arange(ids.size))
+        seen = np.flatnonzero(first < ids.size)
+        order = seen[np.argsort(first[seen])]
+        column = np.empty(len(names), dtype=np.int64)
+        column[order] = np.arange(order.size)
+        width = max(order.size, 1)
+        keys = np.repeat(np.arange(lengths.size) * width, lengths)  # row * width
+        keys += column[ids]
+        keys, counts = np.unique(keys, return_counts=True)
+        row, term = np.divmod(keys, width)
+        indptr = _indptr(np.bincount(row, minlength=lengths.size))
+        matrix = CsrMatrix(counts, term, indptr, (lengths.size, order.size))
+        return cls(matrix, [names[i] for i in order.tolist()], lengths)
+
+
+def _counted(docs: TermCounts | Iterable[Sequence[str]]) -> TermCounts:
+    """``docs`` itself if already counted, else its token lists counted."""
+    if isinstance(docs, TermCounts):
+        return docs
+    docs, table = list(docs), {}
+    ids = [table.setdefault(t, len(table)) for doc in docs for t in doc]
     lengths = np.fromiter(map(len, docs), dtype=np.int64, count=len(docs))
-    get = index.get
-    ids = np.array([get(t, -1) for doc in docs for t in doc], dtype=np.int64)
-    rows = np.repeat(np.arange(len(docs), dtype=np.int64), lengths)
-    known = ids >= 0
-    width = max(len(index), 1)
-    keys, counts = np.unique(rows[known] * width + ids[known], return_counts=True)
-    row, term = np.divmod(keys, width)
-    return row, term, counts, lengths
-
-
-def build_vocabulary(docs: Iterable[Sequence[str]]) -> dict[str, int]:
-    """Term -> column over the unique tokens of docs, in first-occurrence order."""
-    terms = dict.fromkeys(chain.from_iterable(docs))
-    return dict(zip(terms, range(len(terms))))
+    return TermCounts.count(ids, lengths, list(table))
 
 
 def inverse_document_frequencies(doc_count: int, df) -> np.ndarray:
@@ -140,8 +166,8 @@ def inverse_document_frequencies(doc_count: int, df) -> np.ndarray:
 
 
 class _Vectorizer:
-    """Shared vocabulary, dims and transform; subclasses define fit and
-    the weights of the counted terms."""
+    """Shared vocabulary, dims, fit and transform; subclasses define the
+    weights of the counted terms."""
 
     def __init__(self):
         self.vocabulary_: dict[str, int] | None = None
@@ -151,30 +177,40 @@ class _Vectorizer:
         check_fitted(self, "vocabulary_")
         return len(self.vocabulary_)
 
+    def fit(self, docs: TermCounts | Sequence[Sequence[str]]):
+        corpus = _counted(docs)
+        self.vocabulary_ = dict(zip(corpus.terms, range(len(corpus.terms))))
+        return self
+
     def _weights(self, term: np.ndarray, counts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         """Weight of each counted (row, term) entry, given its term, count
         and the length of its row's document."""
         raise NotImplementedError
 
-    def transform(self, docs: Iterable[Sequence[str]]) -> CsrMatrix:
+    def transform(self, docs: TermCounts | Iterable[Sequence[str]]) -> CsrMatrix:
         check_fitted(self, "vocabulary_")
-        docs = list(docs)
-        row, term, counts, lengths = _count_terms(docs, self.vocabulary_)
-        data = self._weights(term, counts, lengths[row])
+        corpus = _counted(docs)
+        counts, shape = corpus.counts, (len(corpus), self.dims)
+        if corpus.terms != list(self.vocabulary_):
+            # another corpus's columns: remap them, drop unknown terms, re-sort
+            get = self.vocabulary_.get
+            column = np.array([get(t, -1) for t in corpus.terms], dtype=np.int64)[counts.indices]
+            known = column >= 0
+            indptr = _indptr(np.bincount(counts.entry_rows()[known], minlength=shape[0]))
+            counts = CsrMatrix(counts.data[known], column[known], indptr, shape).canonical()
+        row, term = counts.entry_rows(), counts.indices
+        data = self._weights(term, counts.data, corpus.lengths[row])
         keep = data != 0.0
-        row, term, data = row[keep], term[keep], data[keep]
-        indptr = _indptr(np.bincount(row, minlength=len(docs)))
-        return CsrMatrix(data, term.astype(np.int32), indptr, (len(docs), self.dims))
+        if not keep.all():  # tf-idf drops the terms of idf 0
+            row, term, data = row[keep], term[keep], data[keep]
+        indptr = _indptr(np.bincount(row, minlength=shape[0]))
+        return CsrMatrix(data, term.astype(np.int32), indptr, shape)
 
 
 class BowVectorizer(_Vectorizer):
     """Binary presence encoding over the fitted vocabulary."""
 
     kind = "bow"
-
-    def fit(self, docs: Sequence[Sequence[str]]) -> "BowVectorizer":
-        self.vocabulary_ = build_vocabulary(docs)
-        return self
 
     def _weights(self, term, counts, lengths):
         return np.ones(term.size)
@@ -186,19 +222,20 @@ class TfidfVectorizer(_Vectorizer):
 
     kind = "tfidf"
 
-    def fit(self, docs: Sequence[Sequence[str]]) -> "TfidfVectorizer":
-        if len(docs) == 0:
+    def fit(self, docs: TermCounts | Sequence[Sequence[str]]) -> "TfidfVectorizer":
+        corpus = _counted(docs)
+        if len(corpus) == 0:
             raise TrainingError("tfidf requires at least one fit document")
-        self.vocabulary_ = build_vocabulary(docs)
-        _, term, _, _ = _count_terms(docs, self.vocabulary_)
-        self.doc_count_ = len(docs)
-        self.df_ = np.bincount(term, minlength=len(self.vocabulary_))
+        self.doc_count_ = len(corpus)
+        self.df_ = np.bincount(corpus.counts.indices, minlength=len(corpus.terms))
         self.idf_ = inverse_document_frequencies(self.doc_count_, self.df_.tolist())
-        return self
+        return super().fit(corpus)
 
     def _weights(self, term, counts, lengths):
         # left to right: count / length first, then * idf (another order changes the last bits)
-        return counts / lengths * self.idf_[term]
+        weights = counts / lengths
+        weights *= self.idf_[term]
+        return weights
 
 
 VECTORIZER_CLASSES = {cls.kind: cls for cls in (BowVectorizer, TfidfVectorizer)}

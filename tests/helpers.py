@@ -43,6 +43,22 @@ def from_dense(dense) -> CsrMatrix:
     return csr(dense.shape[1], [[(j, v) for j, v in enumerate(row) if v] for row in dense])
 
 
+def brute_counts(docs) -> tuple[list, list, list]:
+    """(terms, lengths, dense counts) of token lists, counted one token at a
+    time: terms in first-occurrence order, and one count row per doc."""
+    terms = list(dict.fromkeys(t for doc in docs for t in doc))
+    rows = [[doc.count(t) for t in terms] for doc in docs]
+    return terms, [len(doc) for doc in docs], rows
+
+
+def counts_of(corpus) -> tuple[list, list, list]:
+    """A counted corpus as ``brute_counts`` gives it; its count matrix must
+    be canonical."""
+    assert corpus.counts.canonical() is corpus.counts
+    assert corpus.counts.shape == (len(corpus), len(corpus.terms))
+    return corpus.terms, corpus.lengths.tolist(), corpus.counts.toarray().astype(int).tolist()
+
+
 # Short-run flags of each model. A command takes only those of the models it
 # builds, so a run passes the entries of its own models.
 SHORT_RUN = {"svm": ["--svm-epochs", "2"], "mnb": [], "rf": ["--rf-trees", "2"],

@@ -22,7 +22,6 @@ from sentibench import (
     SoftmaxRegression,
     TfidfVectorizer,
     TweetPreprocessor,
-    build_vocabulary,
     load_lemma_exceptions,
     load_stopwords,
     train_test_split,
@@ -60,7 +59,7 @@ class TestCriterion1WorkedExampleExactness:
         assert doc1 == EXAMPLE_TOKENS_1
 
         # vocabulary: 11 terms, first-occurrence order
-        vocab = build_vocabulary([doc1, doc2])
+        vocab = BowVectorizer().fit([doc1, doc2]).vocabulary_
         assert tuple(vocab) == EXAMPLE_VOCAB
         assert len(vocab) == 11
 
@@ -180,7 +179,7 @@ class TestCriterion4OfflinePropertySuites:
 
     def test_tf_normalization(self):
         rng = random.Random(1)
-        vocab = build_vocabulary([list("abcdef")])
+        vocab = BowVectorizer().fit([list("abcdef")]).vocabulary_
         for _ in range(100):
             doc = [rng.choice("abcdef") for _ in range(rng.randint(1, 40))]
             assert abs(sum(term_frequency(doc, vocab).tf_map().values()) - 1.0) <= 1e-9

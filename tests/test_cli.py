@@ -20,6 +20,7 @@ from sentibench import (
     load_vectorizer,
 )
 from sentibench.cli import main
+from sentibench.vectorize import TermCounts
 from helpers import FIXTURE_COUNTS, FIXTURE_CSV, SHORT_RUN, V1_ARTIFACTS
 
 SEPARABLE_TEXTS = {
@@ -323,6 +324,15 @@ NON_INTEGER_CORRUPTIONS = {
 }
 
 
+# float() would read these as 0.5 and 1.0
+NON_NUMBER_CORRUPTIONS = {
+    "svm weight '0.5'": ("model_svm_bow.json",
+                         lambda d: d["params"]["weights"][0].__setitem__(0, "0.5"), "svm", "bow"),
+    "svm bias true": ("model_svm_bow.json", lambda d: d["params"]["bias"].__setitem__(1, True),
+                      "svm", "bow"),
+}
+
+
 def rf_tree(**changes):
     """Make tree 0 of a version 2 artifact a valid five-node tree, then
     apply ``changes``: {list name: {node id: new value}}."""
@@ -431,6 +441,17 @@ class TestArtifactShapes:
             assert err.startswith("error[artifact]") and "integer" in err, err
             assert len(err.strip().splitlines()) == 1
             assert not (tmp_path / "e").exists()
+
+    @pytest.mark.parametrize("case", sorted(NON_NUMBER_CORRUPTIONS))
+    def test_non_number_value_is_one_artifact_error(self, trained_artifacts, tmp_path,
+                                                    capsys, case):
+        code, err = evaluate_corrupted(
+            trained_artifacts, tmp_path, capsys, *NON_NUMBER_CORRUPTIONS[case]
+        )
+        assert code == 1
+        assert err.startswith("error[artifact]") and "numbers" in err, err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "e").exists()
 
     @pytest.mark.parametrize("case", sorted(TREE_CORRUPTIONS))
     def test_malformed_tree_is_one_artifact_error(self, trained_artifacts, tmp_path, capsys,
@@ -646,6 +667,20 @@ class TestCompare:
             ("bow", train_size), ("bow", test_size),
             ("tfidf", train_size), ("tfidf", test_size),
         ]
+
+    def test_each_split_counted_once(self, tmp_path, monkeypatch):
+        counted = []
+        count = TermCounts.count.__func__
+
+        def counting_count(cls, ids, lengths, names):
+            counted.append(lengths.size)
+            return count(cls, ids, lengths, names)
+
+        monkeypatch.setattr(TermCounts, "count", classmethod(counting_count))
+        out = self.grid(tmp_path, "counted", models="mnb,logreg")
+        payload = json.loads((out / "comparison.json").read_text())
+        assert {row["vectorizer"] for row in payload["rows"]} == {"bow", "tfidf"}
+        assert counted == [payload["train_size"], payload["test_size"]]
 
     def test_every_model_on_an_empty_vocabulary(self, tmp_path):
         # Stop-words only: no term survives, so every model trains on 0 dims.

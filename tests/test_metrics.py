@@ -258,7 +258,7 @@ class TestReportAndEvaluate:
         vec = BowVectorizer().fit(docs)
         # training on single-class data degenerates into a majority predictor
         stub = MultinomialNaiveBayes().fit(
-            vec.transform(docs[:1]), ["negative"]
+            vec.transform(pre.preprocess_corpus(test.texts[:1])), ["negative"]
         )
         report = evaluate(stub, vec, test, vec.transform(docs))
         labels = test.labels

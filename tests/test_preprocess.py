@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 import preprocess_reference as reference
 from preprocess_reference import clean_text
 from sentibench import (
+    BowVectorizer,
     ConfigError,
     Lemmatizer,
     StopWordList,
     TweetPreprocessor,
-    build_vocabulary,
     load_dataset,
     load_lemma_exceptions,
     load_stopwords,
@@ -26,6 +26,8 @@ from helpers import (
     EXAMPLE_TWEET_2,
     EXAMPLE_VOCAB,
     FIXTURE_CSV,
+    brute_counts,
+    counts_of,
 )
 
 
@@ -250,8 +252,8 @@ _EXCEPTIONS = st.sampled_from([{}, {"testing": "taste", "flew": "fly", "the": "a
 
 
 def assert_matches_reference(texts, exceptions):
-    """clean_text, a fresh TweetPreprocessor per text, and preprocess_corpus
-    (cold, warm, and through __call__ in another order) all equal the
+    """clean_text, a fresh TweetPreprocessor per text, __call__ in another
+    order, and the counts of preprocess_corpus (cold and warm) all equal the
     per-token reference."""
     stoplist = load_stopwords()
     expected = [
@@ -262,8 +264,8 @@ def assert_matches_reference(texts, exceptions):
         TweetPreprocessor(stoplist, Lemmatizer(exceptions))(t) for t in texts
     ] == expected
     pre = TweetPreprocessor(stoplist, Lemmatizer(exceptions))
-    assert pre.preprocess_corpus(texts) == expected
-    assert pre.preprocess_corpus(iter(texts)) == expected
+    assert counts_of(pre.preprocess_corpus(texts)) == brute_counts(expected)
+    assert counts_of(pre.preprocess_corpus(iter(texts))) == brute_counts(expected)
     assert [pre(t) for t in reversed(texts)] == expected[::-1]
 
 
@@ -295,9 +297,8 @@ class TestAgainstReference:
     def test_exceptions_map_after_stopwords(self):
         exceptions = {"testing": "taste", "flew": "fly", "the": "a", "cities": ""}
         texts = ["Testing the flew", "cities testing", "flew flew the"]
-        assert TweetPreprocessor(lemmatizer=Lemmatizer(exceptions)).preprocess_corpus(
-            texts
-        ) == [["taste", "fly"], ["", "taste"], ["fly", "fly"]]
+        pre = TweetPreprocessor(lemmatizer=Lemmatizer(exceptions))
+        assert [pre(t) for t in texts] == [["taste", "fly"], ["", "taste"], ["fly", "fly"]]
         assert_matches_reference(texts, exceptions)
 
 
@@ -309,26 +310,27 @@ class TestVocabulary:
             TweetPreprocessor(stoplist, lem)(EXAMPLE_TWEET_1),
             TweetPreprocessor(stoplist, lem)(EXAMPLE_TWEET_2),
         ]
-        vocab = build_vocabulary(docs)
+        vocab = BowVectorizer().fit(docs).vocabulary_
         assert tuple(vocab) == EXAMPLE_VOCAB
         assert len(vocab) == 11
 
     def test_no_docs(self):
-        assert len(build_vocabulary([])) == 0
+        assert len(BowVectorizer().fit([]).vocabulary_) == 0
 
     def test_duplicate_docs_add_nothing(self):
         doc = EXAMPLE_TOKENS_2
-        assert build_vocabulary([doc, doc]) == build_vocabulary([doc])
+        twice, once = BowVectorizer().fit([doc, doc]), BowVectorizer().fit([doc])
+        assert twice.vocabulary_ == once.vocabulary_
 
     def test_size_bounded_and_terms_occur(self):
         docs = [EXAMPLE_TOKENS_1, EXAMPLE_TOKENS_2, EXAMPLE_TOKENS_2]
-        vocab = build_vocabulary(docs)
+        vocab = BowVectorizer().fit(docs).vocabulary_
         assert len(vocab) <= sum(len(d) for d in docs)
         everything = {t for d in docs for t in d}
         assert set(vocab) == everything
 
     def test_index_is_bijection(self):
-        vocab = build_vocabulary([EXAMPLE_TOKENS_1])
+        vocab = BowVectorizer().fit([EXAMPLE_TOKENS_1]).vocabulary_
         assert list(vocab.values()) == list(range(len(vocab)))
         terms = list(vocab)
         for term, idx in vocab.items():

@@ -21,13 +21,12 @@ from sentibench import (
     TfidfVectorizer,
     TrainingError,
     TweetPreprocessor,
-    build_vocabulary,
     load_vectorizer,
     make_vectorizer,
     save_vectorizer,
 )
 from sentibench.models import check_vectors
-from helpers import EXAMPLE_TOKENS_1, EXAMPLE_TOKENS_2, csr
+from helpers import EXAMPLE_TOKENS_1, EXAMPLE_TOKENS_2, brute_counts, counts_of, csr
 from vectorize_reference import term_frequency
 
 DOCS = [EXAMPLE_TOKENS_1, EXAMPLE_TOKENS_2]
@@ -140,14 +139,14 @@ class TestTermFrequency:
     bulk tf-idf transform to bit for bit, against hand counts."""
 
     def test_worked_example_doc_one(self):
-        vocab = build_vocabulary(DOCS)
+        vocab = BowVectorizer().fit(DOCS).vocabulary_
         freqs = term_frequency(EXAMPLE_TOKENS_1, vocab)
         assert freqs.total_terms == 8
         assert freqs.counts[vocab["delicious"]] == 1
         assert freqs.tf(vocab["delicious"]) == Fraction(1, 8)
 
     def test_worked_example_doc_two(self):
-        vocab = build_vocabulary(DOCS)
+        vocab = BowVectorizer().fit(DOCS).vocabulary_
         freqs = term_frequency(EXAMPLE_TOKENS_2, vocab)
         assert freqs.total_terms == 6
         # exact rational as integers; the float is the rounded division
@@ -156,23 +155,23 @@ class TestTermFrequency:
         assert freqs.tf(vocab["beef"]) == 0.0
 
     def test_hand_counts(self):
-        vocab = build_vocabulary([["a", "b", "c"]])
+        vocab = BowVectorizer().fit([["a", "b", "c"]]).vocabulary_
         freqs = term_frequency(["a", "a", "b", "c"], vocab)
         assert freqs.tf_map() == {0: 0.5, 1: 0.25, 2: 0.25}
 
     def test_unknown_tokens_count_toward_denominator(self):
-        vocab = build_vocabulary([["a"]])
+        vocab = BowVectorizer().fit([["a"]]).vocabulary_
         freqs = term_frequency(["a", "zzz", "zzz", "zzz"], vocab)
         assert freqs.total_terms == 4
         assert freqs.tf(0) == 0.25
 
     def test_empty_doc(self):
-        vocab = build_vocabulary([["a"]])
+        vocab = BowVectorizer().fit([["a"]]).vocabulary_
         assert term_frequency([], vocab).counts == {}
 
     def test_tf_sums_to_one_for_in_vocab_docs(self):
         rng = random.Random(5)
-        vocab = build_vocabulary([["a", "b", "c", "d", "e"]])
+        vocab = BowVectorizer().fit([["a", "b", "c", "d", "e"]]).vocabulary_
         for _ in range(50):
             doc = [rng.choice("abcde") for _ in range(rng.randint(1, 30))]
             total = sum(term_frequency(doc, vocab).tf_map().values())
@@ -271,10 +270,11 @@ FIT_TOKENS = st.sampled_from("abcde")
 DOC_TOKENS = st.sampled_from("abcdefgh")  # f, g and h are never fitted
 
 
-def assert_matches_reference(kind, fit_docs, docs):
-    """Fitted state and the transform's CSR equal the per-document loops,
-    bit for bit."""
-    vec = make_vectorizer(kind).fit(fit_docs)
+def assert_matches_reference(kind, fit_docs, docs, fit_on=None, apply_to=None):
+    """Fitted state and the transform's CSR equal the per-document loops on
+    the token lists, bit for bit. ``fit_on`` and ``apply_to`` are what the
+    vectorizer is given in their place, by default the lists themselves."""
+    vec = make_vectorizer(kind).fit(fit_docs if fit_on is None else fit_on)
     vocab = vectorize_reference.vocabulary(fit_docs)
     assert list(vec.vocabulary_.items()) == list(vocab.items())
     if kind == "tfidf":
@@ -282,7 +282,7 @@ def assert_matches_reference(kind, fit_docs, docs):
         assert vec.doc_count_ == len(fit_docs)
         assert vec.df_.dtype == np.int64 and vec.df_.tolist() == df
         assert vec.idf_.dtype == np.float64 and vec.idf_.tobytes() == np.array(idf).tobytes()
-    got = vec.transform(docs)
+    got = vec.transform(docs if apply_to is None else apply_to)
     want = vectorize_reference.transform_csr(vec, docs)
     assert got.shape == want.shape
     for name in ("indptr", "indices"):
@@ -318,6 +318,43 @@ class TestBulkTransform:
     )
     def test_random_corpora_match_reference(self, kind, fit_docs, docs):
         assert_matches_reference(kind, fit_docs, docs)
+
+
+# Tweets of ASCII and non-ASCII words, inflections of one lemma, stop-words
+# only, empty text and arbitrary text.
+_TEXTS = st.one_of(
+    st.lists(st.sampled_from([
+        "The", "is", "flights", "flight", "Flights!", "delayed", "delay", "Café",
+        "ΟΔΟΣ", "naïve", "\u212aings", "kings", "👍", "#late", "@united",
+    ]), max_size=8).map(" ".join),
+    st.lists(st.sampled_from(["the", "is", "THAT", "he", "she"]), max_size=4).map(" ".join),
+    st.text(max_size=40),
+)
+
+
+class TestCountedCorpus:
+    """``preprocess_corpus`` counts, on a fresh preprocessor or one that has
+    seen another corpus, equal brute-force counts of ``__call__``'s token
+    lists, and vectorize as those lists do."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(["bow", "tfidf"]),
+        seen=st.lists(_TEXTS, max_size=4),
+        train=st.lists(_TEXTS, min_size=1, max_size=6),
+        test=st.lists(_TEXTS, max_size=6),
+    )
+    def test_counts_and_vectors_match_token_lists(self, kind, seen, train, test):
+        pre = TweetPreprocessor()
+        pre.preprocess_corpus(seen)
+        test_counts = pre.preprocess_corpus(test)  # test before train
+        train_counts = pre.preprocess_corpus(train)
+        fresh = TweetPreprocessor()
+        train_docs, test_docs = [fresh(t) for t in train], [fresh(t) for t in test]
+        assert counts_of(train_counts) == brute_counts(train_docs)
+        assert counts_of(test_counts) == brute_counts(test_docs)
+        assert_matches_reference(kind, train_docs, train_docs, train_counts, train_counts)
+        assert_matches_reference(kind, train_docs, test_docs, train_counts, test_counts)
 
 
 class TestTransformRows:
