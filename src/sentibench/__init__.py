@@ -42,13 +42,7 @@ from .models import (
     SoftmaxRegression,
     make_model,
 )
-from .preprocess import (
-    Lemmatizer,
-    StopWordList,
-    TweetPreprocessor,
-    load_lemma_exceptions,
-    load_stopwords,
-)
+from .preprocess import TweetPreprocessor, load_lemma_exceptions, load_stopwords
 from .vectorize import (
     BowVectorizer,
     CsrMatrix,

@@ -26,7 +26,7 @@ from .base import check_fitted, check_int, check_ints, read_json, write_json
 from .corpus import POLARITIES
 from .errors import ArtifactError, ConfigError
 from .models import MODEL_CLASSES, BaseClassifier
-from .preprocess import Lemmatizer, StopWordList, TweetPreprocessor
+from .preprocess import TweetPreprocessor
 from .vectorize import (
     VECTORIZER_CLASSES,
     VECTORIZER_KINDS,
@@ -147,8 +147,8 @@ def save_vectorizer(
         "kind": vec.kind,
         **state,
         "preprocessing": {
-            "stopwords": sorted(preprocessor.stoplist.words),
-            "lemma_exceptions": dict(sorted(preprocessor.lemmatizer.exceptions.items())),
+            "stopwords": sorted(preprocessor.stopwords),
+            "lemma_exceptions": dict(sorted(preprocessor.lemma_exceptions.items())),
         },
     }, compact=True)
 
@@ -181,7 +181,7 @@ def _decode_vectorizer(cls: type, doc: Mapping):
             and set(map(type, (*words, *exceptions, *exceptions.values()))) <= {str}):
         raise ArtifactError("preprocessing needs a stopwords list and a lemma_exceptions "
                             "map of strings")
-    return vec, TweetPreprocessor(StopWordList(frozenset(words)), Lemmatizer(exceptions))
+    return vec, TweetPreprocessor(words, exceptions)
 
 
 def load_vectorizer(path: str) -> tuple[BowVectorizer | TfidfVectorizer, TweetPreprocessor]:

@@ -32,12 +32,7 @@ from .corpus import (
 from .errors import ConfigError, DatasetError, SentibenchError
 from .metrics import MetricsReport, evaluate
 from .models import MODEL_KINDS, make_model
-from .preprocess import (
-    Lemmatizer,
-    TweetPreprocessor,
-    load_lemma_exceptions,
-    load_stopwords,
-)
+from .preprocess import TweetPreprocessor, load_lemma_exceptions, load_stopwords
 from .vectorize import VECTORIZER_KINDS, make_vectorizer
 
 FORMATS = ("json", "csv", "table")
@@ -121,13 +116,9 @@ class ExperimentConfig:
         return self
 
     def build_preprocessor(self) -> TweetPreprocessor:
-        stoplist = load_stopwords(self.stopwords)
-        exceptions = (
-            load_lemma_exceptions(self.lemma_exceptions)
-            if self.lemma_exceptions
-            else None
-        )
-        return TweetPreprocessor(stoplist=stoplist, lemmatizer=Lemmatizer(exceptions))
+        path = self.lemma_exceptions
+        return TweetPreprocessor(load_stopwords(self.stopwords),
+                                 load_lemma_exceptions(path) if path else None)
 
     def build_model(self, kind: str):
         """An unfitted model of ``kind``; a bad hyperparameter is a ConfigError."""
@@ -440,6 +431,8 @@ def cmd_compare(config: ExperimentConfig) -> int:
                 f"done: {model_kind}/{vectorizer_kind} "
                 f"accuracy={report.accuracy:.4f}"
             )
+        # Freed before the next vectorizer transforms, where memory peaks.
+        del vectorizer, train_vectors, test_vectors, model
 
     table = _render_comparison(rows)
     print(table)

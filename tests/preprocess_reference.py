@@ -4,16 +4,17 @@ This is the cleaner and pipeline that ``sentibench.preprocess`` used
 before it cleaned ASCII tweets with one byte-translation table and sent
 every token through one memo table: a regular expression blanks ASCII
 non-letters, an ``isalpha`` pass blanks the rest of a non-ASCII tweet,
-and then each token goes through tokenizing, the stop-word check and the
-lemmatizer in turn. The production code must produce the same cleaned
-text and the same token lists.
+and then each token goes through tokenizing, the stop-word check and
+either its exception or the lemmatizer rules in turn. The production
+code must produce the same cleaned text and the same token lists.
 """
 
 from __future__ import annotations
 
 import re
+from typing import Mapping
 
-from sentibench.preprocess import Lemmatizer, StopWordList
+from sentibench.preprocess import lemmatize
 
 _ASCII_NON_LETTER = re.compile(r"[\x00-\x40\x5b-\x60\x7b-\x7f]+")
 
@@ -29,6 +30,8 @@ def clean_text(raw: str) -> str:
     return " ".join(text.split())
 
 
-def preprocess_tweet(raw: str, stoplist: StopWordList, lemmatizer: Lemmatizer) -> list[str]:
-    tokens = [t for t in clean_text(raw).split() if t not in stoplist]
-    return [lemmatizer.lemmatize(t) for t in tokens]
+def preprocess_tweet(
+    raw: str, stopwords: frozenset[str], exceptions: Mapping[str, str]
+) -> list[str]:
+    tokens = [t for t in clean_text(raw).split() if t not in stopwords]
+    return [exceptions[t] if t in exceptions else lemmatize(t) for t in tokens]

@@ -15,7 +15,6 @@ import pytest
 
 from sentibench import (
     BowVectorizer,
-    Lemmatizer,
     LinearSvm,
     MultinomialNaiveBayes,
     RandomForest,
@@ -26,6 +25,7 @@ from sentibench import (
     load_stopwords,
     train_test_split,
 )
+from sentibench.preprocess import lemmatize
 from sentibench.cli import main as cli_main
 from sentibench.metrics import MetricsReport
 from sentibench.models.logistic import softmax_loss_and_grad
@@ -50,12 +50,10 @@ class TestCriterion1WorkedExampleExactness:
     """Two-tweet pipeline: vocabulary, binary vectors, tf, idf, tf-idf."""
 
     def test_worked_example_exactness(self):
-        stoplist = load_stopwords()
-        lemmatizer = Lemmatizer(
-            load_lemma_exceptions(str(DATA_DIR / "lemma_overrides.txt"))
-        )
-        doc1 = TweetPreprocessor(stoplist, lemmatizer)(EXAMPLE_TWEET_1)
-        doc2 = TweetPreprocessor(stoplist, lemmatizer)(EXAMPLE_TWEET_2)
+        stopwords = load_stopwords()
+        exceptions = load_lemma_exceptions(str(DATA_DIR / "lemma_overrides.txt"))
+        doc1 = TweetPreprocessor(stopwords, exceptions)(EXAMPLE_TWEET_1)
+        doc2 = TweetPreprocessor(stopwords, exceptions)(EXAMPLE_TWEET_2)
         assert doc1 == EXAMPLE_TOKENS_1
 
         # vocabulary: 11 terms, first-occurrence order
@@ -291,13 +289,12 @@ class TestCriterion4OfflinePropertySuites:
         from preprocess_reference import clean_text
         from sentibench import load_dataset
 
-        lemmatizer = Lemmatizer()
-        preprocessor = TweetPreprocessor(load_stopwords(), lemmatizer)
+        preprocessor = TweetPreprocessor(load_stopwords())
         for text in load_dataset(FIXTURE_CSV).texts:
             cleaned = clean_text(text)
             assert clean_text(cleaned) == cleaned
             for token in preprocessor(text):
-                assert lemmatizer.lemmatize(token) == token
+                assert lemmatize(token) == token
 
 
 class TestCriterion5EndToEndDeterminism:

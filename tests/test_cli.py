@@ -1,12 +1,14 @@
 """End-to-end command-line behavior: artifacts, reports, determinism, errors."""
 
 import csv
+import gc
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ from sentibench import (
     TfidfVectorizer,
     TweetPreprocessor,
     load_model,
+    load_stopwords,
     load_vectorizer,
 )
 from sentibench.cli import main
@@ -516,6 +519,18 @@ class TestArtifactShapes:
         assert (code, err) == (0, "")
         assert (tmp_path / "e" / "report_mnb_tfidf.json").is_file()
 
+    def test_stopwords_missing_a_required_word_is_one_artifact_error(
+        self, trained_artifacts, tmp_path, capsys
+    ):
+        code, err = evaluate_corrupted(
+            trained_artifacts, tmp_path, capsys, "vectorizer_tfidf.json",
+            lambda d: d["preprocessing"]["stopwords"].remove("the"), "mnb", "tfidf",
+        )
+        assert code == 1
+        assert err.startswith("error[artifact]") and "['the']" in err, err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "e").exists()
+
     def test_terms_string_is_one_artifact_error(self, trained_artifacts, tmp_path, capsys):
         # "usa" would load as the terms u, s, a; with a 3-wide model to match,
         # every test vector would be empty and evaluate would still exit 0.
@@ -682,6 +697,25 @@ class TestCompare:
         assert {row["vectorizer"] for row in payload["rows"]} == {"bow", "tfidf"}
         assert counted == [payload["train_size"], payload["test_size"]]
 
+    def test_bow_pass_released_before_tfidf_fits(self, tmp_path, monkeypatch):
+        bow_matrices, alive = [], []
+        transform, fit = BowVectorizer.transform, TfidfVectorizer.fit
+
+        def spying_transform(self, docs):
+            matrix = transform(self, docs)
+            bow_matrices.append(weakref.ref(matrix))
+            return matrix
+
+        def checking_fit(self, docs):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in bow_matrices))
+            return fit(self, docs)
+
+        monkeypatch.setattr(BowVectorizer, "transform", spying_transform)
+        monkeypatch.setattr(TfidfVectorizer, "fit", checking_fit)
+        self.grid(tmp_path, "released", models="mnb,logreg")
+        assert len(bow_matrices) == 2 and alive == [0]
+
     def test_every_model_on_an_empty_vocabulary(self, tmp_path):
         # Stop-words only: no term survives, so every model trains on 0 dims.
         texts = ["the is", "he she", "that the", "is that", "the", "she is", "he", "the she"]
@@ -775,6 +809,19 @@ class TestConfigHandling:
         ])
         assert code == 1
         assert capsys.readouterr().err.startswith("error[config]")
+
+    def test_stopword_file_missing_a_required_word(self, tmp_path, capsys):
+        path = tmp_path / "stop.txt"
+        path.write_text("\n".join(sorted(load_stopwords() - {"the"})) + "\n")
+        code = run([
+            "train", "--data", FIXTURE_CSV, "--model", "mnb", "--vectorizer", "bow",
+            "--stopwords", path, "--out-dir", tmp_path / "out",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error[config]: stop-word list is missing required words: ['the']\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_hyperparameter_value(self, tmp_path, capsys):
         code = run([

@@ -11,14 +11,12 @@ from preprocess_reference import clean_text
 from sentibench import (
     BowVectorizer,
     ConfigError,
-    Lemmatizer,
-    StopWordList,
     TweetPreprocessor,
     load_dataset,
     load_lemma_exceptions,
     load_stopwords,
 )
-from sentibench.preprocess import _words
+from sentibench.preprocess import _REQUIRED_STOPWORDS, _words, lemmatize
 from helpers import (
     EXAMPLE_TOKENS_1,
     EXAMPLE_TOKENS_2,
@@ -63,18 +61,18 @@ class TestCleanText:
         assert not any(ch in string.punctuation for ch in cleaned)
 
 
-def unlemmatized(text: str, stoplist: StopWordList) -> list[str]:
-    """The pipeline's split and stop-word steps alone: the lemmatizer maps
+def unlemmatized(text: str, stopwords: frozenset[str]) -> list[str]:
+    """The pipeline's split and stop-word steps alone: the exceptions map
     every word of ``text`` to itself."""
-    return TweetPreprocessor(stoplist, Lemmatizer({w: w for w in text.split()}))(text)
+    return TweetPreprocessor(stopwords, {w: w for w in text.split()})(text)
 
 
 def tokenize(cleaned: str) -> list[str]:
-    return unlemmatized(cleaned, StopWordList(StopWordList.REQUIRED))
+    return unlemmatized(cleaned, _REQUIRED_STOPWORDS)
 
 
-def remove_stopwords(tokens: list[str], stoplist: StopWordList) -> list[str]:
-    return unlemmatized(" ".join(tokens), stoplist)
+def remove_stopwords(tokens: list[str], stopwords: frozenset[str]) -> list[str]:
+    return unlemmatized(" ".join(tokens), stopwords)
 
 
 class TestTokenize:
@@ -91,14 +89,14 @@ class TestTokenize:
 
 class TestStopWords:
     def test_default_list_has_required_words(self):
-        stoplist = load_stopwords()
+        stopwords = load_stopwords()
         for word in ("he", "she", "the", "is", "that", "but", "and"):
-            assert word in stoplist
+            assert word in stopwords
 
     def test_removal_keeps_order(self):
-        stoplist = load_stopwords()
+        stopwords = load_stopwords()
         tokens = ["delicious", "hamburger", "but", "slow", "service"]
-        assert remove_stopwords(tokens, stoplist) == [
+        assert remove_stopwords(tokens, stopwords) == [
             "delicious",
             "hamburger",
             "slow",
@@ -117,13 +115,13 @@ class TestStopWords:
         path.write_text(
             "# tiny list\nhe\nshe\nthe\nis\nthat\nbut  # trailing comment\n\n"
         )
-        stoplist = load_stopwords(str(path))
-        assert "but" in stoplist
-        assert len(stoplist) == 6
+        stopwords = load_stopwords(str(path))
+        assert "but" in stopwords
+        assert len(stopwords) == 6
 
     def test_missing_required_words_rejected(self):
         with pytest.raises(ConfigError, match="required"):
-            StopWordList(words=frozenset({"the", "is"}))
+            TweetPreprocessor(frozenset({"the", "is"}))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -132,13 +130,13 @@ class TestStopWords:
 
 class TestLemmatizer:
     def test_ing_with_stem_repair(self):
-        assert Lemmatizer().lemmatize("testing") == "test"
+        assert lemmatize("testing") == "test"
 
     def test_no_rule_matches(self):
-        assert Lemmatizer().lemmatize("burger") == "burger"
+        assert lemmatize("burger") == "burger"
 
     def test_plural_strip(self):
-        assert Lemmatizer().lemmatize("services") == "service"
+        assert lemmatize("services") == "service"
 
     @pytest.mark.parametrize(
         "word,lemma",
@@ -158,29 +156,27 @@ class TestLemmatizer:
         ],
     )
     def test_rule_table(self, word, lemma):
-        assert Lemmatizer().lemmatize(word) == lemma
+        assert lemmatize(word) == lemma
 
     def test_exceptions_consulted_first(self):
-        lem = Lemmatizer({"testing": "taste"})
-        assert lem.lemmatize("testing") == "taste"
-        assert lem.lemmatize("resting") == "rest"
+        pre = TweetPreprocessor(load_stopwords(), {"testing": "taste"})
+        assert pre("testing") == ["taste"]
+        assert pre("resting") == ["rest"]
 
     def test_idempotent_on_fixture_corpus(self):
-        lem = Lemmatizer()
-        preprocessor = TweetPreprocessor(load_stopwords(), lem)
+        preprocessor = TweetPreprocessor(load_stopwords())
         for text in load_dataset(FIXTURE_CSV).texts:
             for token in preprocessor(text):
-                assert lem.lemmatize(token) == token
+                assert lemmatize(token) == token
 
     def test_idempotent_on_common_words(self):
-        lem = Lemmatizer()
         words = (
             "flights booking cancelled delayed waiting hours bags thanks "
             "amazing crews landings services runnings used tries tried"
         ).split()
         for word in words:
-            once = lem.lemmatize(word)
-            assert lem.lemmatize(once) == once
+            once = lemmatize(word)
+            assert lemmatize(once) == once
 
 
 class TestLemmaExceptionsFile:
@@ -203,28 +199,28 @@ class TestLemmaExceptionsFile:
 
 class TestPreprocessTweet:
     def test_worked_example_tweet_two_keeps_duplicates(self):
-        tokens = TweetPreprocessor(load_stopwords(), Lemmatizer())(EXAMPLE_TWEET_2)
+        tokens = TweetPreprocessor(load_stopwords())(EXAMPLE_TWEET_2)
         assert tokens == [
             "late", "service", "mcdonald", "delicious", "hamburger", "slow", "service",
         ]
 
     def test_worked_example_tweet_one_with_exception(self):
-        lem = Lemmatizer({"testing": "taste"})
-        assert TweetPreprocessor(load_stopwords(), lem)(EXAMPLE_TWEET_1) == EXAMPLE_TOKENS_1
+        pre = TweetPreprocessor(load_stopwords(), {"testing": "taste"})
+        assert pre(EXAMPLE_TWEET_1) == EXAMPLE_TOKENS_1
 
     def test_empty_input(self):
-        assert TweetPreprocessor(load_stopwords(), Lemmatizer())("") == []
+        assert TweetPreprocessor(load_stopwords())("") == []
 
     def test_all_stopwords_yield_empty(self):
-        assert TweetPreprocessor(load_stopwords(), Lemmatizer())("The is that!!") == []
+        assert TweetPreprocessor(load_stopwords())("The is that!!") == []
 
     @given(st.text(max_size=200))
     @settings(max_examples=60)
     def test_output_is_clean(self, raw):
-        stoplist = load_stopwords()
-        tokens = TweetPreprocessor(stoplist, Lemmatizer())(raw)
+        stopwords = load_stopwords()
+        tokens = TweetPreprocessor(stopwords)(raw)
         for token in tokens:
-            assert token not in stoplist
+            assert token not in stopwords
             assert token == token.lower()
             assert not any(ch.isdigit() for ch in token)
             assert " " not in token
@@ -248,22 +244,24 @@ _TWEETS = st.one_of(
     st.lists(st.tuples(st.one_of(_WORDS, st.text(max_size=4)), _SEPARATORS), max_size=12)
     .map(lambda parts: "".join(word + sep for word, sep in parts)),
 )
-_EXCEPTIONS = st.sampled_from([{}, {"testing": "taste", "flew": "fly", "the": "a", "cities": ""}])
+# Exceptions keyed by those words (lowercased, as tokens are) and by
+# stop-words, whose values include "" and words the rules would change.
+_EXCEPTIONS = st.dictionaries(
+    st.one_of(_WORDS.map(str.lower), st.sampled_from(["the", "is", "and", "does"])),
+    st.sampled_from(["", "goes", "meetings", "fly", "taste", "a", "the", "cities"]),
+    max_size=6,
+)
 
 
 def assert_matches_reference(texts, exceptions):
     """clean_text, a fresh TweetPreprocessor per text, __call__ in another
     order, and the counts of preprocess_corpus (cold and warm) all equal the
     per-token reference."""
-    stoplist = load_stopwords()
-    expected = [
-        reference.preprocess_tweet(t, stoplist, Lemmatizer(exceptions)) for t in texts
-    ]
+    stopwords = load_stopwords()
+    expected = [reference.preprocess_tweet(t, stopwords, exceptions) for t in texts]
     assert [_words(t) for t in texts] == [reference.clean_text(t).split() for t in texts]
-    assert [
-        TweetPreprocessor(stoplist, Lemmatizer(exceptions))(t) for t in texts
-    ] == expected
-    pre = TweetPreprocessor(stoplist, Lemmatizer(exceptions))
+    assert [TweetPreprocessor(stopwords, exceptions)(t) for t in texts] == expected
+    pre = TweetPreprocessor(stopwords, exceptions)
     assert counts_of(pre.preprocess_corpus(texts)) == brute_counts(expected)
     assert counts_of(pre.preprocess_corpus(iter(texts))) == brute_counts(expected)
     assert [pre(t) for t in reversed(texts)] == expected[::-1]
@@ -291,24 +289,42 @@ class TestAgainstReference:
     ])
     def test_explicit_cases(self, raw, cleaned, tokens):
         assert clean_text(raw) == cleaned
-        assert TweetPreprocessor(load_stopwords(), Lemmatizer())(raw) == tokens
+        assert TweetPreprocessor(load_stopwords())(raw) == tokens
         assert_matches_reference([raw], {})
 
     def test_exceptions_map_after_stopwords(self):
         exceptions = {"testing": "taste", "flew": "fly", "the": "a", "cities": ""}
         texts = ["Testing the flew", "cities testing", "flew flew the"]
-        pre = TweetPreprocessor(lemmatizer=Lemmatizer(exceptions))
+        pre = TweetPreprocessor(lemma_exceptions=exceptions)
         assert [pre(t) for t in texts] == [["taste", "fly"], ["", "taste"], ["fly", "fly"]]
         assert_matches_reference(texts, exceptions)
+
+    def test_exception_lemma_is_not_lemmatized_again(self):
+        exceptions = {"flew": "goes", "cities": "meetings"}
+        pre = TweetPreprocessor(lemma_exceptions=exceptions)
+        assert pre("flew cities goes meetings") == ["goes", "meetings", "goe", "meet"]
+        assert_matches_reference(["flew cities goes meetings"], exceptions)
+
+
+class TestTweetPreprocessor:
+    def test_copies_its_inputs(self):
+        stopwords, exceptions = set(load_stopwords()), {"flew": "fly"}
+        pre = TweetPreprocessor(stopwords, exceptions)
+        stopwords.discard("but")
+        exceptions["flew"] = "soar"
+        exceptions["testing"] = "taste"
+        assert pre("but flew testing") == ["fly", "test"]
+        assert pre.stopwords == load_stopwords() and pre.lemma_exceptions == {"flew": "fly"}
+        assert isinstance(pre.stopwords, frozenset)
 
 
 class TestVocabulary:
     def test_worked_example_eleven_terms(self):
-        lem = Lemmatizer({"testing": "taste"})
-        stoplist = load_stopwords()
+        exceptions = {"testing": "taste"}
+        stopwords = load_stopwords()
         docs = [
-            TweetPreprocessor(stoplist, lem)(EXAMPLE_TWEET_1),
-            TweetPreprocessor(stoplist, lem)(EXAMPLE_TWEET_2),
+            TweetPreprocessor(stopwords, exceptions)(EXAMPLE_TWEET_1),
+            TweetPreprocessor(stopwords, exceptions)(EXAMPLE_TWEET_2),
         ]
         vocab = BowVectorizer().fit(docs).vocabulary_
         assert tuple(vocab) == EXAMPLE_VOCAB

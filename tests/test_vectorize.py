@@ -16,8 +16,6 @@ from sentibench import (
     BowVectorizer,
     CsrMatrix,
     DimensionMismatchError,
-    Lemmatizer,
-    StopWordList,
     TfidfVectorizer,
     TrainingError,
     TweetPreprocessor,
@@ -406,12 +404,12 @@ class TestSerialization:
 
     def test_preprocessing_section_round_trips(self, tmp_path):
         words = frozenset({"he", "she", "the", "is", "that", "gate"})
-        preprocessor = TweetPreprocessor(StopWordList(words), Lemmatizer({"flew": "fly"}))
+        preprocessor = TweetPreprocessor(words, {"flew": "fly"})
         path = tmp_path / "vec.json"
         save_vectorizer(BowVectorizer().fit(DOCS), str(path), preprocessor)
         _, loaded = load_vectorizer(str(path))
-        assert loaded.stoplist.words == words
-        assert loaded.lemmatizer.exceptions == {"flew": "fly"}
+        assert loaded.stopwords == words
+        assert loaded.lemma_exceptions == {"flew": "fly"}
 
     def test_missing_preprocessing_section_means_default(self, tmp_path):
         path = tmp_path / "vec.json"
@@ -420,8 +418,8 @@ class TestSerialization:
         del doc["preprocessing"]
         path.write_text(json.dumps(doc))
         _, loaded = load_vectorizer(str(path))
-        assert loaded.stoplist.words == DEFAULT_PREPROCESSOR.stoplist.words
-        assert loaded.lemmatizer.exceptions == {}
+        assert loaded.stopwords == DEFAULT_PREPROCESSOR.stopwords
+        assert loaded.lemma_exceptions == {}
 
     def test_bad_format_and_version(self, tmp_path):
         bow = BowVectorizer().fit(DOCS)
