@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Callable, Mapping
 
-from .base import check_fitted, check_int, check_ints, read_json, write_json
+from .base import check_fitted, check_int, decode_array, read_json, write_json
 from .corpus import POLARITIES
 from .errors import ArtifactError, ConfigError
 from .models import MODEL_CLASSES, BaseClassifier
@@ -164,11 +164,10 @@ def _decode_vectorizer(cls: type, doc: Mapping):
     if isinstance(vec, TfidfVectorizer):
         doc_count = doc["doc_count"]
         check_int("doc_count", doc_count, 1)
-        vec.doc_count_, vec.df_ = doc_count, check_ints("df", doc["df"], 1)
+        vec.doc_count_ = doc_count
+        vec.df_ = decode_array("df", doc["df"], (len(terms),), integer=True, minimum=1)
         if vec.df_.size and vec.df_.max() > doc_count:
             raise ArtifactError(f"df {vec.df_.max()} exceeds doc_count {doc_count}")
-        if vec.df_.size != len(terms):
-            raise ArtifactError(f"df length {vec.df_.size} != terms length {len(terms)}")
         vec.idf_ = inverse_document_frequencies(doc_count, doc["df"])
         if doc["idf"] != vec.idf_.tolist():
             raise ArtifactError("idf must hold the finite ln(doc_count / df) of each term")

@@ -1,12 +1,13 @@
-"""Checks and file plumbing shared across the toolkit: the fitted-state,
-hyperparameter and artifact-count checks, and the one JSON file writer
-and reader behind every artifact and report.
+"""Checks and file plumbing shared across the toolkit: the fitted-state
+and hyperparameter checks, the one decoder of an artifact's number lists,
+and the one JSON file writer and reader behind every artifact and report.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from itertools import chain
 from numbers import Integral, Real
 
 import numpy as np
@@ -28,13 +29,25 @@ def check_int(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
-def check_ints(name: str, values, minimum: int) -> np.ndarray:
-    """A JSON list of integers (not bools) >= ``minimum`` as int64, else ValueError."""
-    if type(values) is not list or not set(map(type, values)) <= {int}:
-        raise ValueError(f"{name} must be a list of integers")
-    array = np.array(values, dtype=np.int64)
-    if array.size and array.min() < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {array.min()}")
+def decode_array(name: str, values, shape: tuple[int, ...], *, integer: bool = False,
+                 minimum: int | None = None) -> np.ndarray:
+    """Artifact JSON lists nested to exactly ``shape`` as a float64 array, or
+    int64 if ``integer``; a leaf that is not a finite JSON number (an integer
+    if ``integer``; never a bool) or is below ``minimum`` raises ValueError.
+    Each level is checked, then flattened: numpy converts one flat list."""
+    flat = [values]
+    for size in shape:
+        if not (set(map(type, flat)) <= {list} and set(map(len, flat)) <= {size}):
+            raise ValueError(f"{name} must be lists nested to shape {shape}")
+        flat = flat[0] if len(flat) == 1 else list(chain.from_iterable(flat))
+    if not set(map(type, flat)) <= ({int} if integer else {int, float}):
+        raise ValueError(f"{name} must hold {'integers' if integer else 'finite numbers'} only")
+    array = np.array(flat, dtype=np.int64 if integer else np.float64).reshape(shape)
+    if not (integer or np.isfinite(array).all()):
+        raise ValueError(f"{name} holds a value that is not finite")
+    if minimum is not None and array.size and array.min() < minimum:
+        raise ValueError(f"{name} must be {'an integer' if integer else 'a number'} "
+                         f">= {minimum}, got {array.min()}")
     return array
 
 

@@ -89,21 +89,23 @@ class ExperimentConfig:
             raise ConfigError(f"split ratio must be a number in (0, 1), got {ratio!r}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not self.vectorizers:
-            raise ConfigError("select at least one vectorizer")
-        if not self.models:
-            raise ConfigError("select at least one model")
-        if not self.formats:
-            raise ConfigError("select at least one output format")
-        for kind in self.vectorizers:
-            if kind not in VECTORIZER_KINDS:
-                raise ConfigError(f"unknown vectorizer {kind!r}")
-        for kind in self.models:
-            if kind not in MODEL_KINDS:
-                raise ConfigError(f"unknown model {kind!r}")
-        for fmt in self.formats:
-            if fmt not in FORMATS:
-                raise ConfigError(f"unknown output format {fmt!r}")
+        for name, known, noun in (("vectorizers", VECTORIZER_KINDS, "vectorizer"),
+                                  ("models", MODEL_KINDS, "model"),
+                                  ("formats", FORMATS, "output format")):
+            chosen = getattr(self, name)
+            if not chosen:
+                raise ConfigError(f"select at least one {noun}")
+            for value in chosen:
+                if value not in known:
+                    raise ConfigError(f"unknown {noun} {value!r}")
+                if chosen.count(value) > 1:  # the run would repeat or ignore it
+                    raise ConfigError(f"{noun} {value!r} is named twice")
+        # Checked before any input is read; the directory itself is made
+        # only when the first output is written.
+        out = Path(self.out_dir)
+        existing = next(p for p in (out, *out.parents) if p.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"--out-dir {self.out_dir}: {existing} is not a directory")
         # Only a hyperparameter can make a model fail to build, so building
         # each model that has some, before any cell trains, checks them all.
         for kind in self.hyperparams:

@@ -6,19 +6,22 @@ model takes one ``CsrMatrix``, a row per sample, as the vectorizer builds.
 Score matrices keep columns in the fixed polarity order, and argmax
 resolves ties toward the earlier class, which pins the documented
 tie-break [negative, neutral, positive].
+
+``BaseClassifier.fit`` checks the training set for every variant, whose
+``_fit`` keeps only its arithmetic and its own preconditions, and each
+``load_state`` decodes its artifact arrays with ``base.decode_array``.
 """
 
 from __future__ import annotations
 
 import inspect
-from itertools import chain
 from typing import Mapping
 
 import numpy as np
 
 from ..base import check_fitted
 from ..corpus import POLARITIES, POLARITY_INDEX
-from ..errors import ArtifactError, DimensionMismatchError, TrainingError
+from ..errors import DimensionMismatchError, TrainingError
 from ..vectorize import CsrMatrix
 
 
@@ -52,29 +55,13 @@ def check_X_y(X, y):
     return csr, y_idx
 
 
-def decode_array(values, shape: tuple[int, ...], name: str) -> np.ndarray:
-    """Finite float array from artifact JSON: lists nested to exactly
-    ``shape`` that hold JSON numbers only (float() would also convert a
-    string or a bool)."""
-    array = np.array(values, dtype=np.float64)
-    if array.shape != shape:
-        raise ArtifactError(f"{name} has shape {array.shape}, expected {shape}")
-    for _ in shape[1:]:
-        values = list(chain.from_iterable(values))
-    if not set(map(type, values)) <= {int, float}:
-        raise ArtifactError(f"{name} must hold numbers only")
-    if not np.isfinite(array).all():
-        raise ArtifactError(f"{name} holds a value that is not finite")
-    return array
-
-
 class BaseClassifier:
     """fit / predict / predict_scores over polarity classes, plus the
     fitted state that the model artifact stores.
 
     Follows the scikit-learn convention: every constructor argument is a
     hyperparameter stored under its own name, which ``get_params`` returns
-    (the model artifact records them and ``__repr__`` shows them)."""
+    and the model artifact records."""
 
     variant = "base"
 
@@ -93,16 +80,20 @@ class BaseClassifier:
     def get_params(self) -> dict:
         return {name: getattr(self, name) for name in self._param_names()}
 
-    def __repr__(self) -> str:
-        args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
-        return f"{type(self).__name__}({args})"
-
     @property
     def dims(self) -> int:
         check_fitted(self, "n_features_")
         return self.n_features_
 
     def fit(self, X, y):
+        """Train on a CsrMatrix and one polarity label per row; returns self."""
+        csr, y_idx = check_X_y(X, y)
+        self._fit(csr, y_idx)
+        self.n_features_ = csr.shape[1]
+        return self
+
+    def _fit(self, csr, y_idx) -> None:
+        """Set the fitted state from a canonical CsrMatrix and class indices."""
         raise NotImplementedError
 
     def _score_matrix(self, csr) -> np.ndarray:
@@ -122,6 +113,6 @@ class BaseClassifier:
         raise NotImplementedError
 
     def load_state(self, params: Mapping, dims: int) -> None:
-        """Restore fitted state from ``params``; raise ArtifactError when a
-        shape or index does not fit ``dims``."""
+        """Restore fitted state from ``params``; raise ValueError or ArtifactError
+        when a value, shape or index does not fit ``dims``."""
         raise NotImplementedError

@@ -44,13 +44,12 @@ lists, checked on load by array operations, so any depth saves and loads.
 from __future__ import annotations
 
 import math
-from itertools import chain
 
 import numpy as np
 
-from ..base import check_int, check_ints
+from ..base import check_int, decode_array
 from ..errors import ArtifactError
-from .base import BaseClassifier, check_X_y
+from .base import BaseClassifier
 
 _STREAM = 3
 
@@ -71,23 +70,19 @@ class _Tree:
 
     @classmethod
     def from_arrays(cls, record, dims: int) -> "_Tree":
-        """The tree of an artifact's {feature, threshold, left, counts} lists;
-        what fit could not grow over ``dims`` features raises ArtifactError."""
-        feature = check_ints("tree feature", record["feature"], -1)
-        left = check_ints("tree left", record["left"], -1)
-        rows = record["counts"]
-        if type(rows) is not list or not set(map(len, rows)) <= {3}:
-            raise ArtifactError("tree counts must hold 3 integers per node")
-        counts = check_ints("tree counts", list(chain.from_iterable(rows)), 0).reshape(-1, 3)
-        threshold = record["threshold"]
-        if type(threshold) is not list or not set(map(type, threshold)) <= {int, float}:
-            raise ArtifactError("tree threshold must be a list of finite numbers")
-        threshold = np.array(threshold, dtype=np.float64)  # OverflowError past a float
-        n = feature.size
-        if not 0 < n == left.size == threshold.size == len(counts):
+        """An artifact's {feature, threshold, left, counts} lists as a tree; what
+        fit could not grow over ``dims`` features raises ArtifactError or ValueError."""
+        n = len(record["feature"])
+        if not 0 < n == len(record["left"]) == len(record["threshold"]) == len(record["counts"]):
             raise ArtifactError("tree lists must be parallel and non-empty")
-        if not np.isfinite(threshold).all() or (feature >= dims).any():
-            raise ArtifactError(f"tree thresholds must be finite, features below {dims}")
+        if not set(map(len, record["counts"])) <= {3}:
+            raise ArtifactError("tree counts must hold 3 integers per node")
+        feature = decode_array("tree feature", record["feature"], (n,), integer=True, minimum=-1)
+        left = decode_array("tree left", record["left"], (n,), integer=True, minimum=-1)
+        counts = decode_array("tree counts", record["counts"], (n, 3), integer=True, minimum=0)
+        threshold = decode_array("tree threshold", record["threshold"], (n,))
+        if (feature >= dims).any():
+            raise ArtifactError(f"tree features must be below {dims}")
         leaf = feature < 0
         if (left[leaf] != -1).any() or (threshold[leaf] != 0.0).any():
             raise ArtifactError("a tree leaf must have left -1 and threshold 0.0")
@@ -312,8 +307,7 @@ class RandomForest(BaseClassifier):
         self.bootstrap = bool(bootstrap)
         self.seed = seed
 
-    def fit(self, X, y) -> "RandomForest":
-        csr, y_idx = check_X_y(X, y)
+    def _fit(self, csr, y_idx) -> None:
         n, dims = csr.shape
         if self.max_features is None:
             k = math.isqrt(dims - 1) + 1 if dims else 0  # ceil(sqrt(dims))
@@ -330,8 +324,6 @@ class RandomForest(BaseClassifier):
         else:
             weights = np.ones((self.n_trees, n), dtype=np.int32)
         self.trees_ = _grow_forest(csr, y_idx, weights, k, self.max_depth, rngs)
-        self.n_features_ = dims
-        return self
 
     def _score_matrix(self, csr) -> np.ndarray:
         trees = self.trees_

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..base import check_float, check_int
+from ..base import check_float, check_int, decode_array
 from ..errors import TrainingError
-from .base import BaseClassifier, check_X_y, decode_array
+from .base import BaseClassifier
 
 _STREAM = 1  # keeps this model's RNG stream distinct from other variants
 
@@ -65,8 +65,7 @@ class SoftmaxRegression(BaseClassifier):
         self.l2 = l2
         self.seed = seed
 
-    def fit(self, X, y) -> "SoftmaxRegression":
-        csr, y_idx = check_X_y(X, y)
+    def _fit(self, csr, y_idx) -> None:
         n, dims = csr.shape
         W = np.zeros((3, dims))
         b = np.zeros(3)
@@ -95,8 +94,6 @@ class SoftmaxRegression(BaseClassifier):
 
         self.weights_ = W
         self.bias_ = b
-        self.n_features_ = dims
-        return self
 
     def _score_matrix(self, csr) -> np.ndarray:
         return softmax(csr @ self.weights_.T + self.bias_)
@@ -109,6 +106,7 @@ class SoftmaxRegression(BaseClassifier):
         }
 
     def load_state(self, params, dims: int) -> None:
-        self.weights_ = decode_array(params["weights"], (3, dims), "weights")
-        self.bias_ = decode_array(params["bias"], (3,), "bias")
-        self.epoch_losses_ = [float(x) for x in params["epoch_losses"]]
+        self.weights_ = decode_array("weights", params["weights"], (3, dims))
+        self.bias_ = decode_array("bias", params["bias"], (3,))
+        losses = decode_array("epoch_losses", params["epoch_losses"], (self.epochs,))
+        self.epoch_losses_ = losses.tolist()

@@ -16,9 +16,9 @@ import math
 
 import numpy as np
 
-from ..base import check_float, check_int
+from ..base import check_float, check_int, decode_array
 from ..errors import TrainingError
-from .base import BaseClassifier, check_X_y, decode_array
+from .base import BaseClassifier
 from .logistic import softmax
 
 
@@ -32,8 +32,7 @@ class MultinomialNaiveBayes(BaseClassifier):
         self.alpha = alpha
         self.seed = seed  # unused: training is deterministic; kept for API symmetry
 
-    def fit(self, X, y) -> "MultinomialNaiveBayes":
-        csr, y_idx = check_X_y(X, y)
+    def _fit(self, csr, y_idx) -> None:
         if csr.nnz and csr.data.min() < 0:
             raise TrainingError("multinomial naive bayes requires non-negative weights")
 
@@ -53,8 +52,6 @@ class MultinomialNaiveBayes(BaseClassifier):
         self.feature_log_likelihood_ = np.log(
             smoothed / smoothed.sum(axis=1, keepdims=True)
         )
-        self.n_features_ = n_features
-        return self
 
     def _score_matrix(self, csr) -> np.ndarray:
         return softmax(csr @ self.feature_log_likelihood_.T + self.class_log_prior_)
@@ -72,9 +69,9 @@ class MultinomialNaiveBayes(BaseClassifier):
         prior = params["class_log_prior"]
         # null is the -inf log-prior of a class absent from training
         self.class_log_prior_ = decode_array(
-            [0.0 if x is None else x for x in prior], (3,), "class_log_prior"
+            "class_log_prior", [0.0 if x is None else x for x in prior], (3,)
         )
         self.class_log_prior_[[x is None for x in prior]] = -np.inf
         self.feature_log_likelihood_ = decode_array(
-            params["feature_log_likelihood"], (3, dims), "feature_log_likelihood"
+            "feature_log_likelihood", params["feature_log_likelihood"], (3, dims)
         )

@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..base import check_float, check_int
+from ..base import check_float, check_int, decode_array
 from ..errors import TrainingError
 from ..vectorize import CsrMatrix
-from .base import BaseClassifier, check_X_y, decode_array
+from .base import BaseClassifier
 
 _STREAM = 2
 
@@ -79,8 +79,7 @@ class LinearSvm(BaseClassifier):
         self.epochs = epochs
         self.seed = seed
 
-    def fit(self, X, y) -> "LinearSvm":
-        csr, y_idx = check_X_y(X, y)
+    def _fit(self, csr, y_idx) -> None:
         if np.unique(y_idx).size < 2:
             raise TrainingError("svm training needs at least two distinct labels")
         n, dims = csr.shape
@@ -99,8 +98,6 @@ class LinearSvm(BaseClassifier):
 
         self.weights_ = weights
         self.bias_ = bias
-        self.n_features_ = dims
-        return self
 
     def _score_matrix(self, csr) -> np.ndarray:
         return csr @ self.weights_.T + self.bias_
@@ -109,5 +106,5 @@ class LinearSvm(BaseClassifier):
         return {"weights": self.weights_.tolist(), "bias": self.bias_.tolist()}
 
     def load_state(self, params, dims: int) -> None:
-        self.weights_ = decode_array(params["weights"], (3, dims), "weights")
-        self.bias_ = decode_array(params["bias"], (3,), "bias")
+        self.weights_ = decode_array("weights", params["weights"], (3, dims))
+        self.bias_ = decode_array("bias", params["bias"], (3,))

@@ -1,5 +1,6 @@
 """Fuzz the artifact decoders: a mutated artifact either loads or raises
-SentibenchError (one `error[...]` line in the CLI), never another exception.
+SentibenchError (one `error[...]` line in the CLI), never another exception,
+and the one array decoder returns exactly its input or raises.
 
 Mutations of a saved artifact of each model variant and of both vectorizer
 kinds, and of the committed version 1 forest artifact: drop a key or list entry, swap any value (the whole document
@@ -9,12 +10,15 @@ with a copy of an entry or a new value.
 
 import copy
 import json
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sentibench import load_model, load_vectorizer
+from sentibench.base import decode_array
 from sentibench.cli import main
 from sentibench.errors import SentibenchError
 from helpers import FIXTURE_CSV, SHORT_RUN, V1_ARTIFACTS
@@ -107,3 +111,48 @@ def test_a_mutated_artifact_loads_or_raises_sentibench_error(artifacts, name, da
         load(str(path))
     except SentibenchError:
         pass
+
+
+# Leaves of a decoded array: integers that a float holds exactly, besides
+# 2**63 (past int64) and 10**400 (past a float), and every JSON non-number.
+LEAVES = (st.integers(-2**53, 2**53) | st.sampled_from([2**63, 10**400, -10**400])
+          | st.floats() | st.none() | st.booleans() | st.text(max_size=2))
+
+
+def nested(shape):
+    """Lists nested to exactly ``shape`` over LEAVES."""
+    if not shape:
+        return LEAVES
+    return st.lists(nested(shape[1:]), min_size=shape[0], max_size=shape[0])
+
+
+def scalars(value):
+    """Every value inside ``value`` that is not a list or a dict."""
+    if isinstance(value, (list, dict)):
+        for child in value.values() if isinstance(value, dict) else value:
+            yield from scalars(child)
+    else:
+        yield value
+
+
+def refused(leaf, integer: bool) -> bool:
+    """A leaf that no decoded array may hold."""
+    return (type(leaf) not in ((int,) if integer else (int, float))
+            or (type(leaf) is float and not math.isfinite(leaf)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(shape=st.lists(st.integers(0, 3), max_size=3).map(tuple), integer=st.booleans(),
+       minimum=st.none() | st.integers(-2, 2), data=st.data())
+def test_decode_array_returns_its_input_or_raises(shape, integer, minimum, data):
+    values = data.draw(nested(shape) | JSON_VALUES)
+    try:
+        array = decode_array("a", copy.deepcopy(values), shape, integer=integer,
+                             minimum=minimum)
+    except (ValueError, TypeError, OverflowError):
+        return
+    assert array.dtype == (np.int64 if integer else np.float64)
+    assert array.shape == shape
+    assert array.tolist() == values
+    assert not any(refused(leaf, integer) for leaf in scalars(values))
+    assert minimum is None or (array >= minimum).all()

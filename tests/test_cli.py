@@ -234,6 +234,9 @@ SHAPE_CORRUPTIONS = {
     "svm bias of one entry": ("model_svm_bow.json", first_entry("bias"), "svm", "bow"),
     "mnb prior of one entry": (
         "model_mnb_bow.json", first_entry("class_log_prior"), "mnb", "bow"),
+    "logreg one loss more than its epochs": (
+        "model_logreg_bow.json", lambda d: d["params"]["epoch_losses"].append(0.5),
+        "logreg", "bow"),
     "tfidf df and idf shorter than terms": (
         "vectorizer_tfidf.json", lambda d: d.update(df=d["df"][:1], idf=d["idf"][:1]),
         "mnb", "tfidf"),
@@ -333,6 +336,12 @@ NON_NUMBER_CORRUPTIONS = {
                          lambda d: d["params"]["weights"][0].__setitem__(0, "0.5"), "svm", "bow"),
     "svm bias true": ("model_svm_bow.json", lambda d: d["params"]["bias"].__setitem__(1, True),
                       "svm", "bow"),
+    "logreg epoch_losses '0.5'": (
+        "model_logreg_bow.json", lambda d: d["params"]["epoch_losses"].__setitem__(0, "0.5"),
+        "logreg", "bow"),
+    "logreg epoch_losses true": (
+        "model_logreg_bow.json", lambda d: d["params"]["epoch_losses"].__setitem__(1, True),
+        "logreg", "bow"),
 }
 
 
@@ -954,6 +963,48 @@ class TestConfigHandling:
         assert captured.err == "error[config]: select at least one output format\n"
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, option, value, named", [
+        ("compare", "--model", "mnb,mnb", "model 'mnb'"),
+        ("compare", "--vectorizer", "bow,tfidf,bow", "vectorizer 'bow'"),
+        ("stats", "--format", "json,csv,json", "output format 'json'"),
+        ("compare", "models", ["mnb", "mnb"], "model 'mnb'"),
+        ("compare", "vectorizers", "tfidf,tfidf", "vectorizer 'tfidf'"),
+        ("stats", "formats", ["csv", "csv"], "output format 'csv'"),
+    ])
+    def test_kind_or_format_named_twice_is_rejected(self, tmp_path, capsys, command, option,
+                                                    value, named):
+        out = tmp_path / "o"
+        argv = [command, "--out-dir", out]
+        if option.startswith("--"):
+            argv += ["--data", FIXTURE_CSV, option, value]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"data": FIXTURE_CSV, option: value}))
+            argv += ["--config", config]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error[config]: {named} is named twice\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under a file"])
+    @pytest.mark.parametrize("command", [
+        ["stats"], ["train", "--model", "mnb", "--vectorizer", "bow"],
+        ["evaluate", "--model-artifact", "m.json", "--vectorizer-artifact", "v.json"],
+        ["compare", "--model", "mnb"],
+    ], ids=["stats", "train", "evaluate", "compare"])
+    def test_out_dir_that_is_not_a_directory_is_one_config_error(self, tmp_path, capsys,
+                                                                 command, under):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "sub" if under else blocker
+        # evaluate's artifacts do not exist: the check comes before any input is read
+        assert run([*command, "--data", FIXTURE_CSV, "--out-dir", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error[config]: --out-dir {out}: {blocker} is not a directory\n"
+        assert captured.out == ""
+        assert blocker.read_text() == ""
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["stats", "--data", FIXTURE_CSV, "--no-such-flag"], id="unknown flag"),

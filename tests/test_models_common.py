@@ -193,7 +193,7 @@ class TestPersistence:
 
     @pytest.mark.parametrize("kind, key", [
         ("svm", "weights"), ("svm", "bias"), ("logreg", "weights"), ("logreg", "bias"),
-        ("mnb", "class_log_prior"), ("mnb", "feature_log_likelihood"),
+        ("mnb", "class_log_prior"), ("mnb", "feature_log_likelihood"), ("logreg", "epoch_losses"),
     ])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_params_are_artifact_errors(self, fitted_models, tmp_path, kind,
