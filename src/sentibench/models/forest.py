@@ -34,8 +34,9 @@ histogram of every candidate, and each node takes its first best
 candidate in that order. Per-step cost thus scales with the stored
 entries of the sampled columns, not with rows x features.
 
-Prediction routes every (row, tree) pair together, one level per pass,
-through the trees' flat arrays laid end to end.
+Prediction routes every (row, tree) pair of a block of rows together,
+one level per pass, through the trees' flat arrays laid end to end. A
+block's dense copy and its (row, tree) pairs stay within ``_BLOCK`` values.
 
 An artifact stores each tree's feature, threshold, left and counts as
 lists, checked on load by array operations, so any depth saves and loads.
@@ -52,6 +53,7 @@ from ..errors import ArtifactError
 from .base import BaseClassifier
 
 _STREAM = 3
+_BLOCK = 500_000
 
 
 class _Tree:
@@ -338,11 +340,11 @@ class RandomForest(BaseClassifier):
 
         n = csr.shape[0]
         votes = np.zeros((n, 3))
-        # Densify in bounded chunks so (row, feature) gathers stay cheap and
-        # the (row, tree) pairs stay few.
-        chunk = max(1, min(4_000_000 // max(1, self.n_features_), 1_000_000 // len(trees)))
-        for start in range(0, n, chunk):
-            dense = csr[start : start + chunk].toarray()
+        # Route in row blocks whose dense copy plus (row, tree) pairs stay
+        # within _BLOCK values.
+        block = max(1, _BLOCK // (self.n_features_ + len(trees)))
+        for start in range(0, n, block):
+            dense = csr[start : start + block].toarray()
             m = dense.shape[0]
             pair_row = np.repeat(np.arange(m), len(trees))
             node = np.tile(roots, m)

@@ -261,11 +261,45 @@ class TestMatchesRowGatherReference:
         model = RandomForest(**hp).fit(X, y)
         dims = X.shape[1]
         probe = data.draw(st.lists(st.lists(VALUES, min_size=dims, max_size=dims), max_size=8))
-        for rows in (X, from_dense(np.array(probe).reshape(len(probe), dims))):
+        inputs = (X, from_dense(np.array(probe).reshape(len(probe), dims)),
+                  from_dense(np.zeros((0, dims))))
+        for rows in inputs:
             csr = check_vectors(rows)
-            got = model._score_matrix(csr)
             want = forest_reference.score_matrix(model.trees_, csr)
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+            # One block, then blocks of 1, 2 and 3 rows: most inputs end on
+            # a partial block.
+            for block in (forest._BLOCK, *(k * (dims + hp["n_trees"]) for k in (1, 2, 3))):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(forest, "_BLOCK", block)
+                    got = model._score_matrix(csr)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+class TestScoreBlocks:
+    def test_blocks_stay_within_the_budget_and_cover_the_rows_in_order(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        n, dims = 700, 1000
+        dense = rng.choice([0.25, 0.5, 1.0], size=(n, dims)) * (rng.random((n, dims)) < 0.02)
+        dense[:, 0] = np.arange(1, n + 1)  # every row distinct
+        X = from_dense(dense)
+        assert n * dims > forest._BLOCK
+        y = [LABELS[i] for i in rng.integers(0, 3, n)]
+        model = RandomForest(n_trees=3, max_depth=6, seed=2).fit(X, y)
+        want = forest_reference.score_matrix(model.trees_, X)
+
+        blocks = []
+        toarray = CsrMatrix.toarray
+
+        def spy(self):
+            blocks.append(toarray(self))
+            return blocks[-1]
+
+        monkeypatch.setattr(CsrMatrix, "toarray", spy)
+        got = model._score_matrix(X)
+        assert len(blocks) > 1
+        assert all(block.size <= forest._BLOCK for block in blocks)
+        assert np.array_equal(np.concatenate(blocks), dense)
+        assert np.array_equal(got, want)
 
 
 class TestLockstep:
