@@ -1,11 +1,11 @@
 """Shared classifier interface and input-validation helpers.
 
-Classifiers are fitted once and immutable afterwards: predict and
-predict_scores are pure functions of (fitted state, input matrix). Every
-model takes one ``CsrMatrix``, a row per sample, as the vectorizer builds.
-Score matrices keep columns in the fixed polarity order, and argmax
-resolves ties toward the earlier class, which pins the documented
-tie-break [negative, neutral, positive].
+Classifiers are fitted once and immutable afterwards: predict is a pure
+function of (fitted state, input matrix). Every model takes one
+``CsrMatrix``, a row per sample, as the vectorizer builds. Score matrices
+keep columns in the fixed polarity order, and argmax resolves ties toward
+the earlier class, which pins the documented tie-break [negative,
+neutral, positive].
 
 ``BaseClassifier.fit`` checks the training set for every variant, whose
 ``_fit`` keeps only its arithmetic and its own preconditions, and each
@@ -56,8 +56,8 @@ def check_X_y(X, y):
 
 
 class BaseClassifier:
-    """fit / predict / predict_scores over polarity classes, plus the
-    fitted state that the model artifact stores.
+    """fit / predict over polarity classes, plus the fitted state that the
+    model artifact stores.
 
     Follows the scikit-learn convention: every constructor argument is a
     hyperparameter stored under its own name, which ``get_params`` returns
@@ -103,10 +103,6 @@ class BaseClassifier:
     def predict(self, X) -> list[str]:
         scores = self._score_matrix(check_vectors(X, dims=self.dims))
         return [POLARITIES[i] for i in np.argmax(scores, axis=1)]
-
-    def predict_scores(self, X) -> list[dict[str, float]]:
-        scores = self._score_matrix(check_vectors(X, dims=self.dims))
-        return [{label: float(row[i]) for i, label in enumerate(POLARITIES)} for row in scores]
 
     def state_to_dict(self) -> dict:
         """Fitted state as the artifact's ``params`` section."""

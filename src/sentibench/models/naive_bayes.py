@@ -6,8 +6,8 @@ the likelihood of term t in class c is
 
     (sum of t's weights in c + alpha) / (sum of all weights in c + alpha * V).
 
-Posteriors are the softmax of the joint log-likelihood, so
-predict_scores returns true probabilities.
+Its class scores are the softmax of the joint log-likelihood, so each
+row of ``_score_matrix`` holds true posterior probabilities.
 """
 
 from __future__ import annotations
@@ -49,9 +49,10 @@ class MultinomialNaiveBayes(BaseClassifier):
         with np.errstate(divide="ignore"):
             self.class_log_prior_ = np.log(class_counts / n_samples)
         smoothed = term_totals + self.alpha
-        self.feature_log_likelihood_ = np.log(
-            smoothed / smoothed.sum(axis=1, keepdims=True)
-        )
+        with np.errstate(over="ignore", divide="ignore"):  # refused just below
+            self.feature_log_likelihood_ = np.log(smoothed / smoothed.sum(axis=1, keepdims=True))
+        if not np.isfinite(self.feature_log_likelihood_).all():
+            raise TrainingError("non-finite log-likelihoods; use an alpha nearer 1")
 
     def _score_matrix(self, csr) -> np.ndarray:
         return softmax(csr @ self.feature_log_likelihood_.T + self.class_log_prior_)

@@ -92,7 +92,10 @@ class LinearSvm(BaseClassifier):
         for c in range(3):
             y_pm = np.where(y_idx == c, 1.0, -1.0)
             rng = np.random.default_rng([self.seed, _STREAM, c])
-            w_aug = _pegasos_binary(augmented, y_pm, self.lam, self.epochs, rng)
+            with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+                w_aug = _pegasos_binary(augmented, y_pm, self.lam, self.epochs, rng)
+            if not np.isfinite(w_aug).all():
+                raise TrainingError("non-finite svm weights; raise lambda")
             weights[c] = w_aug[:-1]
             bias[c] = w_aug[-1]
 

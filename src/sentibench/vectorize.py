@@ -8,13 +8,13 @@ are pure, so fitted instances are safe to share across threads.
 
 A corpus is counted once, by ``TermCounts.count``: into a (docs, terms)
 ``CsrMatrix`` of term counts whose columns are the corpus's own terms in
-first-occurrence order, and each doc's length. ``preprocess_corpus``
-returns one; a plain sequence of token lists is counted on entry to
-``fit`` or ``transform``. ``fit`` takes its vocabulary from the terms and
-tf-idf's df from the count columns. ``transform`` weights the counts as
-they are when the corpus's terms are the vocabulary (the fit corpus),
-and otherwise first maps their columns onto it, dropping unknown terms.
-The result is one canonical ``CsrMatrix``, the input every model takes.
+first-occurrence order, and each doc's length. ``fit`` and ``transform``
+take only the ``TermCounts`` that ``preprocess_corpus`` returns. ``fit``
+takes its vocabulary from the terms and tf-idf's df from the count
+columns. ``transform`` weights the counts as they are when the corpus's
+terms are the vocabulary (the fit corpus), and otherwise first maps their
+columns onto it, dropping unknown terms. The result is one canonical
+``CsrMatrix``, the input every model takes.
 
 Fitted state is plain values: ``vocabulary_`` maps each term to its
 column, and tf-idf adds the fit's document count and per-column df and
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -150,16 +150,6 @@ class TermCounts:
         return cls(matrix, [names[i] for i in order.tolist()], lengths)
 
 
-def _counted(docs: TermCounts | Iterable[Sequence[str]]) -> TermCounts:
-    """``docs`` itself if already counted, else its token lists counted."""
-    if isinstance(docs, TermCounts):
-        return docs
-    docs, table = list(docs), {}
-    ids = [table.setdefault(t, len(table)) for doc in docs for t in doc]
-    lengths = np.fromiter(map(len, docs), dtype=np.int64, count=len(docs))
-    return TermCounts.count(ids, lengths, list(table))
-
-
 def inverse_document_frequencies(doc_count: int, df) -> np.ndarray:
     """ln(doc_count / d) for each document frequency d, as float64."""
     return np.array([math.log(doc_count / d) for d in df], dtype=np.float64)
@@ -177,8 +167,7 @@ class _Vectorizer:
         check_fitted(self, "vocabulary_")
         return len(self.vocabulary_)
 
-    def fit(self, docs: TermCounts | Sequence[Sequence[str]]):
-        corpus = _counted(docs)
+    def fit(self, corpus: TermCounts):
         self.vocabulary_ = dict(zip(corpus.terms, range(len(corpus.terms))))
         return self
 
@@ -187,9 +176,8 @@ class _Vectorizer:
         and the length of its row's document."""
         raise NotImplementedError
 
-    def transform(self, docs: TermCounts | Iterable[Sequence[str]]) -> CsrMatrix:
+    def transform(self, corpus: TermCounts) -> CsrMatrix:
         check_fitted(self, "vocabulary_")
-        corpus = _counted(docs)
         counts, shape = corpus.counts, (len(corpus), self.dims)
         if corpus.terms != list(self.vocabulary_):
             # another corpus's columns: remap them, drop unknown terms, re-sort
@@ -222,8 +210,7 @@ class TfidfVectorizer(_Vectorizer):
 
     kind = "tfidf"
 
-    def fit(self, docs: TermCounts | Sequence[Sequence[str]]) -> "TfidfVectorizer":
-        corpus = _counted(docs)
+    def fit(self, corpus: TermCounts) -> "TfidfVectorizer":
         if len(corpus) == 0:
             raise TrainingError("tfidf requires at least one fit document")
         self.doc_count_ = len(corpus)

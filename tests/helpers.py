@@ -9,6 +9,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from sentibench import POLARITIES, Corpus, CsrMatrix
+from sentibench.vectorize import TermCounts
 
 DATA_DIR = Path(__file__).parent / "data"
 FIXTURE_CSV = str(DATA_DIR / "fixture_tweets.csv")
@@ -49,6 +50,15 @@ def brute_counts(docs) -> tuple[list, list, list]:
     terms = list(dict.fromkeys(t for doc in docs for t in doc))
     rows = [[doc.count(t) for t in terms] for doc in docs]
     return terms, [len(doc) for doc in docs], rows
+
+
+def count_tokens(docs) -> TermCounts:
+    """Token lists counted as ``preprocess_corpus`` counts a corpus: terms in
+    first-occurrence order. ``TestCountedCorpus`` holds the two equal."""
+    docs, table = list(docs), {}
+    ids = [table.setdefault(t, len(table)) for doc in docs for t in doc]
+    lengths = np.fromiter(map(len, docs), dtype=np.int64, count=len(docs))
+    return TermCounts.count(ids, lengths, list(table))
 
 
 def counts_of(corpus) -> tuple[list, list, list]:

@@ -28,6 +28,7 @@ from sentibench import (
 from sentibench.preprocess import lemmatize
 from sentibench.cli import main as cli_main
 from sentibench.metrics import MetricsReport
+from sentibench.models import check_vectors
 from sentibench.models.logistic import softmax_loss_and_grad
 from helpers import (
     DATA_DIR,
@@ -37,6 +38,7 @@ from helpers import (
     EXAMPLE_TWEET_2,
     EXAMPLE_VOCAB,
     FIXTURE_CSV,
+    count_tokens,
     full_dataset_path,
     make_corpus,
     csr,
@@ -57,7 +59,7 @@ class TestCriterion1WorkedExampleExactness:
         assert doc1 == EXAMPLE_TOKENS_1
 
         # vocabulary: 11 terms, first-occurrence order
-        vocab = BowVectorizer().fit([doc1, doc2]).vocabulary_
+        vocab = BowVectorizer().fit(count_tokens([doc1, doc2])).vocabulary_
         assert tuple(vocab) == EXAMPLE_VOCAB
         assert len(vocab) == 11
 
@@ -66,8 +68,8 @@ class TestCriterion1WorkedExampleExactness:
         docs = [EXAMPLE_TOKENS_1, EXAMPLE_TOKENS_2]
 
         # binary bag-of-words: exact
-        bow = BowVectorizer().fit(docs)
-        assert bow.transform(docs).toarray().tolist() == [
+        bow = BowVectorizer().fit(count_tokens(docs))
+        assert bow.transform(count_tokens(docs)).toarray().tolist() == [
             [1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0],
             [1, 0, 0, 0, 1, 0, 0, 1, 1, 1, 1],
         ]
@@ -83,7 +85,7 @@ class TestCriterion1WorkedExampleExactness:
             assert Fraction(tf2.counts[vocab[term]], tf2.total_terms) == Fraction(1, 6)
 
         # idf: within ±0.005 of the reference column {0, 0.69}
-        tfidf = TfidfVectorizer().fit(docs)
+        tfidf = TfidfVectorizer().fit(count_tokens(docs))
         shared = ("delicious", "mcdonald", "hamburger")
         for term, i in vocab.items():
             reference = 0.0 if term in shared else 0.69
@@ -93,7 +95,7 @@ class TestCriterion1WorkedExampleExactness:
         reference_1 = {"beef": 0.0863, "cheese": 0.0863, "burger": 0.0863,
                        "taste": 0.0863, "cheeseburger": 0.0863}
         reference_2 = {"late": 0.115, "service": 0.115, "slow": 0.115}
-        dense1, dense2 = tfidf.transform(docs).toarray()
+        dense1, dense2 = tfidf.transform(count_tokens(docs)).toarray()
         for term, i in vocab.items():
             assert abs(dense1[i] - reference_1.get(term, 0.0)) <= 0.001
             assert abs(dense2[i] - reference_2.get(term, 0.0)) <= 0.001
@@ -177,7 +179,7 @@ class TestCriterion4OfflinePropertySuites:
 
     def test_tf_normalization(self):
         rng = random.Random(1)
-        vocab = BowVectorizer().fit([list("abcdef")]).vocabulary_
+        vocab = BowVectorizer().fit(count_tokens([list("abcdef")])).vocabulary_
         for _ in range(100):
             doc = [rng.choice("abcdef") for _ in range(rng.randint(1, 40))]
             assert abs(sum(term_frequency(doc, vocab).tf_map().values()) - 1.0) <= 1e-9
@@ -185,7 +187,7 @@ class TestCriterion4OfflinePropertySuites:
     def test_idf_monotonicity(self):
         docs = [["a"], ["a", "b"], ["a", "b", "c"], ["a", "b", "c", "d"],
                 ["a", "b", "c", "d", "e"]]
-        tfidf = TfidfVectorizer().fit(docs)
+        tfidf = TfidfVectorizer().fit(count_tokens(docs))
         for df_i, idf_i in zip(tfidf.df_, tfidf.idf_):
             for df_j, idf_j in zip(tfidf.df_, tfidf.idf_):
                 if df_i < df_j:
@@ -200,8 +202,9 @@ class TestCriterion4OfflinePropertySuites:
         model = MultinomialNaiveBayes(alpha=1.0).fit(csr(4, rows), y)
 
         probes = [[(j, 1.0) for j in range(4) if rng.random() < 0.8] for _ in range(200)]
-        for scores in model.predict_scores(csr(4, probes)):
-            assert abs(sum(scores.values()) - 1.0) <= 1e-9
+        X = check_vectors(csr(4, probes), dims=model.dims)
+        for scores in model._score_matrix(X).tolist():
+            assert abs(sum(scores) - 1.0) <= 1e-9
 
         # brute force on the tiny corpus itself
         counts = {c: y.count(c) for c in labels}
@@ -221,7 +224,8 @@ class TestCriterion4OfflinePropertySuites:
                 joints[c] = lj
             norm = math.log(sum(math.exp(v) for v in joints.values()))
             expected = {c: math.exp(v - norm) for c, v in joints.items()}
-            got = model.predict_scores(csr(4, [probe]))[0]
+            row = model._score_matrix(check_vectors(csr(4, [probe]), dims=model.dims))[0]
+            got = dict(zip(labels, row.tolist()))
             for c, value in expected.items():
                 assert abs(got[c] - value) <= 1e-12
 

@@ -127,6 +127,23 @@ class TestTrain:
             doc = json.loads((out / "model_rf_bow.json").read_text())
             assert doc["hyperparameters"]["max_depth"] is None
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["train", "--model", "svm", "--vectorizer", "bow", "--svm-lambda", "1e-320",
+                      "--svm-epochs", 2], id="svm-train"),
+        pytest.param(["train", "--model", "mnb", "--vectorizer", "bow", "--nb-alpha", "1e308"],
+                     id="mnb-train"),
+        pytest.param(["compare", "--model", "svm", "--svm-lambda", "1e-320", "--svm-epochs", 2],
+                     id="svm-compare"),
+    ])
+    def test_non_finite_fit_is_one_training_error(self, tmp_path, capsys, argv):
+        # a fit that overflows writes no artifact (evaluate would refuse its
+        # NaN and Infinity) and scores no cell; a leaked RuntimeWarning would
+        # fail this run, as error[internal]
+        assert run([*argv, "--data", FIXTURE_CSV, "--out-dir", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[training]: non-finite") and err.count("\n") == 1
+        assert list(tmp_path.rglob("*.json")) == []
+
 
 class TestEvaluate:
     def test_separable_oracle_reports_all_ones(self, tmp_path, capsys):
@@ -1085,3 +1102,27 @@ class TestSubprocessInterface:
         assert probe.stdout.splitlines()[0] == "[]"
         assert probe.stdout.splitlines()[-1] == "[]"
         assert (tmp_path / "comparison.json").is_file()
+
+    def test_ci_runtime_script(self, tmp_path):
+        # ci/runtime.sh holds the runtime CI job's sentibench commands; here
+        # it runs through this interpreter, and each step leaves its files
+        script = Path(__file__).resolve().parent.parent / "ci" / "runtime.sh"
+        env = {**child_env(), "SENTIBENCH": f"{sys.executable} -m sentibench.cli",
+               "PYTHON": sys.executable}
+        done = subprocess.run(["sh", str(script)], cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        cells = [f"{m}_{v}" for m in ("svm", "mnb", "rf", "logreg") for v in ("bow", "tfidf")]
+        report = ("json", "csv", "txt")
+        expected = {
+            "out": {f"comparison.{ext}" for ext in report}
+            | {f"report_{cell}.json" for cell in cells}
+            | {"model_rf_tfidf.json", "vectorizer_tfidf.json", "report_rf_tfidf.csv",
+               "report_rf_tfidf.txt"},
+            "out-pre": {"model_mnb_bow.json", "vectorizer_bow.json"}
+            | {f"report_mnb_bow.{ext}" for ext in report},
+            "out-v1": {f"report_{cell}.{ext}" for cell in cells for ext in report},
+        }
+        assert {p.name for p in tmp_path.iterdir()} == set(expected)
+        for name, files in expected.items():
+            assert {p.name for p in (tmp_path / name).iterdir()} == files, name

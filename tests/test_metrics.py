@@ -17,7 +17,7 @@ from sentibench import (
     confusion_matrix,
     evaluate,
 )
-from helpers import make_corpus
+from helpers import count_tokens, make_corpus
 
 
 def random_counts(rng):
@@ -208,7 +208,7 @@ class TestReportAndEvaluate:
 
     def test_dims_mismatch_rejected(self):
         model, _, corpus, pre = self.separable_setup()
-        other = BowVectorizer().fit([["completely", "different", "words"]])
+        other = BowVectorizer().fit(count_tokens([["completely", "different", "words"]]))
         with pytest.raises(DimensionMismatchError):
             evaluate(model, other, corpus, self.vectors(other, corpus, pre))
 

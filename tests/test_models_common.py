@@ -19,7 +19,7 @@ from sentibench import (
     model_to_dict,
     save_model,
 )
-from sentibench.models import check_X_y
+from sentibench.models import check_vectors, check_X_y
 from helpers import as_version_1, csr
 
 DIMS = 6
@@ -66,17 +66,18 @@ class TestPredictScoreAgreement:
     def test_argmax_of_scores_is_predict(self, fitted_models):
         for kind, model in fitted_models.items():
             vectors = probes()
-            scores = model.predict_scores(vectors)
+            scores = model._score_matrix(check_vectors(vectors, dims=model.dims))
             preds = model.predict(vectors)
-            for row, pred in zip(scores, preds):
-                best = max(POLARITIES, key=lambda c: (row[c], -POLARITIES.index(c)))
-                assert pred == best, kind
+            for row, pred in zip(scores.tolist(), preds):
+                best = max(range(len(POLARITIES)), key=lambda c: (row[c], -c))
+                assert pred == POLARITIES[best], kind
 
     def test_probabilistic_scores_sum_to_one(self, fitted_models):
         vectors = probes(1000, seed=9)
         for kind in ("mnb", "logreg", "rf"):
-            for row in fitted_models[kind].predict_scores(vectors):
-                assert sum(row.values()) == pytest.approx(1.0, abs=1e-9), kind
+            model = fitted_models[kind]
+            for row in model._score_matrix(check_vectors(vectors, dims=model.dims)).tolist():
+                assert sum(row) == pytest.approx(1.0, abs=1e-9), kind
 
 
 class TestDeterminism:

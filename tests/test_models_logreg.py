@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import logreg_reference
 from sentibench import SoftmaxRegression, TrainingError
 from sentibench.corpus import POLARITIES
+from sentibench.models import check_vectors
 from sentibench.models.logistic import softmax, softmax_loss_and_grad
 from helpers import canonical_csr, csr
 
@@ -36,8 +37,8 @@ class TestZeroInitialization:
         model.weights_ = np.zeros((3, 4))
         model.bias_ = np.zeros(3)
         model.n_features_ = 4
-        scores = model.predict_scores(csr(4, [[(1, 2.0)]]))[0]
-        for value in scores.values():
+        scores = model._score_matrix(check_vectors(csr(4, [[(1, 2.0)]]), dims=model.dims))[0]
+        for value in scores.tolist():
             assert value == pytest.approx(1 / 3, abs=1e-15)
 
     def test_zero_vector_prediction_is_bias_argmax(self):

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from sentibench import MultinomialNaiveBayes, TrainingError, model_from_dict, model_to_dict
+from sentibench.corpus import POLARITIES
+from sentibench.models import check_vectors
 from helpers import csr
 
 # 4 docs over 3 terms, one per line, with alpha = 1:
@@ -60,7 +62,8 @@ class TestToyCorpus:
         for x in ([1, 1, 0], [1, 0, 0], [0, 1, 1], [0, 0, 1], [1, 1, 1]):
             expected = exact_posterior(x, TOY_PRIOR, TOY_LIKELIHOOD)
             pairs = [(i, 1.0) for i, w in enumerate(x) if w]
-            got = model.predict_scores(csr(3, [pairs]))[0]
+            row = model._score_matrix(check_vectors(csr(3, [pairs]), dims=model.dims))[0]
+            got = dict(zip(POLARITIES, row.tolist()))
             for c in expected:
                 assert got[c] == pytest.approx(float(expected[c]), abs=1e-12)
 
@@ -86,6 +89,15 @@ class TestDegenerateAndErrors:
     def test_negative_weights_rejected(self):
         with pytest.raises(TrainingError, match="non-negative"):
             MultinomialNaiveBayes().fit(csr(2, [[(0, -1.0)]]), ["negative"])
+
+    @pytest.mark.parametrize("alpha", [
+        pytest.param(1e308, id="overflow"),  # inf class totals: every likelihood is log(0)
+        pytest.param(5e-324, id="underflow"),  # an unseen term's likelihood is log(0)
+    ])
+    def test_non_finite_likelihoods_rejected(self, alpha):
+        # a RuntimeWarning from the overflow or log(0) would fail this test
+        with pytest.raises(TrainingError, match="non-finite log-likelihoods"):
+            MultinomialNaiveBayes(alpha=alpha).fit(TOY_X, TOY_Y)
 
     def test_alpha_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -156,6 +168,7 @@ class TestBruteForceEquivalence:
             norm = math.log(sum(math.exp(v) for v in log_joint.values()))
             expected = {c: math.exp(v - norm) for c, v in log_joint.items()}
 
-            got = model.predict_scores(csr(dims, [query]))[0]
+            row = model._score_matrix(check_vectors(csr(dims, [query]), dims=model.dims))[0]
+            got = dict(zip(POLARITIES, row.tolist()))
             for c in labels3:
                 assert got[c] == pytest.approx(expected.get(c, 0.0), abs=1e-12)

@@ -154,10 +154,9 @@ class TestDepthAndVotes:
                     for _ in range(25)])
         y = [("negative", "neutral", "positive")[i] for i in rng.integers(0, 3, 25)]
         model = RandomForest(n_trees=10, seed=7).fit(X, y)
-        for scores in model.predict_scores(X[:5]):
-            total = sum(scores.values())
-            assert total == pytest.approx(1.0, abs=1e-12)
-            for value in scores.values():
+        for scores in model._score_matrix(check_vectors(X[:5], dims=model.dims)).tolist():
+            assert sum(scores) == pytest.approx(1.0, abs=1e-12)
+            for value in scores:
                 assert (value * 10) == pytest.approx(round(value * 10), abs=1e-9)
 
     def test_all_zero_vectors_predict_majority(self):

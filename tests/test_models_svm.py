@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import svm_reference
 from sentibench import LinearSvm, TrainingError
+from sentibench.models import check_vectors
 from sentibench.models.svm import _pegasos_binary
 from svm_reference import hinge_sample_objective, hinge_sample_subgradient
 from helpers import LONG_ROW, canonical_csr, csr, from_dense, random_csr
@@ -28,8 +29,9 @@ class TestTieBreaking:
         model.weights_ = np.array([[1.0, 0.0], [0.0, -2.0], [0.5, 0.5]])
         model.bias_ = np.array([0.0, 1.0, -1.0])
         model.n_features_ = 2
-        scores = model.predict_scores(csr(2, [[(0, 2.0), (1, 4.0)]]))[0]
-        assert scores == {"negative": 2.0, "neutral": -7.0, "positive": 2.0}
+        X = csr(2, [[(0, 2.0), (1, 4.0)]])
+        scores = model._score_matrix(check_vectors(X, dims=model.dims))[0]
+        assert scores.tolist() == [2.0, -7.0, 2.0]  # negative, neutral, positive
 
 
 class TestSeparableTraining:
@@ -139,6 +141,14 @@ class TestErrorsAndValidation:
         X = csr(2, [[(0, 1.0)], [(1, 1.0)]])
         with pytest.raises(TrainingError, match="two distinct"):
             LinearSvm().fit(X, ["positive", "positive"])
+
+    def test_non_finite_weights_rejected(self):
+        # a subnormal lambda makes the first step size 1 / (lambda * t) infinite;
+        # a RuntimeWarning from the overflow would fail this test
+        model = LinearSvm(lam=1e-320, epochs=2)
+        with pytest.raises(TrainingError, match="non-finite svm weights"):
+            model.fit(SEPARABLE_X, SEPARABLE_Y)
+        assert not hasattr(model, "weights_")
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

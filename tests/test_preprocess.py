@@ -25,6 +25,7 @@ from helpers import (
     EXAMPLE_VOCAB,
     FIXTURE_CSV,
     brute_counts,
+    count_tokens,
     counts_of,
 )
 
@@ -326,27 +327,28 @@ class TestVocabulary:
             TweetPreprocessor(stopwords, exceptions)(EXAMPLE_TWEET_1),
             TweetPreprocessor(stopwords, exceptions)(EXAMPLE_TWEET_2),
         ]
-        vocab = BowVectorizer().fit(docs).vocabulary_
+        vocab = BowVectorizer().fit(count_tokens(docs)).vocabulary_
         assert tuple(vocab) == EXAMPLE_VOCAB
         assert len(vocab) == 11
 
     def test_no_docs(self):
-        assert len(BowVectorizer().fit([]).vocabulary_) == 0
+        assert len(BowVectorizer().fit(count_tokens([])).vocabulary_) == 0
 
     def test_duplicate_docs_add_nothing(self):
         doc = EXAMPLE_TOKENS_2
-        twice, once = BowVectorizer().fit([doc, doc]), BowVectorizer().fit([doc])
+        twice = BowVectorizer().fit(count_tokens([doc, doc]))
+        once = BowVectorizer().fit(count_tokens([doc]))
         assert twice.vocabulary_ == once.vocabulary_
 
     def test_size_bounded_and_terms_occur(self):
         docs = [EXAMPLE_TOKENS_1, EXAMPLE_TOKENS_2, EXAMPLE_TOKENS_2]
-        vocab = BowVectorizer().fit(docs).vocabulary_
+        vocab = BowVectorizer().fit(count_tokens(docs)).vocabulary_
         assert len(vocab) <= sum(len(d) for d in docs)
         everything = {t for d in docs for t in d}
         assert set(vocab) == everything
 
     def test_index_is_bijection(self):
-        vocab = BowVectorizer().fit([EXAMPLE_TOKENS_1]).vocabulary_
+        vocab = BowVectorizer().fit(count_tokens([EXAMPLE_TOKENS_1])).vocabulary_
         assert list(vocab.values()) == list(range(len(vocab)))
         terms = list(vocab)
         for term, idx in vocab.items():

@@ -24,7 +24,9 @@ from sentibench import (
     save_vectorizer,
 )
 from sentibench.models import check_vectors
-from helpers import EXAMPLE_TOKENS_1, EXAMPLE_TOKENS_2, brute_counts, counts_of, csr
+from helpers import (
+    EXAMPLE_TOKENS_1, EXAMPLE_TOKENS_2, brute_counts, count_tokens, counts_of, csr,
+)
 from vectorize_reference import term_frequency
 
 DOCS = [EXAMPLE_TOKENS_1, EXAMPLE_TOKENS_2]
@@ -38,18 +40,18 @@ def entries(matrix) -> list[tuple[tuple, tuple]]:
 
 def row(vec, doc) -> tuple[tuple, tuple]:
     """The (indices, values) of the one row ``transform`` makes of one document."""
-    (out,) = entries(vec.transform([doc]))
+    (out,) = entries(vec.transform(count_tokens([doc])))
     return out
 
 
 def dense(vec, doc) -> np.ndarray:
-    return vec.transform([doc]).toarray()[0]
+    return vec.transform(count_tokens([doc])).toarray()[0]
 
 
 def load_tampered_tfidf(tmp_path, corrupt):
     """Load a tf-idf artifact of DOCS after ``corrupt`` edits its JSON in place."""
     path = tmp_path / "vec.json"
-    save_vectorizer(TfidfVectorizer().fit(DOCS), str(path), DEFAULT_PREPROCESSOR)
+    save_vectorizer(TfidfVectorizer().fit(count_tokens(DOCS)), str(path), DEFAULT_PREPROCESSOR)
     doc = json.loads(path.read_text())
     corrupt(doc)
     path.write_text(json.dumps(doc))
@@ -68,7 +70,7 @@ class TestCsrMatrix:
 
     def test_no_explicit_zeros_or_nonfinite(self, tmp_path):
         # transform drops zero weights, and a non-finite idf never loads
-        rows = TfidfVectorizer().fit(DOCS).transform(DOCS)
+        rows = TfidfVectorizer().fit(count_tokens(DOCS)).transform(count_tokens(DOCS))
         assert 0.0 not in rows.data and np.isfinite(rows.data).all()
         for bad in (math.inf, math.nan):
             with pytest.raises(ArtifactError, match="finite"):
@@ -96,39 +98,40 @@ class TestCsrMatrix:
 
 class TestBow:
     def test_worked_example_vectors(self):
-        bow = BowVectorizer().fit(DOCS)
+        bow = BowVectorizer().fit(count_tokens(DOCS))
         assert bow.dims == 11
-        assert bow.transform(DOCS).toarray().tolist() == [
+        assert bow.transform(count_tokens(DOCS)).toarray().tolist() == [
             [1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0],
             [1, 0, 0, 0, 1, 0, 0, 1, 1, 1, 1],
         ]
 
     def test_empty_doc(self):
-        bow = BowVectorizer().fit(DOCS)
+        bow = BowVectorizer().fit(count_tokens(DOCS))
         assert row(bow, []) == ((), ())
 
     def test_presence_not_counts(self):
-        bow = BowVectorizer().fit(DOCS)
+        bow = BowVectorizer().fit(count_tokens(DOCS))
         doc = ["late", "late", "late", "slow"]
         once = row(bow, ["late", "slow"])
         assert row(bow, doc) == once
         assert set(once[1]) == {1.0}
 
     def test_doubled_doc_equals_doc(self):
-        bow = BowVectorizer().fit(DOCS)
+        bow = BowVectorizer().fit(count_tokens(DOCS))
         doc = EXAMPLE_TOKENS_2
         assert row(bow, doc + doc) == row(bow, doc)
 
     def test_unknown_tokens_ignored(self):
-        bow = BowVectorizer().fit(DOCS)
+        bow = BowVectorizer().fit(count_tokens(DOCS))
         assert row(bow, ["pizza", "sushi"]) == ((), ())
 
     def test_transform_matches_per_doc(self):
-        bow = BowVectorizer().fit(DOCS)
-        assert entries(bow.transform(DOCS)) == vectorize_reference.transform(bow, DOCS)
+        bow = BowVectorizer().fit(count_tokens(DOCS))
+        want = vectorize_reference.transform(bow, DOCS)
+        assert entries(bow.transform(count_tokens(DOCS))) == want
 
     def test_transform_deterministic(self):
-        bow = BowVectorizer().fit(DOCS)
+        bow = BowVectorizer().fit(count_tokens(DOCS))
         assert row(bow, EXAMPLE_TOKENS_1) == row(bow, EXAMPLE_TOKENS_1)
 
 
@@ -137,14 +140,14 @@ class TestTermFrequency:
     bulk tf-idf transform to bit for bit, against hand counts."""
 
     def test_worked_example_doc_one(self):
-        vocab = BowVectorizer().fit(DOCS).vocabulary_
+        vocab = BowVectorizer().fit(count_tokens(DOCS)).vocabulary_
         freqs = term_frequency(EXAMPLE_TOKENS_1, vocab)
         assert freqs.total_terms == 8
         assert freqs.counts[vocab["delicious"]] == 1
         assert freqs.tf(vocab["delicious"]) == Fraction(1, 8)
 
     def test_worked_example_doc_two(self):
-        vocab = BowVectorizer().fit(DOCS).vocabulary_
+        vocab = BowVectorizer().fit(count_tokens(DOCS)).vocabulary_
         freqs = term_frequency(EXAMPLE_TOKENS_2, vocab)
         assert freqs.total_terms == 6
         # exact rational as integers; the float is the rounded division
@@ -153,23 +156,23 @@ class TestTermFrequency:
         assert freqs.tf(vocab["beef"]) == 0.0
 
     def test_hand_counts(self):
-        vocab = BowVectorizer().fit([["a", "b", "c"]]).vocabulary_
+        vocab = BowVectorizer().fit(count_tokens([["a", "b", "c"]])).vocabulary_
         freqs = term_frequency(["a", "a", "b", "c"], vocab)
         assert freqs.tf_map() == {0: 0.5, 1: 0.25, 2: 0.25}
 
     def test_unknown_tokens_count_toward_denominator(self):
-        vocab = BowVectorizer().fit([["a"]]).vocabulary_
+        vocab = BowVectorizer().fit(count_tokens([["a"]])).vocabulary_
         freqs = term_frequency(["a", "zzz", "zzz", "zzz"], vocab)
         assert freqs.total_terms == 4
         assert freqs.tf(0) == 0.25
 
     def test_empty_doc(self):
-        vocab = BowVectorizer().fit([["a"]]).vocabulary_
+        vocab = BowVectorizer().fit(count_tokens([["a"]])).vocabulary_
         assert term_frequency([], vocab).counts == {}
 
     def test_tf_sums_to_one_for_in_vocab_docs(self):
         rng = random.Random(5)
-        vocab = BowVectorizer().fit([["a", "b", "c", "d", "e"]]).vocabulary_
+        vocab = BowVectorizer().fit(count_tokens([["a", "b", "c", "d", "e"]])).vocabulary_
         for _ in range(50):
             doc = [rng.choice("abcde") for _ in range(rng.randint(1, 30))]
             total = sum(term_frequency(doc, vocab).tf_map().values())
@@ -178,18 +181,18 @@ class TestTermFrequency:
 
 class TestIdf:
     def test_worked_example_values(self):
-        tfidf = TfidfVectorizer().fit(DOCS)
+        tfidf = TfidfVectorizer().fit(count_tokens(DOCS))
         vocab, idf = tfidf.vocabulary_, tfidf.idf_
         assert idf[vocab["delicious"]] == 0.0
         assert abs(idf[vocab["beef"]] - math.log(2)) < 1e-15
 
     def test_single_document_all_zero(self):
-        tfidf = TfidfVectorizer().fit([EXAMPLE_TOKENS_1])
+        tfidf = TfidfVectorizer().fit(count_tokens([EXAMPLE_TOKENS_1]))
         assert set(tfidf.idf_.tolist()) == {0.0}
 
     def test_monotonicity(self):
         docs = [["a"], ["a", "b"], ["a", "b", "c"], ["a", "b", "c", "d"]]
-        tfidf = TfidfVectorizer().fit(docs)
+        tfidf = TfidfVectorizer().fit(count_tokens(docs))
         df, idf = tfidf.df_, tfidf.idf_
         for i in range(len(df)):
             for j in range(len(df)):
@@ -211,9 +214,9 @@ class TestIdf:
 
 class TestTfidfTransform:
     def test_worked_example_weights(self):
-        tfidf = TfidfVectorizer().fit(DOCS)
+        tfidf = TfidfVectorizer().fit(count_tokens(DOCS))
         vocab = tfidf.vocabulary_
-        rows = tfidf.transform(DOCS)
+        rows = tfidf.transform(count_tokens(DOCS))
         dense1, dense2 = rows.toarray()
         assert dense1[vocab["beef"]] == pytest.approx(math.log(2) / 8, abs=1e-15)
         assert dense2[vocab["late"]] == pytest.approx(math.log(2) / 6, abs=1e-15)
@@ -223,22 +226,23 @@ class TestTfidfTransform:
 
     def test_requires_fit_docs(self):
         with pytest.raises(TrainingError):
-            TfidfVectorizer().fit([])
+            TfidfVectorizer().fit(count_tokens([]))
 
     def test_unseen_only_doc_is_empty(self):
-        tfidf = TfidfVectorizer().fit(DOCS)
+        tfidf = TfidfVectorizer().fit(count_tokens(DOCS))
         assert row(tfidf, ["pizza", "sushi"]) == ((), ())
 
     def test_empty_doc_is_empty_vector(self):
-        tfidf = TfidfVectorizer().fit(DOCS)
+        tfidf = TfidfVectorizer().fit(count_tokens(DOCS))
         assert row(tfidf, []) == ((), ())
 
     def test_transform_corpus_matches_per_doc(self):
-        tfidf = TfidfVectorizer().fit(DOCS)
-        assert entries(tfidf.transform(DOCS)) == vectorize_reference.transform(tfidf, DOCS)
+        tfidf = TfidfVectorizer().fit(count_tokens(DOCS))
+        want = vectorize_reference.transform(tfidf, DOCS)
+        assert entries(tfidf.transform(count_tokens(DOCS))) == want
 
     def test_transform_bit_identical(self):
-        tfidf = TfidfVectorizer().fit(DOCS)
+        tfidf = TfidfVectorizer().fit(count_tokens(DOCS))
         a = row(tfidf, EXAMPLE_TOKENS_2)
         b = row(tfidf, EXAMPLE_TOKENS_2)
         assert a[1] == b[1]
@@ -253,7 +257,7 @@ class TestTfidfTransform:
                 [rng.choice(alphabet) for _ in range(rng.randint(1, 12))]
                 for _ in range(n_docs)
             ]
-            tfidf = TfidfVectorizer().fit(docs)
+            tfidf = TfidfVectorizer().fit(count_tokens(docs))
             vocab = tfidf.vocabulary_
             for doc in docs:
                 weights = dense(tfidf, doc)
@@ -270,9 +274,9 @@ DOC_TOKENS = st.sampled_from("abcdefgh")  # f, g and h are never fitted
 
 def assert_matches_reference(kind, fit_docs, docs, fit_on=None, apply_to=None):
     """Fitted state and the transform's CSR equal the per-document loops on
-    the token lists, bit for bit. ``fit_on`` and ``apply_to`` are what the
-    vectorizer is given in their place, by default the lists themselves."""
-    vec = make_vectorizer(kind).fit(fit_docs if fit_on is None else fit_on)
+    the token lists, bit for bit. ``fit_on`` and ``apply_to`` are the counts
+    the vectorizer is given in their place, by default ``count_tokens``'s."""
+    vec = make_vectorizer(kind).fit(count_tokens(fit_docs) if fit_on is None else fit_on)
     vocab = vectorize_reference.vocabulary(fit_docs)
     assert list(vec.vocabulary_.items()) == list(vocab.items())
     if kind == "tfidf":
@@ -280,7 +284,7 @@ def assert_matches_reference(kind, fit_docs, docs, fit_on=None, apply_to=None):
         assert vec.doc_count_ == len(fit_docs)
         assert vec.df_.dtype == np.int64 and vec.df_.tolist() == df
         assert vec.idf_.dtype == np.float64 and vec.idf_.tobytes() == np.array(idf).tobytes()
-    got = vec.transform(docs if apply_to is None else apply_to)
+    got = vec.transform(count_tokens(docs) if apply_to is None else apply_to)
     want = vectorize_reference.transform_csr(vec, docs)
     assert got.shape == want.shape
     for name in ("indptr", "indices"):
@@ -333,7 +337,9 @@ _TEXTS = st.one_of(
 class TestCountedCorpus:
     """``preprocess_corpus`` counts, on a fresh preprocessor or one that has
     seen another corpus, equal brute-force counts of ``__call__``'s token
-    lists, and vectorize as those lists do."""
+    lists and ``count_tokens``'s counts of them, and vectorize as those
+    lists do. So the tests that count token lists with ``count_tokens``
+    give the vectorizers the input the program makes."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -351,6 +357,8 @@ class TestCountedCorpus:
         train_docs, test_docs = [fresh(t) for t in train], [fresh(t) for t in test]
         assert counts_of(train_counts) == brute_counts(train_docs)
         assert counts_of(test_counts) == brute_counts(test_docs)
+        assert counts_of(count_tokens(train_docs)) == counts_of(train_counts)
+        assert counts_of(count_tokens(test_docs)) == counts_of(test_counts)
         assert_matches_reference(kind, train_docs, train_docs, train_counts, train_counts)
         assert_matches_reference(kind, train_docs, test_docs, train_counts, test_counts)
 
@@ -358,9 +366,9 @@ class TestCountedCorpus:
 class TestTransformRows:
     @pytest.mark.parametrize("kind", ["bow", "tfidf"])
     def test_row_sequence_contract(self, kind):
-        vec = make_vectorizer(kind).fit(DOCS)
+        vec = make_vectorizer(kind).fit(count_tokens(DOCS))
         docs = [*DOCS, [], ["pizza"], EXAMPLE_TOKENS_2 * 2]
-        out = vec.transform(docs)
+        out = vec.transform(count_tokens(docs))
         assert len(out) == out.shape[0] == len(docs)
         assert sum(v.nnz for v in out) == out.nnz
         assert entries(out) == [row(vec, doc) for doc in docs]
@@ -377,7 +385,7 @@ class TestTransformRows:
 
 class TestSerialization:
     def test_round_trip_bow(self, tmp_path):
-        bow = BowVectorizer().fit(DOCS)
+        bow = BowVectorizer().fit(count_tokens(DOCS))
         path = tmp_path / "vec.json"
         save_vectorizer(bow, str(path), DEFAULT_PREPROCESSOR)
         loaded, _ = load_vectorizer(str(path))
@@ -386,7 +394,7 @@ class TestSerialization:
         assert json.loads(path.read_text())["version"] == 1
 
     def test_round_trip_tfidf_preserves_idf(self, tmp_path):
-        tfidf = TfidfVectorizer().fit(DOCS)
+        tfidf = TfidfVectorizer().fit(count_tokens(DOCS))
         path = tmp_path / "vec.json"
         save_vectorizer(tfidf, str(path), DEFAULT_PREPROCESSOR)
         loaded, _ = load_vectorizer(str(path))
@@ -396,7 +404,7 @@ class TestSerialization:
         assert row(loaded, EXAMPLE_TOKENS_2) == row(tfidf, EXAMPLE_TOKENS_2)
 
     def test_save_is_deterministic(self, tmp_path):
-        tfidf = TfidfVectorizer().fit(DOCS)
+        tfidf = TfidfVectorizer().fit(count_tokens(DOCS))
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         save_vectorizer(tfidf, str(p1), DEFAULT_PREPROCESSOR)
         save_vectorizer(tfidf, str(p2), DEFAULT_PREPROCESSOR)
@@ -406,14 +414,14 @@ class TestSerialization:
         words = frozenset({"he", "she", "the", "is", "that", "gate"})
         preprocessor = TweetPreprocessor(words, {"flew": "fly"})
         path = tmp_path / "vec.json"
-        save_vectorizer(BowVectorizer().fit(DOCS), str(path), preprocessor)
+        save_vectorizer(BowVectorizer().fit(count_tokens(DOCS)), str(path), preprocessor)
         _, loaded = load_vectorizer(str(path))
         assert loaded.stopwords == words
         assert loaded.lemma_exceptions == {"flew": "fly"}
 
     def test_missing_preprocessing_section_means_default(self, tmp_path):
         path = tmp_path / "vec.json"
-        save_vectorizer(BowVectorizer().fit(DOCS), str(path), DEFAULT_PREPROCESSOR)
+        save_vectorizer(BowVectorizer().fit(count_tokens(DOCS)), str(path), DEFAULT_PREPROCESSOR)
         doc = json.loads(path.read_text())
         del doc["preprocessing"]
         path.write_text(json.dumps(doc))
@@ -422,7 +430,7 @@ class TestSerialization:
         assert loaded.lemma_exceptions == {}
 
     def test_bad_format_and_version(self, tmp_path):
-        bow = BowVectorizer().fit(DOCS)
+        bow = BowVectorizer().fit(count_tokens(DOCS))
         path = tmp_path / "vec.json"
         save_vectorizer(bow, str(path), DEFAULT_PREPROCESSOR)
         doc = json.loads(path.read_text())
@@ -442,7 +450,8 @@ class TestSerialization:
     ])
     def test_missing_key_is_artifact_error(self, tmp_path, kind, key):
         path = tmp_path / "vec.json"
-        save_vectorizer(make_vectorizer(kind).fit(DOCS), str(path), DEFAULT_PREPROCESSOR)
+        vec = make_vectorizer(kind).fit(count_tokens(DOCS))
+        save_vectorizer(vec, str(path), DEFAULT_PREPROCESSOR)
         doc = json.loads(path.read_text())
         del doc[key]
         path.write_text(json.dumps(doc))
@@ -451,7 +460,7 @@ class TestSerialization:
 
     def test_wrong_field_types_are_artifact_errors(self, tmp_path):
         path = tmp_path / "vec.json"
-        save_vectorizer(TfidfVectorizer().fit(DOCS), str(path), DEFAULT_PREPROCESSOR)
+        save_vectorizer(TfidfVectorizer().fit(count_tokens(DOCS)), str(path), DEFAULT_PREPROCESSOR)
         good = json.loads(path.read_text())
         for bad in ({**good, "terms": 7}, {**good, "doc_count": "many"},
                     {**good, "idf": [None]}, ["not", "a", "mapping"]):
@@ -461,7 +470,7 @@ class TestSerialization:
 
     def test_malformed_preprocessing_is_artifact_error(self, tmp_path):
         path = tmp_path / "vec.json"
-        save_vectorizer(BowVectorizer().fit(DOCS), str(path), DEFAULT_PREPROCESSOR)
+        save_vectorizer(BowVectorizer().fit(count_tokens(DOCS)), str(path), DEFAULT_PREPROCESSOR)
         good = json.loads(path.read_text())
         section = good["preprocessing"]
         for bad in ({"stopwords": ["gate"]}, {**section, "stopwords": "the"},
