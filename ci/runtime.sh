@@ -13,7 +13,8 @@ ROOT=$(cd "$(dirname "$0")/.." && pwd)
 DATA=$ROOT/tests/data/fixture_tweets.csv
 SENTIBENCH=${SENTIBENCH:-sentibench}  # split into words where it is run
 
-echo "== compare, train and evaluate on the fixture"
+echo "== stats, compare, train and evaluate on the fixture"
+$SENTIBENCH stats --data "$DATA" --out-dir out
 $SENTIBENCH compare --data "$DATA" --out-dir out --svm-epochs 2 --logreg-epochs 2 --rf-trees 2
 $SENTIBENCH train --data "$DATA" --out-dir out --model rf --vectorizer tfidf --rf-trees 2
 $SENTIBENCH evaluate --data "$DATA" --out-dir out \

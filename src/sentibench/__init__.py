@@ -40,7 +40,6 @@ from .models import (
     MultinomialNaiveBayes,
     RandomForest,
     SoftmaxRegression,
-    make_model,
 )
 from .preprocess import TweetPreprocessor, load_lemma_exceptions, load_stopwords
 from .vectorize import (
@@ -48,7 +47,6 @@ from .vectorize import (
     CsrMatrix,
     TfidfVectorizer,
     VECTORIZER_KINDS,
-    make_vectorizer,
 )
 
 __version__ = "0.1.0"

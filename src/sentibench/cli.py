@@ -31,9 +31,9 @@ from .corpus import (
 )
 from .errors import ConfigError, DatasetError, SentibenchError
 from .metrics import MetricsReport, evaluate
-from .models import MODEL_KINDS, make_model
+from .models import MODEL_CLASSES, MODEL_KINDS
 from .preprocess import TweetPreprocessor, load_lemma_exceptions, load_stopwords
-from .vectorize import VECTORIZER_KINDS, make_vectorizer
+from .vectorize import VECTORIZER_CLASSES, VECTORIZER_KINDS
 
 FORMATS = ("json", "csv", "table")
 
@@ -128,7 +128,7 @@ class ExperimentConfig:
         if kind == "rf" and type(hp.get("max_depth")) is int and hp["max_depth"] == 0:
             hp["max_depth"] = None  # 0 on the CLI means unlimited depth
         try:
-            return make_model(kind, seed=self.seed, hyperparams=hp)
+            return MODEL_CLASSES[kind](**{"seed": self.seed, **hp})
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid hyperparameters for {kind}: {exc}") from exc
 
@@ -334,7 +334,7 @@ def cmd_train(config: ExperimentConfig, model_kind: str, vectorizer_kind: str) -
     preprocessor = config.build_preprocessor()
     train_docs = preprocessor.preprocess_corpus(train.texts)
 
-    vectorizer = make_vectorizer(vectorizer_kind).fit(train_docs)
+    vectorizer = VECTORIZER_CLASSES[vectorizer_kind]().fit(train_docs)
     train_vectors = vectorizer.transform(train_docs)
     model = config.build_model(model_kind).fit(train_vectors, train.labels)
 
@@ -412,7 +412,7 @@ def cmd_compare(config: ExperimentConfig) -> int:
     rows = []
     report_files = {}
     for vectorizer_kind in config.vectorizers:
-        vectorizer = make_vectorizer(vectorizer_kind).fit(train_docs)
+        vectorizer = VECTORIZER_CLASSES[vectorizer_kind]().fit(train_docs)
         train_vectors = vectorizer.transform(train_docs)
         test_vectors = vectorizer.transform(test_docs)
         for model_kind in config.models:
@@ -439,15 +439,7 @@ def cmd_compare(config: ExperimentConfig) -> int:
     table = _render_comparison(rows)
     print(table)
 
-    payload = {
-        "dataset": str(config.data),
-        "seed": config.seed,
-        "split_ratio": config.split_ratio,
-        "train_size": len(train),
-        "test_size": len(test),
-        "test_ids_sha256": metadata["test_ids_sha256"],
-        "rows": rows,
-    }
+    payload = {**metadata, "train_size": len(train), "test_size": len(test), "rows": rows}
     columns = ["model", "vectorizer", "accuracy", "weighted_precision",
                "weighted_recall", "weighted_f1"]
     csv_rows = [columns] + [
@@ -478,6 +470,9 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_compare(config)
     except SentibenchError as exc:
         print(f"error[{exc.category}]: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # reads wrap their own, so this is a path the OS refused to stat or write
+        print(f"error[config]: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # a bug, not bad input: still one line, no traceback
         print(f"error[internal]: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -138,15 +138,11 @@ def evaluate(model, vectorizer, test_corpus, test_vectors, metadata=None) -> Met
     ``test_vectors`` is ``vectorizer.transform`` of the preprocessed
     ``test_corpus``, one row per tweet in corpus order; the caller
     preprocesses and transforms, so one test split can be scored by many
-    models without repeating that work. The model and vectorizer must
-    agree on dimensionality; the test corpus must be non-empty.
+    models without repeating that work. ``model.predict`` raises
+    DimensionMismatchError when the model and vectorizer disagree on
+    dimensionality, and ``MetricsReport.from_counts`` raises DatasetError
+    on an empty test corpus.
     """
-    if len(test_corpus) == 0:
-        raise DatasetError("cannot evaluate on an empty test corpus")
-    if model.dims != vectorizer.dims:
-        raise DimensionMismatchError(
-            f"model expects {model.dims} dims, vectorizer produces {vectorizer.dims}"
-        )
     predictions = model.predict(test_vectors)
     meta = {
         "model": model.variant,

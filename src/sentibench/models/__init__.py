@@ -1,11 +1,11 @@
 """The four classifier variants and their shared input validation.
 
-``artifacts`` saves and loads fitted models.
+``MODEL_CLASSES`` maps each kind to its class, which takes ``seed`` and the
+kind's hyperparameters as keyword arguments; ``artifacts`` saves and loads
+fitted models.
 """
 
 from __future__ import annotations
-
-from typing import Mapping
 
 from .base import BaseClassifier, check_vectors, check_X_y
 from .forest import RandomForest
@@ -19,12 +19,3 @@ MODEL_CLASSES = {
     for cls in (LinearSvm, MultinomialNaiveBayes, RandomForest, SoftmaxRegression)
 }
 MODEL_KINDS = tuple(MODEL_CLASSES)
-
-
-def make_model(kind: str, seed: int = 0, hyperparams: Mapping | None = None) -> BaseClassifier:
-    """Instantiate a classifier by kind with optional hyperparameter overrides."""
-    if kind not in MODEL_CLASSES:
-        raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
-    kwargs = dict(hyperparams or {})
-    kwargs.setdefault("seed", seed)
-    return MODEL_CLASSES[kind](**kwargs)

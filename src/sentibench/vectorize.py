@@ -177,7 +177,6 @@ class _Vectorizer:
         raise NotImplementedError
 
     def transform(self, corpus: TermCounts) -> CsrMatrix:
-        check_fitted(self, "vocabulary_")
         counts, shape = corpus.counts, (len(corpus), self.dims)
         if corpus.terms != list(self.vocabulary_):
             # another corpus's columns: remap them, drop unknown terms, re-sort
@@ -227,9 +226,3 @@ class TfidfVectorizer(_Vectorizer):
 
 VECTORIZER_CLASSES = {cls.kind: cls for cls in (BowVectorizer, TfidfVectorizer)}
 VECTORIZER_KINDS = tuple(VECTORIZER_CLASSES)
-
-
-def make_vectorizer(kind: str) -> BowVectorizer | TfidfVectorizer:
-    if kind not in VECTORIZER_CLASSES:
-        raise ValueError(f"unknown vectorizer kind {kind!r}")
-    return VECTORIZER_CLASSES[kind]()

@@ -42,6 +42,10 @@ def write_separable_csv(path: Path, copies: int = 4) -> str:
     return str(path)
 
 
+LONG_NAME = "x" * 300  # longer than a file system allows one name to be
+MNB_BOW = ["--model", "mnb", "--vectorizer", "bow"]
+
+
 def run(argv) -> int:
     return main([str(a) for a in argv])
 
@@ -1023,6 +1027,29 @@ class TestConfigHandling:
         assert captured.out == ""
         assert blocker.read_text() == ""
 
+    @pytest.mark.parametrize("argv, refused", [
+        pytest.param(["stats", "--data", FIXTURE_CSV, "--out-dir", LONG_NAME], LONG_NAME,
+                     id="long out-dir"),
+        pytest.param(["stats", "--data", LONG_NAME], LONG_NAME, id="long data"),
+        pytest.param(["train", "--data", FIXTURE_CSV, "--stopwords", LONG_NAME, *MNB_BOW],
+                     LONG_NAME, id="long stopwords"),
+        pytest.param(["train", "--data", FIXTURE_CSV, "--lemma-exceptions", LONG_NAME,
+                      *MNB_BOW], LONG_NAME, id="long lemma-exceptions"),
+        pytest.param(["stats", "--data", FIXTURE_CSV, "--out-dir", "out"], "out/stats.json",
+                     id="stats output is a directory"),
+        pytest.param(["train", "--data", FIXTURE_CSV, "--out-dir", "out", *MNB_BOW],
+                     "out/model_mnb_bow.json", id="train output is a directory"),
+    ])
+    def test_path_the_os_refuses_is_one_config_error(self, tmp_path, monkeypatch, capsys,
+                                                     argv, refused):
+        monkeypatch.chdir(tmp_path)
+        if refused != LONG_NAME:  # a directory where the command writes its file
+            Path(refused).mkdir(parents=True)
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]: ") and refused in err, err
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("argv", [
         pytest.param(["stats", "--data", FIXTURE_CSV, "--no-such-flag"], id="unknown flag"),
         pytest.param(["compare", "--data", FIXTURE_CSV, "--seed", "abc"], id="seed abc"),
@@ -1115,7 +1142,7 @@ class TestSubprocessInterface:
         cells = [f"{m}_{v}" for m in ("svm", "mnb", "rf", "logreg") for v in ("bow", "tfidf")]
         report = ("json", "csv", "txt")
         expected = {
-            "out": {f"comparison.{ext}" for ext in report}
+            "out": {f"{stem}.{ext}" for stem in ("stats", "comparison") for ext in report}
             | {f"report_{cell}.json" for cell in cells}
             | {"model_rf_tfidf.json", "vectorizer_tfidf.json", "report_rf_tfidf.csv",
                "report_rf_tfidf.txt"},

@@ -11,15 +11,16 @@ from sentibench import (
     CsrMatrix,
     DimensionMismatchError,
     MODEL_KINDS,
+    MultinomialNaiveBayes,
     POLARITIES,
+    SoftmaxRegression,
     TrainingError,
     load_model,
-    make_model,
     model_from_dict,
     model_to_dict,
     save_model,
 )
-from sentibench.models import check_vectors, check_X_y
+from sentibench.models import MODEL_CLASSES, check_vectors, check_X_y
 from helpers import as_version_1, csr
 
 DIMS = 6
@@ -58,7 +59,7 @@ def fitted_models():
     X, y = training_set()
     models = {}
     for kind in MODEL_KINDS:
-        models[kind] = make_model(kind, seed=3, hyperparams=small_hyperparams(kind)).fit(X, y)
+        models[kind] = MODEL_CLASSES[kind](seed=3, **small_hyperparams(kind)).fit(X, y)
     return models
 
 
@@ -85,8 +86,8 @@ class TestDeterminism:
         X, y = training_set()
         held_out = probes(30, seed=4)
         for kind in MODEL_KINDS:
-            a = make_model(kind, seed=11, hyperparams=small_hyperparams(kind)).fit(X, y)
-            b = make_model(kind, seed=11, hyperparams=small_hyperparams(kind)).fit(X, y)
+            a = MODEL_CLASSES[kind](seed=11, **small_hyperparams(kind)).fit(X, y)
+            b = MODEL_CLASSES[kind](seed=11, **small_hyperparams(kind)).fit(X, y)
             assert a.predict(held_out) == b.predict(held_out), kind
 
 
@@ -236,19 +237,20 @@ class TestValidationHelpers:
         with pytest.raises(TrainingError):
             check_X_y(X[:1], ["meh"])
 
-    def test_make_model_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            make_model("perceptron")
+    def test_model_classes_map_each_kind_to_its_class(self):
+        assert MODEL_KINDS == tuple(MODEL_CLASSES) == ("svm", "mnb", "rf", "logreg")
+        for kind, cls in MODEL_CLASSES.items():
+            assert cls.variant == kind
 
     def test_get_set_params(self):
-        model = make_model("logreg", seed=5)
+        model = SoftmaxRegression(seed=5)
         params = model.get_params()
         assert params["seed"] == 5
-        model = make_model("logreg", seed=5, hyperparams={"epochs": 3})
+        model = SoftmaxRegression(seed=5, epochs=3)
         assert model.get_params()["epochs"] == 3
 
     def test_unfitted_model_refuses_prediction(self):
-        model = make_model("mnb")
+        model = MultinomialNaiveBayes()
         with pytest.raises(RuntimeError, match="not fitted"):
             model.predict(csr(2, [[(0, 1.0)]]))
 
@@ -278,8 +280,8 @@ class TestNonCanonicalInput:
         assert messy.canonical() is not messy
         before = [a.copy() for a in (messy.data, messy.indices, messy.indptr)]
         hp = small_hyperparams(kind)
-        got = make_model(kind, seed=3, hyperparams=hp).fit(messy, y)
-        want = make_model(kind, seed=3, hyperparams=hp).fit(clean, y)
+        got = MODEL_CLASSES[kind](seed=3, **hp).fit(messy, y)
+        want = MODEL_CLASSES[kind](seed=3, **hp).fit(clean, y)
         assert model_to_dict(got, "bow") == model_to_dict(want, "bow")
         for after, original in zip((messy.data, messy.indices, messy.indptr), before):
             assert np.array_equal(after, original)

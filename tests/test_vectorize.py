@@ -19,11 +19,12 @@ from sentibench import (
     TfidfVectorizer,
     TrainingError,
     TweetPreprocessor,
+    VECTORIZER_KINDS,
     load_vectorizer,
-    make_vectorizer,
     save_vectorizer,
 )
 from sentibench.models import check_vectors
+from sentibench.vectorize import VECTORIZER_CLASSES
 from helpers import (
     EXAMPLE_TOKENS_1, EXAMPLE_TOKENS_2, brute_counts, count_tokens, counts_of, csr,
 )
@@ -276,7 +277,7 @@ def assert_matches_reference(kind, fit_docs, docs, fit_on=None, apply_to=None):
     """Fitted state and the transform's CSR equal the per-document loops on
     the token lists, bit for bit. ``fit_on`` and ``apply_to`` are the counts
     the vectorizer is given in their place, by default ``count_tokens``'s."""
-    vec = make_vectorizer(kind).fit(count_tokens(fit_docs) if fit_on is None else fit_on)
+    vec = VECTORIZER_CLASSES[kind]().fit(count_tokens(fit_docs) if fit_on is None else fit_on)
     vocab = vectorize_reference.vocabulary(fit_docs)
     assert list(vec.vocabulary_.items()) == list(vocab.items())
     if kind == "tfidf":
@@ -366,7 +367,7 @@ class TestCountedCorpus:
 class TestTransformRows:
     @pytest.mark.parametrize("kind", ["bow", "tfidf"])
     def test_row_sequence_contract(self, kind):
-        vec = make_vectorizer(kind).fit(count_tokens(DOCS))
+        vec = VECTORIZER_CLASSES[kind]().fit(count_tokens(DOCS))
         docs = [*DOCS, [], ["pizza"], EXAMPLE_TOKENS_2 * 2]
         out = vec.transform(count_tokens(docs))
         assert len(out) == out.shape[0] == len(docs)
@@ -450,7 +451,7 @@ class TestSerialization:
     ])
     def test_missing_key_is_artifact_error(self, tmp_path, kind, key):
         path = tmp_path / "vec.json"
-        vec = make_vectorizer(kind).fit(count_tokens(DOCS))
+        vec = VECTORIZER_CLASSES[kind]().fit(count_tokens(DOCS))
         save_vectorizer(vec, str(path), DEFAULT_PREPROCESSOR)
         doc = json.loads(path.read_text())
         del doc[key]
@@ -480,8 +481,7 @@ class TestSerialization:
             with pytest.raises(ArtifactError):
                 load_vectorizer(str(path))
 
-    def test_make_vectorizer(self):
-        assert make_vectorizer("bow").kind == "bow"
-        assert make_vectorizer("tfidf").kind == "tfidf"
-        with pytest.raises(ValueError):
-            make_vectorizer("hashing")
+    def test_vectorizer_classes_map_each_kind_to_its_class(self):
+        assert VECTORIZER_KINDS == tuple(VECTORIZER_CLASSES) == ("bow", "tfidf")
+        for kind, cls in VECTORIZER_CLASSES.items():
+            assert cls.kind == kind
