@@ -1,8 +1,8 @@
 #!/bin/sh
 # The runtime job's sentibench commands, run on the fixture CSV.
 #
-# Writes out/, out-pre/ and out-v1/ under the current directory and reads
-# its inputs from the repository this script sits in. Runs the installed
+# Writes out/, out-pre/, out-half/ and out-v1/ under the current directory
+# and reads its inputs from the repository this script sits in. Runs the installed
 # `sentibench` unless SENTIBENCH names another command, for example
 #   SENTIBENCH="python -m sentibench.cli" sh ci/runtime.sh
 # PYTHON (default `python`) reads back a written artifact. The first
@@ -29,6 +29,19 @@ $SENTIBENCH evaluate --data "$DATA" --out-dir out-pre \
   --model-artifact out-pre/model_mnb_bow.json \
   --vectorizer-artifact out-pre/vectorizer_bow.json
 ${PYTHON:-python} -c "import json, sys; doc = json.load(open('out-pre/vectorizer_bow.json')); sys.exit(doc['preprocessing']['lemma_exceptions'] != {'testing': 'taste'})"
+
+echo "== a failed model write leaves no half artifact pair"
+# model_mnb_bow.json is a directory, so train must fail and take the
+# vectorizer artifact and its temporary files with it
+mkdir -p out-half/model_mnb_bow.json
+if $SENTIBENCH train --data "$DATA" --out-dir out-half --model mnb --vectorizer bow; then
+  echo "train succeeded with its model path a directory" >&2
+  exit 1
+fi
+if [ "$(ls -A out-half)" != model_mnb_bow.json ]; then
+  echo "train left a half artifact pair in out-half: $(ls -A out-half)" >&2
+  exit 1
+fi
 
 echo "== evaluate the committed version 1 artifacts"
 # format version 1 must stay readable; seed 2 is the split they were trained on

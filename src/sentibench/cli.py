@@ -11,8 +11,10 @@ runs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
+import os
 import sys
 from dataclasses import dataclass, field
 from numbers import Real
@@ -257,7 +259,7 @@ def _split(config: ExperimentConfig) -> tuple[Corpus, Corpus]:
 
 
 def _test_ids_digest(test: Corpus) -> str:
-    return hashlib.sha256("\n".join(test.ids).encode("utf-8")).hexdigest()
+    return hashlib.sha256("\n".join(map(str, test.ids)).encode("utf-8")).hexdigest()
 
 
 def _ensure_out_dir(config: ExperimentConfig) -> Path:
@@ -330,19 +332,35 @@ def cmd_stats(config: ExperimentConfig) -> int:
 
 
 def cmd_train(config: ExperimentConfig, model_kind: str, vectorizer_kind: str) -> int:
-    train, _ = _split(config)
+    train = _split(config)[0]
+    train_labels = train.labels
     preprocessor = config.build_preprocessor()
     train_docs = preprocessor.preprocess_corpus(train.texts)
+    del train  # its texts are counted: free them before the transform
 
     vectorizer = VECTORIZER_CLASSES[vectorizer_kind]().fit(train_docs)
     train_vectors = vectorizer.transform(train_docs)
-    model = config.build_model(model_kind).fit(train_vectors, train.labels)
+    model = config.build_model(model_kind).fit(train_vectors, train_labels)
 
     out = _ensure_out_dir(config)
     vec_path = out / f"vectorizer_{vectorizer_kind}.json"
     model_path = out / f"model_{model_kind}_{vectorizer_kind}.json"
-    save_vectorizer(vectorizer, str(vec_path), preprocessor)
-    save_model(model, str(model_path), vectorizer_kind)
+    # evaluate needs both artifacts of one run, so both are written to
+    # temporary names first, and a failure leaves neither file behind
+    paths = (vec_path, model_path)
+    temps = [path.with_name(f"{path.name}.{os.getpid()}.tmp") for path in paths]
+    placed = []
+    try:
+        save_vectorizer(vectorizer, str(temps[0]), preprocessor)
+        save_model(model, str(temps[1]), vectorizer_kind)
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+            placed.append(path)
+    except BaseException:
+        for path in (*temps, *placed):
+            with contextlib.suppress(OSError):
+                path.unlink()
+        raise
     print(f"vectorizer: {vec_path}")
     print(f"model: {model_path}")
     return 0
@@ -351,12 +369,13 @@ def cmd_train(config: ExperimentConfig, model_kind: str, vectorizer_kind: str) -
 def cmd_evaluate(config: ExperimentConfig, model_path: str, vectorizer_path: str) -> int:
     vectorizer, preprocessor = load_vectorizer(vectorizer_path)
     model = load_model(model_path, vectorizer.kind)
-    _, test = _split(config)
-    test_vectors = vectorizer.transform(preprocessor.preprocess_corpus(test.texts))
+    test = _split(config)[1]
+    test_labels, metadata = test.labels, _report_metadata(config, test)
+    test_docs = preprocessor.preprocess_corpus(test.texts)
+    del test  # its texts are counted: free them before the transform
+    test_vectors = vectorizer.transform(test_docs)
 
-    report = evaluate(
-        model, vectorizer, test, test_vectors, metadata=_report_metadata(config, test)
-    )
+    report = evaluate(model, vectorizer, test_labels, test_vectors, metadata=metadata)
     table = report.render_table()
     print(table)
 
@@ -404,10 +423,14 @@ def _render_comparison(rows: list[dict]) -> str:
 
 def cmd_compare(config: ExperimentConfig) -> int:
     train, test = _split(config)
-    preprocessor = config.build_preprocessor()
-    train_docs = preprocessor.preprocess_corpus(train.texts)
-    test_docs = preprocessor.preprocess_corpus(test.texts)
+    train_labels, test_labels = train.labels, test.labels
     metadata = _report_metadata(config, test)
+    preprocessor = config.build_preprocessor()
+    # each side's texts are freed once counted, before the first transform
+    train_docs = preprocessor.preprocess_corpus(train.texts)
+    del train
+    test_docs = preprocessor.preprocess_corpus(test.texts)
+    del test
 
     rows = []
     report_files = {}
@@ -416,8 +439,8 @@ def cmd_compare(config: ExperimentConfig) -> int:
         train_vectors = vectorizer.transform(train_docs)
         test_vectors = vectorizer.transform(test_docs)
         for model_kind in config.models:
-            model = config.build_model(model_kind).fit(train_vectors, train.labels)
-            report = evaluate(model, vectorizer, test, test_vectors, metadata=metadata)
+            model = config.build_model(model_kind).fit(train_vectors, train_labels)
+            report = evaluate(model, vectorizer, test_labels, test_vectors, metadata=metadata)
             report_files[f"report_{model_kind}_{vectorizer_kind}.json"] = report.to_json_dict()
             rows.append(
                 {
@@ -439,7 +462,8 @@ def cmd_compare(config: ExperimentConfig) -> int:
     table = _render_comparison(rows)
     print(table)
 
-    payload = {**metadata, "train_size": len(train), "test_size": len(test), "rows": rows}
+    sizes = {"train_size": len(train_labels), "test_size": len(test_labels)}
+    payload = {**metadata, **sizes, "rows": rows}
     columns = ["model", "vectorizer", "accuracy", "weighted_precision",
                "weighted_recall", "weighted_f1"]
     csv_rows = [columns] + [

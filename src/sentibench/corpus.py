@@ -2,6 +2,9 @@
 
 The CSV loader consumes exactly two columns (tweet text and sentiment
 label) and rejects rows whose label is not one of the three polarities.
+The texts are the only column with an object per tweet: ids are one
+integer array and labels the three POLARITIES strings, so a command that
+drops its corpus once the texts are counted gets the texts' memory back.
 The split shuffle is driven by SplitMix64 + Fisher-Yates so that the
 partition is reproducible from the seed alone, independent of any
 library RNG (the exact algorithm is written out in the README).
@@ -11,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 
 from .base import check_float, check_int
@@ -29,20 +33,22 @@ def parse_polarity(value: str) -> str:
     """Normalize a raw label cell to one of the three polarities.
 
     Leading/trailing whitespace and letter case are forgiven; anything
-    else is an error.
+    else is an error. The result is the POLARITIES string itself, so every
+    label of a corpus is one of three objects.
     """
-    label = value.strip().lower()
-    if label not in POLARITY_INDEX:
-        raise ValueError(f"not a polarity: {value!r}")
-    return label
+    try:
+        return POLARITIES[POLARITY_INDEX[value.strip().lower()]]
+    except KeyError:
+        raise ValueError(f"not a polarity: {value!r}") from None
 
 
 @dataclass(frozen=True)
 class Corpus:
     """Three parallel columns, one entry per tweet: ids (the 1-based data-row
-    numbers, as strings), texts, and labels (one of POLARITIES)."""
+    numbers, one ``array('q')``), texts, and labels (the POLARITIES strings
+    themselves)."""
 
-    ids: list[str]
+    ids: array
     texts: list[str]
     labels: list[str]
 
@@ -53,7 +59,9 @@ class Corpus:
         """The tweets at positions ``rows``, in that order."""
         ids, texts, labels = self.ids, self.texts, self.labels
         return Corpus(
-            [ids[i] for i in rows], [texts[i] for i in rows], [labels[i] for i in rows]
+            array("q", map(ids.__getitem__, rows)),
+            [texts[i] for i in rows],
+            [labels[i] for i in rows],
         )
 
 
@@ -75,7 +83,7 @@ def load_dataset(
     except OSError as exc:
         raise DatasetError(f"cannot open dataset {path!r}: {exc}") from exc
 
-    ids, texts, labels = [], [], []
+    ids, texts, labels = array("q"), [], []
     with handle:
         reader = csv.reader(handle, strict=True)
         try:
@@ -107,7 +115,7 @@ def load_dataset(
                     ) from None
                 if not text:
                     raise DatasetError(f"{path}: row {row_number}: empty tweet text")
-                ids.append(str(row_number))
+                ids.append(row_number)
                 texts.append(text)
                 labels.append(label)
         except csv.Error as exc:

@@ -132,22 +132,23 @@ class MetricsReport:
         return "\n".join(lines)
 
 
-def evaluate(model, vectorizer, test_corpus, test_vectors, metadata=None) -> MetricsReport:
+def evaluate(model, vectorizer, test_labels, test_vectors, metadata=None) -> MetricsReport:
     """Predict the test vectors and assemble a full report.
 
-    ``test_vectors`` is ``vectorizer.transform`` of the preprocessed
-    ``test_corpus``, one row per tweet in corpus order; the caller
-    preprocesses and transforms, so one test split can be scored by many
-    models without repeating that work. ``model.predict`` raises
+    ``test_vectors`` is ``vectorizer.transform`` of the preprocessed test
+    split, one row per tweet, and ``test_labels`` holds the same tweets'
+    true labels in the same order; the caller preprocesses and transforms,
+    so one test split can be scored by many models without repeating that
+    work, and it need not keep the tweet texts. ``model.predict`` raises
     DimensionMismatchError when the model and vectorizer disagree on
     dimensionality, and ``MetricsReport.from_counts`` raises DatasetError
-    on an empty test corpus.
+    on an empty test split.
     """
     predictions = model.predict(test_vectors)
     meta = {
         "model": model.variant,
         "vectorizer": vectorizer.kind,
-        "test_size": len(test_corpus),
+        "test_size": len(test_labels),
     }
     meta.update(metadata or {})
-    return MetricsReport.from_counts(confusion_matrix(test_corpus.labels, predictions), meta)
+    return MetricsReport.from_counts(confusion_matrix(test_labels, predictions), meta)

@@ -12,12 +12,15 @@ is; every other token gets ``lemmatize``, the rules alone.
 
 ``preprocess_corpus`` extends one flat id list per corpus, drops the
 stop-words as one array operation and counts the ids once, into the
-``TermCounts`` that both vectorizers weight. ``__call__`` gives one
-tweet's tokens as a list.
+``TermCounts`` that both vectorizers weight. This pass sets the peak
+memory of a large run, so the ids and their running count are int32 and
+the text ends one integer array. ``__call__`` gives one tweet's tokens as
+a list.
 """
 
 from __future__ import annotations
 
+from array import array
 from importlib import resources
 from typing import Iterable, Mapping
 
@@ -223,14 +226,17 @@ class TweetPreprocessor:
 
     def preprocess_corpus(self, texts: Iterable[str]) -> TermCounts:
         """The texts' tokens, counted: one row per text, and one column per
-        lemma of these texts, in the order they first occur in them."""
+        lemma of these texts, in the order they first occur in them. Nothing
+        returned refers to the texts, so the caller can free them."""
         lookup = self._table.__getitem__
-        ids, ends = [], [0]
+        ids, ends = [], array("q", [0])  # ends: no int object per text
         for raw in texts:
             ids += map(lookup, _words(raw))
             ends.append(len(ids))
-        ids = np.array(ids, dtype=np.int64)
+        ids = np.array(ids, dtype=np.int32)
         known = ids >= 0
-        lengths = np.diff(np.concatenate(([0], np.cumsum(known)))[ends])
+        kept = np.zeros(ids.size + 1, dtype=np.int32)  # kept[i]: known ids before token i
+        np.cumsum(known, dtype=np.int32, out=kept[1:])
+        lengths = np.diff(kept[np.frombuffer(ends, np.int64)])
         ids = ids[known]  # frees the stop-word ids before counting
         return TermCounts.count(ids, lengths, self._table.lemmas)

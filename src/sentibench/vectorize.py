@@ -132,8 +132,8 @@ class TermCounts:
     @classmethod
     def count(cls, ids, lengths: np.ndarray, names: Sequence[str]) -> "TermCounts":
         """Count a corpus given as the flat term ids of all its tokens, doc
-        after doc, and each doc's token count; id i is the term ``names[i]``."""
-        ids = np.asarray(ids, dtype=np.int64)
+        after doc (an integer array, used in its own dtype), and each doc's
+        token count; id i is the term ``names[i]``."""
         first = np.full(len(names), ids.size)
         np.minimum.at(first, ids, np.arange(ids.size))
         seen = np.flatnonzero(first < ids.size)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +57,7 @@ def count_tokens(docs) -> TermCounts:
     """Token lists counted as ``preprocess_corpus`` counts a corpus: terms in
     first-occurrence order. ``TestCountedCorpus`` holds the two equal."""
     docs, table = list(docs), {}
-    ids = [table.setdefault(t, len(table)) for doc in docs for t in doc]
+    ids = np.array([table.setdefault(t, len(table)) for doc in docs for t in doc], np.int64)
     lengths = np.fromiter(map(len, docs), dtype=np.int64, count=len(docs))
     return TermCounts.count(ids, lengths, list(table))
 
@@ -127,7 +128,7 @@ def _nested_tree(tree: dict) -> dict:
 def make_corpus(texts_labels) -> Corpus:
     pairs = list(texts_labels)
     return Corpus(
-        [str(i + 1) for i in range(len(pairs))],
+        array("q", range(1, len(pairs) + 1)),
         [text for text, _ in pairs],
         [label for _, label in pairs],
     )

@@ -283,9 +283,7 @@ class TestCriterion4OfflinePropertySuites:
         train_a, test_a = train_test_split(corpus, train_ratio=0.75, seed=11)
         train_b, test_b = train_test_split(corpus, train_ratio=0.75, seed=11)
         assert train_a.ids == train_b.ids and test_a.ids == test_b.ids
-        assert sorted(train_a.ids + test_a.ids, key=int) == [
-            str(i + 1) for i in range(120)
-        ]
+        assert sorted(train_a.ids + test_a.ids) == list(range(1, 121))
         train_c, _ = train_test_split(corpus, train_ratio=0.75, seed=12)
         assert train_c.ids != train_a.ids
 

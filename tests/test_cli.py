@@ -14,8 +14,10 @@ from pathlib import Path
 import pytest
 
 import sentibench
+from sentibench import cli
 from sentibench import (
     BowVectorizer,
+    Corpus,
     TfidfVectorizer,
     TweetPreprocessor,
     load_model,
@@ -23,7 +25,7 @@ from sentibench import (
     load_vectorizer,
 )
 from sentibench.cli import main
-from sentibench.vectorize import TermCounts
+from sentibench.vectorize import TermCounts, _Vectorizer
 from helpers import FIXTURE_COUNTS, FIXTURE_CSV, SHORT_RUN, V1_ARTIFACTS
 
 SEPARABLE_TEXTS = {
@@ -130,6 +132,16 @@ class TestTrain:
             ]) == 0
             doc = json.loads((out / "model_rf_bow.json").read_text())
             assert doc["hyperparameters"]["max_depth"] is None
+
+    def test_failed_model_write_leaves_no_half_pair(self, tmp_path, capsys):
+        # evaluate needs both artifacts of one run, so a failed model write
+        # takes the vectorizer artifact and every temporary file with it
+        out = tmp_path / "out"
+        (out / "model_mnb_bow.json").mkdir(parents=True)
+        assert run(["train", "--data", FIXTURE_CSV, "--out-dir", out, *MNB_BOW]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]") and err.count("\n") == 1
+        assert [p.name for p in out.iterdir()] == ["model_mnb_bow.json"]
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["train", "--model", "svm", "--vectorizer", "bow", "--svm-lambda", "1e-320",
@@ -769,6 +781,39 @@ class TestCompare:
         ]) == 0
 
 
+class _Texts(list):
+    """A list of texts that a weak reference can follow."""
+
+
+class TestTextsFreed:
+    @pytest.mark.parametrize("command", ["compare", "train", "evaluate"])
+    def test_texts_freed_before_the_first_transform(self, tmp_path, monkeypatch, command):
+        out = tmp_path / "out"
+        argv = ["--data", FIXTURE_CSV, "--out-dir", out]
+        if command == "evaluate":
+            assert run(["train", *argv, *MNB_BOW]) == 0
+            argv += ["--model-artifact", out / "model_mnb_bow.json",
+                     "--vectorizer-artifact", out / "vectorizer_bow.json"]
+        else:
+            argv += MNB_BOW
+        refs, alive = [], []
+        split, transform = cli.train_test_split, _Vectorizer.transform
+
+        def weak_texts_split(corpus, *args):
+            sides = [Corpus(s.ids, _Texts(s.texts), s.labels) for s in split(corpus, *args)]
+            refs.extend(weakref.ref(side.texts) for side in sides)
+            return tuple(sides)
+
+        def checking_transform(self, docs):
+            alive.append(sum(ref() is not None for ref in refs))
+            return transform(self, docs)
+
+        monkeypatch.setattr(cli, "train_test_split", weak_texts_split)
+        monkeypatch.setattr(_Vectorizer, "transform", checking_transform)
+        assert run([command, *argv]) == 0
+        assert len(refs) == 2 and alive == [0] * (2 if command == "compare" else 1)
+
+
 class TestConfigHandling:
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -1148,6 +1193,7 @@ class TestSubprocessInterface:
                "report_rf_tfidf.txt"},
             "out-pre": {"model_mnb_bow.json", "vectorizer_bow.json"}
             | {f"report_mnb_bow.{ext}" for ext in report},
+            "out-half": {"model_mnb_bow.json"},
             "out-v1": {f"report_{cell}.{ext}" for cell in cells for ext in report},
         }
         assert {p.name for p in tmp_path.iterdir()} == set(expected)

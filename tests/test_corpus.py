@@ -3,6 +3,7 @@
 import csv
 import io
 import random
+from array import array
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,11 @@ class TestParsePolarity:
         assert parse_polarity(" Neutral ") == "neutral"
         assert parse_polarity("POSITIVE") == "positive"
 
+    def test_returns_the_shared_polarity_object(self):
+        assert parse_polarity(" Negative ") is POLARITIES[0]
+        assert parse_polarity("NEUTRAL") is POLARITIES[1]
+        assert parse_polarity("positive\t") is POLARITIES[2]
+
     def test_anything_else_is_an_error(self):
         for bad in ("pos", "negativ", "", "4", "mixed"):
             with pytest.raises(ValueError):
@@ -45,12 +51,25 @@ class TestLoadDataset:
         corpus = load_dataset(FIXTURE_CSV)
         assert len(corpus) == 10
         assert corpus.labels == FIXTURE_LABELS
-        assert corpus.ids == [str(i) for i in range(1, 11)]
+        assert corpus.ids == array("q", range(1, 11))
 
     def test_quoted_fields_survive(self):
         corpus = load_dataset(FIXTURE_CSV)
         assert '"never again"' in corpus.texts[9]
         assert "snacks, and friendly crew" in corpus.texts[1]
+
+    def test_lean_columns(self):
+        # one integer array of ids, and labels that are the three shared strings
+        corpus = load_dataset(FIXTURE_CSV)
+        assert corpus.ids.typecode == "q"
+        assert {id(label) for label in corpus.labels} == {id(p) for p in POLARITIES}
+
+    def test_blank_lines_keep_row_numbering(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("text,airline_sentiment\na,negative\n\nb,positive\n\n\nc,neutral\n")
+        corpus = load_dataset(str(path))
+        assert corpus.ids == array("q", [1, 3, 6])
+        assert corpus.texts == ["a", "b", "c"]
 
     def test_header_only_file(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -153,7 +172,7 @@ class TestLoadDatasetProperties:
         out = io.StringIO(newline="")
         writer = csv.writer(out)
         writer.writerow(header)
-        expected = Corpus([], [], [])
+        expected = Corpus(array("q"), [], [])
         for number, line in enumerate(lines, start=1):
             if line is None:
                 out.write("\r\n")
@@ -161,7 +180,7 @@ class TestLoadDatasetProperties:
             text, label = line
             cells = {"tweet_id": f"t{number}", "text": text, "airline_sentiment": label}
             writer.writerow([cells[name] for name in header])
-            expected.ids.append(str(number))
+            expected.ids.append(number)
             expected.texts.append(text)
             expected.labels.append(label.strip().lower())
         path = tmp_path / "tweets.csv"
@@ -259,12 +278,12 @@ class TestTrainTestSplit:
         for n, seed, ratio in ((1, 0, 0.5), (10, 3, 0.75), (101, 9, 0.33), (64, 5, 0.9)):
             corpus = synthetic_corpus(n, seed=n)
             train, test = train_test_split(corpus, train_ratio=ratio, seed=seed)
-            combined = sorted(train.ids + test.ids, key=int)
-            assert combined == [str(i + 1) for i in range(n)]
+            combined = sorted(train.ids + test.ids)
+            assert combined == list(range(1, n + 1))
             assert set(train.ids).isdisjoint(test.ids)
             for side in (train, test):  # each id keeps its own text and label
                 for i, text, label in zip(side.ids, side.texts, side.labels):
-                    assert (text, label) == (corpus.texts[int(i) - 1], corpus.labels[int(i) - 1])
+                    assert (text, label) == (corpus.texts[i - 1], corpus.labels[i - 1])
 
     def test_distinct_seeds_differ(self):
         corpus = synthetic_corpus(100)
@@ -275,6 +294,11 @@ class TestTrainTestSplit:
     def test_empty_corpus_rejected(self):
         with pytest.raises(DatasetError, match="empty"):
             train_test_split(Corpus([], [], []))
+
+    def test_take_returns_integer_ids(self):
+        part = synthetic_corpus(10).take([4, 0, 9])
+        assert part.ids == array("q", [5, 1, 10]) and part.ids.typecode == "q"
+        assert part.texts == ["tweet number 4", "tweet number 0", "tweet number 9"]
 
     def test_argument_validation(self):
         corpus = synthetic_corpus(10)

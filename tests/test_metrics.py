@@ -200,7 +200,7 @@ class TestReportAndEvaluate:
     def test_perfect_model_reports_all_ones(self):
         model, vec, corpus, pre = self.separable_setup()
         vectors = self.vectors(vec, corpus, pre)
-        report = evaluate(model, vec, corpus, vectors, metadata={"seed": 0})
+        report = evaluate(model, vec, corpus.labels, vectors, metadata={"seed": 0})
         assert report.accuracy == 1.0
         assert report.weighted.f1 == 1.0
         assert report.metadata["model"] == "mnb"
@@ -210,18 +210,18 @@ class TestReportAndEvaluate:
         model, _, corpus, pre = self.separable_setup()
         other = BowVectorizer().fit(count_tokens([["completely", "different", "words"]]))
         with pytest.raises(DimensionMismatchError):
-            evaluate(model, other, corpus, self.vectors(other, corpus, pre))
+            evaluate(model, other, corpus.labels, self.vectors(other, corpus, pre))
 
     def test_empty_test_corpus_rejected(self):
         model, vec, corpus, pre = self.separable_setup()
         with pytest.raises(DatasetError):
             empty = make_corpus([])
-            evaluate(model, vec, empty, self.vectors(vec, empty, pre))
+            evaluate(model, vec, empty.labels, self.vectors(vec, empty, pre))
 
     def test_json_dict_shape(self):
         model, vec, corpus, pre = self.separable_setup()
         vectors = self.vectors(vec, corpus, pre)
-        payload = evaluate(model, vec, corpus, vectors).to_json_dict()
+        payload = evaluate(model, vec, corpus.labels, vectors).to_json_dict()
         assert payload["accuracy"] == 1.0
         assert set(payload["per_class"]) == {"negative", "neutral", "positive"}
         assert payload["confusion_matrix"]["counts"] == [
@@ -231,7 +231,7 @@ class TestReportAndEvaluate:
     def test_render_table_two_decimals(self):
         model, vec, corpus, pre = self.separable_setup()
         vectors = self.vectors(vec, corpus, pre)
-        text = evaluate(model, vec, corpus, vectors).render_table()
+        text = evaluate(model, vec, corpus.labels, vectors).render_table()
         assert "accuracy: 1.00" in text
         assert "weighted" in text
 
@@ -243,7 +243,7 @@ class TestReportAndEvaluate:
                 ("The is that!!", "neutral"),  # empties out, stays as a zero vector
             ]
         )
-        report = evaluate(model, vec, corpus, self.vectors(vec, corpus, pre))
+        report = evaluate(model, vec, corpus.labels, self.vectors(vec, corpus, pre))
         assert report.confusion.sum() == 2
         assert report.metadata["test_size"] == 2
 
@@ -260,7 +260,7 @@ class TestReportAndEvaluate:
         stub = MultinomialNaiveBayes().fit(
             vec.transform(pre.preprocess_corpus(test.texts[:1])), ["negative"]
         )
-        report = evaluate(stub, vec, test, vec.transform(docs))
+        report = evaluate(stub, vec, test.labels, vec.transform(docs))
         labels = test.labels
         majority_share = labels.count("negative") / len(labels)
         assert report.accuracy == pytest.approx(majority_share, abs=1e-15)
