@@ -1,7 +1,7 @@
 #!/bin/sh
 # The runtime job's sentibench commands, run on the fixture CSV.
 #
-# Writes out/, out-pre/, out-half/ and out-v1/ under the current directory
+# Writes out/, out-pre/, out-half/, out-fmt/ and out-v1/ under the current directory
 # and reads its inputs from the repository this script sits in. Runs the installed
 # `sentibench` unless SENTIBENCH names another command, for example
 #   SENTIBENCH="python -m sentibench.cli" sh ci/runtime.sh
@@ -40,6 +40,16 @@ if $SENTIBENCH train --data "$DATA" --out-dir out-half --model mnb --vectorizer 
 fi
 if [ "$(ls -A out-half)" != model_mnb_bow.json ]; then
   echo "train left a half artifact pair in out-half: $(ls -A out-half)" >&2
+  exit 1
+fi
+
+echo "== one output format at a time"
+# --format keeps each command to the files of the formats it names
+$SENTIBENCH compare --data "$DATA" --out-dir out-fmt --model mnb --format csv
+$SENTIBENCH evaluate --data "$DATA" --out-dir out-fmt --format table \
+  --model-artifact out/model_rf_tfidf.json --vectorizer-artifact out/vectorizer_tfidf.json
+if [ "$(ls -A out-fmt | tr '\n' ' ')" != "comparison.csv report_rf_tfidf.txt " ]; then
+  echo "out-fmt holds other files than comparison.csv and report_rf_tfidf.txt: $(ls -A out-fmt)" >&2
   exit 1
 fi
 

@@ -32,7 +32,7 @@ from .corpus import (
     train_test_split,
 )
 from .errors import ConfigError, DatasetError, SentibenchError
-from .metrics import MetricsReport, evaluate
+from .metrics import evaluate
 from .models import MODEL_CLASSES, MODEL_KINDS
 from .preprocess import TweetPreprocessor, load_lemma_exceptions, load_stopwords
 from .vectorize import VECTORIZER_CLASSES, VECTORIZER_KINDS
@@ -318,14 +318,10 @@ def cmd_stats(config: ExperimentConfig) -> int:
     table = "\n".join(lines)
     print(table)
 
-    payload = {
-        "dataset": str(config.data),
-        "total": total,
-        "counts": freqs,
-        "percent": {c: freqs[c] / total for c in POLARITIES},
-    }
+    share = {c: freqs[c] / total for c in POLARITIES}
+    payload = {"dataset": str(config.data), "total": total, "counts": freqs, "percent": share}
     rows = [["class", "count", "percent"]] + [
-        [label, freqs[label], repr(freqs[label] / total)] for label in POLARITIES
+        [label, freqs[label], repr(share[label])] for label in POLARITIES
     ]
     _write_outputs(config, {"stats.json": payload, "stats.csv": rows, "stats.txt": table})
     return 0
@@ -382,40 +378,28 @@ def cmd_evaluate(config: ExperimentConfig, model_path: str, vectorizer_path: str
     stem = f"report_{model.variant}_{vectorizer.kind}"
     _write_outputs(config, {
         f"{stem}.json": report.to_json_dict(),
-        f"{stem}.csv": _report_csv_rows(report),
+        f"{stem}.csv": report.csv_rows(),
         f"{stem}.txt": table,
     })
     return 0
 
 
-def _report_csv_rows(report: MetricsReport) -> list[list]:
-    rows = [["class", "precision", "recall", "f1", "support"]]
-    for label in POLARITIES:
-        m = report.per_class[label]
-        rows.append(
-            [label, repr(m.precision), repr(m.recall), repr(m.f1), report.support[label]]
-        )
-    w = report.weighted
-    rows.append(
-        ["weighted", repr(w.precision), repr(w.recall), repr(w.f1),
-         int(report.confusion.sum())]
-    )
-    rows.append(["accuracy", repr(report.accuracy), "", "", ""])
-    return rows
+# The comparison grid's fields: each model x vectorizer cell is one tuple.
+_GRID_COLUMNS = ("model", "vectorizer", "accuracy", "weighted_precision",
+                 "weighted_recall", "weighted_f1")
 
 
-def _render_comparison(rows: list[dict]) -> str:
-    best = max(row["accuracy"] for row in rows)
+def _render_comparison(rows: list[tuple]) -> str:
+    best = max(row[2] for row in rows)
     lines = [
         f"{'model':<8} {'vectorizer':<10} {'accuracy':>8} {'precision':>9} "
         f"{'recall':>7} {'f1':>6}"
     ]
-    for row in rows:
-        marker = " *" if row["accuracy"] == best else ""
+    for model, vectorizer, accuracy, precision, recall, f1 in rows:
+        marker = " *" if accuracy == best else ""
         lines.append(
-            f"{row['model']:<8} {row['vectorizer']:<10} {row['accuracy']:>8.2f} "
-            f"{row['weighted_precision']:>9.2f} {row['weighted_recall']:>7.2f} "
-            f"{row['weighted_f1']:>6.2f}{marker}"
+            f"{model:<8} {vectorizer:<10} {accuracy:>8.2f} {precision:>9.2f} "
+            f"{recall:>7.2f} {f1:>6.2f}{marker}"
         )
     lines.append("* best accuracy")
     return "\n".join(lines)
@@ -442,16 +426,9 @@ def cmd_compare(config: ExperimentConfig) -> int:
             model = config.build_model(model_kind).fit(train_vectors, train_labels)
             report = evaluate(model, vectorizer, test_labels, test_vectors, metadata=metadata)
             report_files[f"report_{model_kind}_{vectorizer_kind}.json"] = report.to_json_dict()
-            rows.append(
-                {
-                    "model": model_kind,
-                    "vectorizer": vectorizer_kind,
-                    "accuracy": report.accuracy,
-                    "weighted_precision": report.weighted.precision,
-                    "weighted_recall": report.weighted.recall,
-                    "weighted_f1": report.weighted.f1,
-                }
-            )
+            w = report.weighted
+            rows.append((model_kind, vectorizer_kind, report.accuracy,
+                         w.precision, w.recall, w.f1))
             print(
                 f"done: {model_kind}/{vectorizer_kind} "
                 f"accuracy={report.accuracy:.4f}"
@@ -463,16 +440,11 @@ def cmd_compare(config: ExperimentConfig) -> int:
     print(table)
 
     sizes = {"train_size": len(train_labels), "test_size": len(test_labels)}
-    payload = {**metadata, **sizes, "rows": rows}
-    columns = ["model", "vectorizer", "accuracy", "weighted_precision",
-               "weighted_recall", "weighted_f1"]
-    csv_rows = [columns] + [
-        [row["model"], row["vectorizer"]] + [repr(row[c]) for c in columns[2:]]
-        for row in rows
-    ]
+    grid = [dict(zip(_GRID_COLUMNS, row)) for row in rows]
+    records = [[*row[:2], *map(repr, row[2:])] for row in rows]
     _write_outputs(config, {
-        "comparison.json": payload,
-        "comparison.csv": csv_rows,
+        "comparison.json": {**metadata, **sizes, "rows": grid},
+        "comparison.csv": [_GRID_COLUMNS, *records],
         "comparison.txt": table,
         **report_files,
     })

@@ -86,6 +86,7 @@ def load_dataset(
     ids, texts, labels = array("q"), [], []
     with handle:
         reader = csv.reader(handle, strict=True)
+        row_number = None  # until the header is read
         try:
             header = next(reader, None)
             if header is None:
@@ -97,6 +98,7 @@ def load_dataset(
             label_idx = header.index(label_column)
             width = max(text_idx, label_idx)
 
+            row_number = 0
             for row_number, row in enumerate(reader, start=1):
                 if not row:
                     continue  # blank line
@@ -118,9 +120,10 @@ def load_dataset(
                 ids.append(row_number)
                 texts.append(text)
                 labels.append(label)
-        except csv.Error as exc:
+        except csv.Error as exc:  # raised reading the record after row_number
+            where = "header" if row_number is None else f"row {row_number + 1}"
             raise DatasetError(
-                f"{path}: malformed CSV near row {reader.line_num}: {exc}"
+                f"{path}: {where}: malformed CSV (line {reader.line_num}): {exc}"
             ) from exc
         except UnicodeDecodeError as exc:
             raise DatasetError(f"{path}: not UTF-8 text: {exc}") from exc

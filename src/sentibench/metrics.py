@@ -36,6 +36,10 @@ class ClassMetrics:
     f1: float
 
 
+# The figures of a report row, after its name.
+_ROW_FIELDS = ("precision", "recall", "f1", "support")
+
+
 def _ratio(num: float, den: float) -> float:
     return num / den if den else 0.0
 
@@ -87,23 +91,20 @@ class MetricsReport:
             metadata=dict(metadata or {}),
         )
 
+    def rows(self) -> list[tuple]:
+        """``(name, precision, recall, f1, support)`` per class, then ``weighted``."""
+        rows = [(c, m.precision, m.recall, m.f1, self.support[c])
+                for c, m in self.per_class.items()]
+        w = self.weighted
+        rows.append(("weighted", w.precision, w.recall, w.f1, int(self.confusion.sum())))
+        return rows
+
     def to_json_dict(self) -> dict:
+        *classes, (_, *weighted, _) = self.rows()  # weighted has no support key
         return {
             "accuracy": self.accuracy,
-            "per_class": {
-                c: {
-                    "precision": m.precision,
-                    "recall": m.recall,
-                    "f1": m.f1,
-                    "support": self.support[c],
-                }
-                for c, m in self.per_class.items()
-            },
-            "weighted": {
-                "precision": self.weighted.precision,
-                "recall": self.weighted.recall,
-                "f1": self.weighted.f1,
-            },
+            "per_class": {row[0]: dict(zip(_ROW_FIELDS, row[1:])) for row in classes},
+            "weighted": dict(zip(_ROW_FIELDS, weighted)),
             "confusion_matrix": {
                 "class_order": list(POLARITIES),
                 "rows_are_truth": True,
@@ -112,22 +113,23 @@ class MetricsReport:
             "metadata": self.metadata,
         }
 
+    def csv_rows(self) -> list[list]:
+        """The rows with ``repr`` figures, then the accuracy, as CSV records."""
+        records = [["class", *_ROW_FIELDS]]
+        for name, *figures, support in self.rows():
+            records.append([name, *map(repr, figures), support])
+        records.append(["accuracy", repr(self.accuracy), "", "", ""])
+        return records
+
     def render_table(self) -> str:
         """Two-decimal human-readable summary."""
         lines = [
             f"{'class':<10} {'precision':>9} {'recall':>7} {'f1':>6} {'support':>8}"
         ]
-        for c in POLARITIES:
-            m = self.per_class[c]
+        for name, precision, recall, f1, support in self.rows():
             lines.append(
-                f"{c:<10} {m.precision:>9.2f} {m.recall:>7.2f} "
-                f"{m.f1:>6.2f} {self.support[c]:>8d}"
+                f"{name:<10} {precision:>9.2f} {recall:>7.2f} {f1:>6.2f} {support:>8d}"
             )
-        w = self.weighted
-        lines.append(
-            f"{'weighted':<10} {w.precision:>9.2f} {w.recall:>7.2f} "
-            f"{w.f1:>6.2f} {int(self.confusion.sum()):>8d}"
-        )
         lines.append(f"accuracy: {self.accuracy:.2f}")
         return "\n".join(lines)
 

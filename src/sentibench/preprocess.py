@@ -107,10 +107,6 @@ def _measure(stem: str) -> int:
     return m
 
 
-def _has_vowel(stem: str) -> bool:
-    return any(_is_vowel(stem, i) for i in range(len(stem)))
-
-
 def _ends_cvc(stem: str) -> bool:
     if len(stem) < 3:
         return False
@@ -158,7 +154,7 @@ def _apply_first_rule(word: str) -> str:
 
 def _strip_participle(word: str, suffix_len: int) -> str:
     stem = word[:-suffix_len]
-    if not _has_vowel(stem) or _measure(stem) < 1:
+    if _measure(stem) < 1:  # a measure of 1 or more implies a vowel
         return word
     # Doubled final consonant: running -> run (but fall/miss/buzz keep).
     if (

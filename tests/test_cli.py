@@ -73,6 +73,15 @@ class TestStats:
         assert err.startswith("error[dataset]")
         assert "empty corpus" in err
 
+    def test_malformed_csv_is_one_line_naming_the_data_row(self, tmp_path, capsys):
+        data = tmp_path / "quotes.csv"
+        data.write_text('text,airline_sentiment\ngood,positive\nbad,negative\n"x"y,neutral\n')
+        assert run(["stats", "--data", data, "--out-dir", tmp_path / "o"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[dataset]")
+        assert ": row 3: malformed CSV (line 4): " in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_format_subset(self, tmp_path):
         out = tmp_path / "out"
         run(["stats", "--data", FIXTURE_CSV, "--out-dir", out, "--format", "csv"])
@@ -674,6 +683,17 @@ class TestCompare:
         assert [r["model"] for r in payload["rows"]] == ["mnb", "mnb"]
         assert [r["vectorizer"] for r in payload["rows"]] == ["bow", "tfidf"]
 
+    def test_csv_and_json_carry_the_same_rows(self, tmp_path):
+        out = self.grid(tmp_path, "same", models="mnb")
+        rows = json.loads((out / "comparison.json").read_text())["rows"]
+        with open(out / "comparison.csv", newline="") as handle:
+            header, *records = csv.reader(handle)
+        assert len(records) == len(rows) == 2
+        for row, record in zip(rows, records):
+            assert sorted(header) == sorted(row)  # the JSON keys are sorted
+            assert record[:2] == [row["model"], row["vectorizer"]]
+            assert record[2:] == [repr(row[key]) for key in header[2:]]
+
     def test_two_runs_byte_identical(self, tmp_path):
         a = self.grid(tmp_path, "a")
         b = self.grid(tmp_path, "b")
@@ -1194,6 +1214,7 @@ class TestSubprocessInterface:
             "out-pre": {"model_mnb_bow.json", "vectorizer_bow.json"}
             | {f"report_mnb_bow.{ext}" for ext in report},
             "out-half": {"model_mnb_bow.json"},
+            "out-fmt": {"comparison.csv", "report_rf_tfidf.txt"},
             "out-v1": {f"report_{cell}.{ext}" for cell in cells for ext in report},
         }
         assert {p.name for p in tmp_path.iterdir()} == set(expected)

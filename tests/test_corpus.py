@@ -110,6 +110,22 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="malformed CSV"):
             load_dataset(str(path))
 
+    @pytest.mark.parametrize("body, row", [
+        ('good,positive\nbad,negative\n"x"y,neutral\n', 3),
+        ('"multi\nline",positive\n"x"y,neutral\n', 2),  # data row 1 spans two lines
+    ], ids=["third-row", "after-two-line-row"])
+    def test_malformed_csv_names_data_row_and_file_line(self, tmp_path, body, row):
+        path = tmp_path / "quotes.csv"
+        path.write_text("text,airline_sentiment\n" + body)
+        with pytest.raises(DatasetError, match=rf": row {row}: malformed CSV \(line 4\): "):
+            load_dataset(str(path))
+
+    def test_malformed_header_is_named(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text('"te"xt,airline_sentiment\ngood,positive\n')
+        with pytest.raises(DatasetError, match=r": header: malformed CSV \(line 1\): "):
+            load_dataset(str(path))
+
     def test_empty_text_rejected(self, tmp_path):
         path = tmp_path / "empty_text.csv"
         path.write_text("text,airline_sentiment\n,negative\n")

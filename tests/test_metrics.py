@@ -139,6 +139,56 @@ class TestWeightedMetrics:
             MetricsReport.from_counts(np.zeros((3, 3), dtype=int))
 
 
+class TestReportRows:
+    # neutral has no support and is never predicted: every figure is 0/0
+    COUNTS = [[2, 1, 0], [0, 0, 0], [1, 0, 3]]
+    NEGATIVE = (2 / 3, 2 / 3, 2.0 * (2 / 3) * (2 / 3) / (2 / 3 + 2 / 3))
+    POSITIVE = (1.0, 0.75, 2.0 * 1.0 * 0.75 / (1.0 + 0.75))
+    WEIGHTED = tuple(3 / 7 * n + 0 / 7 * 0.0 + 4 / 7 * p for n, p in zip(NEGATIVE, POSITIVE))
+    ROWS = [
+        ("negative", *NEGATIVE, 3),
+        ("neutral", 0.0, 0.0, 0.0, 0),
+        ("positive", *POSITIVE, 4),
+        ("weighted", *WEIGHTED, 7),
+    ]
+
+    def report(self):
+        return MetricsReport.from_counts(self.COUNTS)
+
+    def test_rows(self):
+        rows = self.report().rows()
+        assert rows == self.ROWS
+        assert all(type(row[4]) is int for row in rows)
+
+    def test_json_reads_the_rows(self):
+        payload = self.report().to_json_dict()
+        keys = ("precision", "recall", "f1", "support")
+        for name, *figures in self.ROWS[:3]:
+            assert payload["per_class"][name] == dict(zip(keys, figures))
+        assert payload["per_class"]["neutral"] == {
+            "precision": 0.0, "recall": 0.0, "f1": 0.0, "support": 0,
+        }
+        assert payload["weighted"] == dict(zip(keys[:3], self.WEIGHTED))
+        assert payload["accuracy"] == 5 / 7
+
+    def test_csv_reads_the_rows(self):
+        records = self.report().csv_rows()
+        assert records[0] == ["class", "precision", "recall", "f1", "support"]
+        assert records[1:-1] == [
+            [name, *map(repr, figures), support] for name, *figures, support in self.ROWS
+        ]
+        assert records[2] == ["neutral", "0.0", "0.0", "0.0", 0]
+        assert records[-1] == ["accuracy", repr(5 / 7), "", "", ""]
+
+    def test_table_reads_the_rows(self):
+        lines = self.report().render_table().splitlines()
+        assert lines[1:-1] == [
+            f"{name:<10} {p:>9.2f} {r:>7.2f} {f:>6.2f} {s:>8d}" for name, p, r, f, s in self.ROWS
+        ]
+        assert lines[2].split() == ["neutral", "0.00", "0.00", "0.00", "0"]
+        assert lines[-1] == "accuracy: 0.71"
+
+
 class TestAccuracy:
     def test_diagonal_is_one(self):
         assert MetricsReport.from_counts(np.diag([1, 2, 3])).accuracy == 1.0
