@@ -60,7 +60,7 @@ _HP_FLAGS = [
 class ExperimentConfig:
     """Everything one run needs; file paths are validated up front."""
 
-    data: str
+    data: str = ""
     text_col: str = DEFAULT_TEXT_COLUMN
     label_col: str = DEFAULT_LABEL_COLUMN
     split_ratio: float = 0.75
@@ -75,7 +75,7 @@ class ExperimentConfig:
 
     def validate(self) -> "ExperimentConfig":
         if not self.data:
-            raise ConfigError("--data is required")
+            raise ConfigError("--data is required (flag or config file)")
         optional = ("stopwords", "lemma_exceptions")
         for name in ("data", "text_col", "label_col", "out_dir", *optional):
             value = getattr(self, name)
@@ -95,6 +95,14 @@ class ExperimentConfig:
                                   ("models", MODEL_KINDS, "model"),
                                   ("formats", FORMATS, "output format")):
             chosen = getattr(self, name)
+            if isinstance(chosen, str):  # allow "bow,tfidf" in config files
+                chosen = _csv_list(chosen)
+            elif not isinstance(chosen, (list, tuple)):
+                raise ConfigError(
+                    f"{name} must be a list or a comma-separated string, got {chosen!r}"
+                )
+            chosen = tuple(chosen)
+            setattr(self, name, chosen)
             if not chosen:
                 raise ConfigError(f"select at least one {noun}")
             for value in chosen:
@@ -234,19 +242,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
                 hyperparams.setdefault(kind, {})[arg_name] = flag_value
         values["hyperparams"] = hyperparams
 
-    for key in ("formats", "models", "vectorizers"):
-        if key in values:
-            value = values[key]
-            if isinstance(value, str):  # allow "bow,tfidf" in config files
-                value = _csv_list(value)
-            elif not isinstance(value, (list, tuple)):
-                raise ConfigError(
-                    f"{key} must be a list or a comma-separated string, got {value!r}"
-                )
-            values[key] = tuple(value)
-
-    if "data" not in values:
-        raise ConfigError("--data is required (flag or config file)")
     return ExperimentConfig(**values).validate()
 
 

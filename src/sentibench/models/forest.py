@@ -116,22 +116,6 @@ def _splittable(hist, depth, max_depth) -> np.ndarray:
     return impure & (depth < max_depth)
 
 
-class _GrowingTree:
-    """A tree during fit: a [feature, threshold, left, class histogram] list
-    per node so far, and its depth-first stack of the
-    nodes still to search, as (row keys, depth, node id, histogram)."""
-
-    __slots__ = ("nodes", "stack")
-
-    def __init__(self):
-        self.nodes: list[list] = []
-        self.stack: list[tuple] = []
-
-    def add_node(self, hist) -> int:
-        self.nodes.append([-1, 0.0, -1, hist])
-        return len(self.nodes) - 1
-
-
 def _best_splits(columns, flat_w, flags, n, trees, rows, hist, sampled):
     """One split search over one node of each of several trees.
 
@@ -242,21 +226,23 @@ def _grow_forest(csr, y, weights, k, max_depth, rngs) -> list[_Tree]:
     flat_w = weights.ravel()
     flags = np.zeros(n_trees * n, dtype=bool)
 
-    growing = [_GrowingTree() for _ in range(n_trees)]
-    for t, tree in enumerate(growing):
+    # Tree t grows as the lists _Tree takes, one entry per node, and a
+    # depth-first stack of the nodes still to search: (row keys, depth, node id).
+    grown = []
+    stacks = []
+    for t in range(n_trees):
         rows = np.flatnonzero(weights[t])
         hist = np.bincount(y[rows], weights=weights[t, rows], minlength=3)
-        tree.add_node(hist)
-        if _splittable(hist[None], 0, max_depth)[0]:
-            tree.stack.append((t * n + rows, 0, 0, hist))
+        grown.append(([-1], [0.0], [-1], [hist]))
+        stacks.append([(t * n + rows, 0, 0)] if _splittable(hist[None], 0, max_depth)[0] else [])
 
     while True:
-        batch = [(t, tree.stack.pop()) for t, tree in enumerate(growing) if tree.stack]
+        batch = [(t, stack.pop()) for t, stack in enumerate(stacks) if stack]
         if not batch:
             break
         trees = np.array([t for t, _ in batch])
-        rows = [node[0] for _, node in batch]
-        hist = np.array([node[3] for _, node in batch])
+        rows = [keys for _, (keys, _, _) in batch]
+        hist = np.array([grown[t][3][at] for t, (_, _, at) in batch])
         sampled = [_sample_features(rngs[t], dims, k) for t, _ in batch]
         found = _best_splits(columns, flat_w, flags, n, trees, rows, hist, sampled)
         if found is None:
@@ -268,19 +254,22 @@ def _grow_forest(csr, y, weights, k, max_depth, rngs) -> list[_Tree]:
         push_right = _splittable(right_hist, depth, max_depth).tolist()
         flags[crossed] = True
         for j, b in enumerate(nodes.tolist()):
-            t, (keys, _, slot, _) = batch[b]
-            tree = growing[t]
-            lid = tree.add_node(left_hist[j])
-            rid = tree.add_node(right_hist[j])
-            tree.nodes[slot][:3] = features[j], thresholds[j], lid
+            t, (keys, _, at) = batch[b]
+            feature, threshold, left, counts = grown[t]
+            lid = len(left)
+            feature[at], threshold[at], left[at] = features[j], thresholds[j], lid
+            feature += -1, -1
+            threshold += 0.0, 0.0
+            left += -1, -1
+            counts += left_hist[j], right_hist[j]
             if push_left[j] or push_right[j]:
                 goes_right = flags[keys] != (thresholds[j] < 0.0)
                 if push_right[j]:
-                    tree.stack.append((keys[goes_right], depth[j], rid, right_hist[j]))
+                    stacks[t].append((keys[goes_right], depth[j], lid + 1))
                 if push_left[j]:
-                    tree.stack.append((keys[~goes_right], depth[j], lid, left_hist[j]))
+                    stacks[t].append((keys[~goes_right], depth[j], lid))
         flags[crossed] = False
-    return [_Tree(*zip(*tree.nodes)) for tree in growing]
+    return [_Tree(*columns) for columns in grown]
 
 
 class RandomForest(BaseClassifier):
@@ -335,7 +324,6 @@ class RandomForest(BaseClassifier):
         feature = np.concatenate([tree.feature for tree in trees])
         threshold = np.concatenate([tree.threshold for tree in trees])
         left = np.concatenate([tree.left + root for tree, root in zip(trees, roots)])
-        right = np.concatenate([tree.right + root for tree, root in zip(trees, roots)])
         label = np.concatenate([tree.label for tree in trees])
 
         n = csr.shape[0]
@@ -353,7 +341,7 @@ class RandomForest(BaseClassifier):
             while live.size:
                 at = node[live]
                 below = dense[pair_row[live], feature[at]] <= threshold[at]
-                node[live] = np.where(below, left[at], right[at])
+                node[live] = left[at] + ~below  # the right child is left + 1
                 live = live[feature[node[live]] >= 0]
             leaf_votes = np.bincount(3 * pair_row + label[node], minlength=3 * m)
             votes[start : start + m] = leaf_votes.reshape(m, 3)

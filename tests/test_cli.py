@@ -73,6 +73,15 @@ class TestStats:
         assert err.startswith("error[dataset]")
         assert "empty corpus" in err
 
+    def test_empty_file_is_one_dataset_line(self, tmp_path, capsys):
+        data = tmp_path / "zero.csv"
+        data.write_bytes(b"")
+        assert run(["stats", "--data", data, "--out-dir", tmp_path / "o"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error[dataset]: {data}: file is empty, expected a header row\n"
+        assert captured.out == ""
+        assert not (tmp_path / "o").exists()
+
     def test_malformed_csv_is_one_line_naming_the_data_row(self, tmp_path, capsys):
         data = tmp_path / "quotes.csv"
         data.write_text('text,airline_sentiment\ngood,positive\nbad,negative\n"x"y,neutral\n')
@@ -582,6 +591,15 @@ class TestArtifactShapes:
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "e").exists()
 
+    def test_duplicate_term_is_one_artifact_error(self, trained_artifacts, tmp_path, capsys):
+        code, err = evaluate_corrupted(
+            trained_artifacts, tmp_path, capsys, "vectorizer_bow.json",
+            lambda d: d["terms"].append(d["terms"][0]), "mnb", "bow",
+        )
+        assert code == 1
+        assert err == "error[artifact]: terms holds a duplicate\n", err
+        assert not (tmp_path / "e").exists()
+
     def test_terms_string_is_one_artifact_error(self, trained_artifacts, tmp_path, capsys):
         # "usa" would load as the terms u, s, a; with a 3-wide model to match,
         # every test vector would be empty and evaluate would still exit 0.
@@ -1073,6 +1091,50 @@ class TestConfigHandling:
         assert captured.err == f"error[config]: {named} is named twice\n"
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("data", ["no flag", "config without it", "empty"])
+    def test_missing_or_empty_data_is_one_config_line(self, tmp_path, capsys, data):
+        out = tmp_path / "o"
+        argv = ["stats", "--out-dir", out]
+        if data == "config without it":
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"formats": ["json"]}))
+            argv += ["--config", config]
+        elif data == "empty":
+            argv += ["--data", ""]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error[config]: --data is required (flag or config file)\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, option, value, named", [
+        ("compare", "--model", "knn", "model 'knn'"),
+        ("stats", "formats", ["xml"], "output format 'xml'"),
+    ])
+    def test_unknown_kind_or_format_is_rejected(self, tmp_path, capsys, command, option,
+                                                value, named):
+        out = tmp_path / "o"
+        argv = [command, "--out-dir", out]
+        if option.startswith("--"):
+            argv += ["--data", FIXTURE_CSV, option, value]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"data": FIXTURE_CSV, option: value}))
+            argv += ["--config", config]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error[config]: unknown {named}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_config_that_is_not_an_object_is_one_config_line(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps([FIXTURE_CSV]))
+        assert run(["stats", "--config", config, "--out-dir", tmp_path / "o"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error[config]: {config}: config must be a JSON object\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("under", [False, True], ids=["file", "under a file"])
     @pytest.mark.parametrize("command", [

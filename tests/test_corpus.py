@@ -77,6 +77,12 @@ class TestLoadDataset:
         corpus = load_dataset(str(path))
         assert len(corpus) == 0
 
+    def test_zero_byte_file(self, tmp_path):
+        path = tmp_path / "zero.csv"
+        path.write_bytes(b"")
+        with pytest.raises(DatasetError, match="file is empty, expected a header row"):
+            load_dataset(str(path))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatasetError, match="cannot open"):
             load_dataset(str(tmp_path / "nope.csv"))
