@@ -41,9 +41,10 @@ class MultinomialNaiveBayes(BaseClassifier):
         class_counts = np.bincount(y_idx, minlength=n_classes).astype(np.float64)
 
         # Each (class, term) total adds its entries in row order, from zero.
+        key = np.repeat(y_idx * n_features, np.diff(csr.indptr))
+        key += csr.indices
         term_totals = np.bincount(
-            y_idx[csr.entry_rows()] * n_features + csr.indices,
-            weights=csr.data, minlength=n_classes * n_features,
+            key, weights=csr.data, minlength=n_classes * n_features
         ).reshape(n_classes, n_features)
 
         with np.errstate(divide="ignore"):

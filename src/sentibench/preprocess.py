@@ -5,17 +5,16 @@ drop stop-words -> lemmatize -> count.
 A TweetPreprocessor's only settings are two plain values, a stop-word set
 and a token -> lemma exceptions map, which it copies. It runs the
 pipeline through one token table of its own, filled the first time each
-distinct token is seen: it maps the token to its lemma's id, or to -1 for
+distinct token is seen: it maps the token to its lemma's id, or to 0 for
 a stop-word, so each distinct token is checked and lemmatized once per
 instance, not once per occurrence. An exception's lemma is used as it
 is; every other token gets ``lemmatize``, the rules alone.
 
-``preprocess_corpus`` extends one flat id list per corpus, drops the
-stop-words as one array operation and counts the ids once, into the
+``preprocess_corpus`` extends one flat id list per corpus, leaving out
+the stop-words' 0 as it goes, and counts the ids once, into the
 ``TermCounts`` that both vectorizers weight. This pass sets the peak
-memory of a large run, so the ids and their running count are int32 and
-the text ends one integer array. ``__call__`` gives one tweet's tokens as
-a list.
+memory of a large run, so the ids become one int32 array and the text
+ends one integer array. ``__call__`` gives one tweet's tokens as a list.
 """
 
 from __future__ import annotations
@@ -171,14 +170,15 @@ def _strip_participle(word: str, suffix_len: int) -> str:
 
 
 class _TokenTable(dict):
-    """Token -> lemma id: -1 for every stop-word from the start, any other
+    """Token -> lemma id: 0 for every stop-word from the start, any other
     token filled on first sight; ``lemmas`` lists the lemma of each id, in
-    the order first seen."""
+    the order first seen, after a placeholder at id 0 that is never a
+    token's lemma."""
 
     def __init__(self, stopwords: frozenset[str], exceptions: dict[str, str]):
-        super().__init__(dict.fromkeys(stopwords, -1))
+        super().__init__(dict.fromkeys(stopwords, 0))
         self.exceptions = exceptions
-        self.lemmas: list[str] = []
+        self.lemmas: list[str] = [""]  # id 0, the stop-words' placeholder
         self._ids: dict[str, int] = {}
 
     def __missing__(self, token: str) -> int:
@@ -218,21 +218,16 @@ class TweetPreprocessor:
     def __call__(self, raw: str) -> list[str]:
         """One tweet's tokens, duplicates kept, in order; may be empty."""
         lemmas = self._table.lemmas
-        return [lemmas[i] for i in map(self._table.__getitem__, _words(raw)) if i >= 0]
+        return [lemmas[i] for i in map(self._table.__getitem__, _words(raw)) if i]
 
     def preprocess_corpus(self, texts: Iterable[str]) -> TermCounts:
         """The texts' tokens, counted: one row per text, and one column per
         lemma of these texts, in the order they first occur in them. Nothing
         returned refers to the texts, so the caller can free them."""
         lookup = self._table.__getitem__
-        ids, ends = [], array("q", [0])  # ends: no int object per text
+        ids, ends = [], array("i", [0])  # ends: no int object per text
         for raw in texts:
-            ids += map(lookup, _words(raw))
+            ids += filter(None, map(lookup, _words(raw)))  # id 0: a stop-word
             ends.append(len(ids))
         ids = np.array(ids, dtype=np.int32)
-        known = ids >= 0
-        kept = np.zeros(ids.size + 1, dtype=np.int32)  # kept[i]: known ids before token i
-        np.cumsum(known, dtype=np.int32, out=kept[1:])
-        lengths = np.diff(kept[np.frombuffer(ends, np.int64)])
-        ids = ids[known]  # frees the stop-word ids before counting
-        return TermCounts.count(ids, lengths, self._table.lemmas)
+        return TermCounts.count(ids, np.diff(ends), self._table.lemmas)

@@ -107,9 +107,12 @@ class CsrMatrix:
     def canonical(self) -> "CsrMatrix":
         """This matrix if it is canonical, else a canonical copy: each row's
         entries sorted by column, and duplicates summed in stored order."""
-        key = self.entry_rows() * self.shape[1] + self.indices
-        if (key[1:] > key[:-1]).all():
+        rising = self.indices[1:] > self.indices[:-1]
+        starts = self.indptr[(0 < self.indptr) & (self.indptr < self.nnz)]
+        rising[starts - 1] = True  # a pair across a row start is in order
+        if rising.all():
             return self
+        key = self.entry_rows() * self.shape[1] + self.indices
         key, inverse = np.unique(key, return_inverse=True)
         row, col = np.divmod(key, self.shape[1])
         indptr = _indptr(np.bincount(row, minlength=self.shape[0]))
@@ -132,21 +135,32 @@ class TermCounts:
     @classmethod
     def count(cls, ids, lengths: np.ndarray, names: Sequence[str]) -> "TermCounts":
         """Count a corpus given as the flat term ids of all its tokens, doc
-        after doc (an integer array, used in its own dtype), and each doc's
-        token count; id i is the term ``names[i]``."""
+        after doc (an integer array), and each doc's token count; id i is
+        the term ``names[i]``, and a name no token has is not a column.
+        The (row, column) keys are int64, sorted in place; each run of equal
+        keys is one entry, whose length is its count. The columns are int32,
+        as ``transform``'s are, so it can share them."""
         first = np.full(len(names), ids.size)
         np.minimum.at(first, ids, np.arange(ids.size))
         seen = np.flatnonzero(first < ids.size)
         order = seen[np.argsort(first[seen])]
         column = np.empty(len(names), dtype=np.int64)
         column[order] = np.arange(order.size)
-        width = max(order.size, 1)
-        keys = np.repeat(np.arange(lengths.size) * width, lengths)  # row * width
-        keys += column[ids]
-        keys, counts = np.unique(keys, return_counts=True)
-        row, term = np.divmod(keys, width)
-        indptr = _indptr(np.bincount(row, minlength=lengths.size))
-        matrix = CsrMatrix(counts, term, indptr, (lengths.size, order.size))
+        rows, width = lengths.size, max(order.size, 1)
+        keys = column[ids]
+        keys += np.repeat(np.arange(0, rows * width, width), lengths)  # row * width + column
+        keys.sort()
+        edge = np.ones(keys.size + 1, dtype=bool)  # edge[k]: a run of equal keys starts at k
+        np.not_equal(keys[1:], keys[:-1], out=edge[1:-1])
+        keys = keys[edge[:-1]]
+        indptr = np.searchsorted(keys, np.arange(rows + 1) * width)
+        keys %= width
+        columns = keys.astype(np.int32)
+        del keys
+        bounds = np.flatnonzero(edge)
+        del edge
+        data = np.subtract(bounds[1:], bounds[:-1], dtype=np.float64)
+        matrix = CsrMatrix(data, columns, indptr, (rows, order.size))
         return cls(matrix, [names[i] for i in order.tolist()], lengths)
 
 
@@ -179,19 +193,23 @@ class _Vectorizer:
     def transform(self, corpus: TermCounts) -> CsrMatrix:
         counts, shape = corpus.counts, (len(corpus), self.dims)
         if corpus.terms != list(self.vocabulary_):
-            # another corpus's columns: remap them, drop unknown terms, re-sort
+            # another corpus's columns: remap them, drop unknown terms, sort
+            # each row (the map is injective, so no key repeats)
             get = self.vocabulary_.get
-            column = np.array([get(t, -1) for t in corpus.terms], dtype=np.int64)[counts.indices]
+            column = np.array([get(t, -1) for t in corpus.terms], dtype=np.int32)[counts.indices]
             known = column >= 0
-            indptr = _indptr(np.bincount(counts.entry_rows()[known], minlength=shape[0]))
-            counts = CsrMatrix(counts.data[known], column[known], indptr, shape).canonical()
-        row, term = counts.entry_rows(), counts.indices
-        data = self._weights(term, counts.data, corpus.lengths[row])
+            key = np.repeat(np.arange(shape[0]) * shape[1], np.diff(counts.indptr))[known]
+            column = column[known]
+            key += column
+            order = np.argsort(key)
+            indptr = np.searchsorted(key[order], np.arange(shape[0] + 1) * shape[1])
+            counts = CsrMatrix(counts.data[known][order], column[order], indptr, shape)
+        indptr, term = counts.indptr, counts.indices
+        data = self._weights(term, counts.data, np.repeat(corpus.lengths, np.diff(indptr)))
         keep = data != 0.0
         if not keep.all():  # tf-idf drops the terms of idf 0
-            row, term, data = row[keep], term[keep], data[keep]
-        indptr = _indptr(np.bincount(row, minlength=shape[0]))
-        return CsrMatrix(data, term.astype(np.int32), indptr, shape)
+            indptr, term, data = _indptr(keep)[indptr], term[keep], data[keep]
+        return CsrMatrix(data, term, indptr, shape)
 
 
 class BowVectorizer(_Vectorizer):

@@ -9,6 +9,7 @@ scipy is a test dependency only: it is the oracle here and nowhere in
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
@@ -122,6 +123,39 @@ def test_canonicalization_matches_scipy(X, seed):
     S = scipy_of(messy)
     S.sum_duplicates()
     assert_same_matrix(messy.canonical(), S)
+
+
+@pytest.mark.parametrize("rows", [
+    pytest.param([[], [(0, 1.0), (4, 2.0)], [], [(2, 3.0)], []],
+                 id="empty first, middle and last rows"),
+    pytest.param([[(3, 1.0), (5, 2.0)], [(0, 4.0), (5, 5.0)], [(5, 6.0)]],
+                 id="rows start at or below the column before them"),
+    pytest.param([[(3, 1.0)]], id="one entry"),
+])
+def test_canonical_matrix_is_returned_as_is(rows):
+    """``canonical`` compares columns within each row, not across a row start."""
+    X = csr(6, rows)
+    assert scipy_of(X).has_canonical_format
+    assert X.canonical() is X
+
+
+@pytest.mark.parametrize("indices,indptr", [
+    ([0, 3, 3], [0, 0, 3, 3]),  # a repeated column in a middle row
+    ([4, 2, 1, 0], [0, 1, 3, 4]),  # a falling pair in the middle row; each row starts lower
+    ([1, 2, 0], [0, 3]),  # a falling pair at the end of the one row
+    ([2, 1, 5], [0, 2, 2, 3]),  # a falling pair at the start, then an empty row
+])
+def test_non_canonical_matrix_is_summed_and_sorted_in_a_copy(indices, indptr):
+    data = np.arange(1.0, len(indices) + 1)
+    messy = CsrMatrix(data, np.array(indices, dtype=np.int32), indptr, (len(indptr) - 1, 6))
+    S = scipy_of(messy)
+    assert not S.has_canonical_format
+    S.sum_duplicates()
+    fixed = messy.canonical()
+    assert fixed is not messy
+    assert messy.indices.tolist() == indices and messy.data.tolist() == data.tolist()
+    assert_same_matrix(fixed, S)
+    assert fixed.canonical() is fixed
 
 
 @settings(max_examples=100, deadline=None)

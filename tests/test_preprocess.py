@@ -1,7 +1,9 @@
 """Cleaning, tokenizing, stop-words, lemmatization, vocabulary."""
 
+import json
 import string
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,11 +14,14 @@ from sentibench import (
     BowVectorizer,
     ConfigError,
     TweetPreprocessor,
+    VECTORIZER_KINDS,
     load_dataset,
     load_lemma_exceptions,
     load_stopwords,
+    save_vectorizer,
 )
 from sentibench.preprocess import _REQUIRED_STOPWORDS, _words, lemmatize
+from sentibench.vectorize import VECTORIZER_CLASSES
 from helpers import (
     EXAMPLE_TOKENS_1,
     EXAMPLE_TOKENS_2,
@@ -317,6 +322,41 @@ class TestTweetPreprocessor:
         assert pre("but flew testing") == ["fly", "test"]
         assert pre.stopwords == load_stopwords() and pre.lemma_exceptions == {"flew": "fly"}
         assert isinstance(pre.stopwords, frozenset)
+
+
+class TestStopwordId:
+    """Every stop-word maps to id 0, whose lemma is a placeholder: no counted
+    corpus, fitted vocabulary or saved vectorizer holds it."""
+
+    def test_stopword_only_texts_count_to_empty_rows(self):
+        counts = TweetPreprocessor().preprocess_corpus(["the is", "he she that"])
+        assert len(counts) == 2 and counts.terms == []
+        assert counts.counts.shape == (2, 0) and counts.counts.nnz == 0
+        assert counts.lengths.dtype == np.int32 and counts.lengths.tolist() == [0, 0]
+
+    @pytest.mark.parametrize("kind", VECTORIZER_KINDS)
+    def test_placeholder_is_never_a_term(self, tmp_path, kind):
+        pre = TweetPreprocessor()
+        train = pre.preprocess_corpus(["The flight is late", "the the"])
+        test = pre.preprocess_corpus(["is that late", "crew"])
+        assert counts_of(train) == (["flight", "late"], [2, 0], [[1, 1], [0, 0]])
+        assert counts_of(test) == (["late", "crew"], [1, 1], [[1, 0], [0, 1]])
+        vec = VECTORIZER_CLASSES[kind]().fit(train)
+        assert list(vec.vocabulary_) == ["flight", "late"]
+        assert vec.transform(test).toarray()[:, 0].tolist() == [0.0, 0.0]
+        save_vectorizer(vec, str(tmp_path / "vec.json"), pre)
+        assert json.loads((tmp_path / "vec.json").read_text())["terms"] == ["flight", "late"]
+
+    def test_empty_lemma_is_its_own_term(self):
+        pre = TweetPreprocessor(lemma_exceptions={"cities": ""})
+        counts = pre.preprocess_corpus(["the cities", "cities the cities"])
+        assert counts_of(counts) == ([""], [1, 2], [[1], [2]])
+
+    def test_exception_keyed_by_a_stopword_stays_dropped(self):
+        pre = TweetPreprocessor(lemma_exceptions={"the": "flight"})
+        assert pre("the flight the") == ["flight"]
+        counts = pre.preprocess_corpus(["the the", "the flight"])
+        assert counts_of(counts) == (["flight"], [0, 1], [[0], [1]])
 
 
 class TestVocabulary:

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from sentibench import (
     BowVectorizer,
     CsrMatrix,
     DimensionMismatchError,
+    MultinomialNaiveBayes,
     TfidfVectorizer,
     TrainingError,
     TweetPreprocessor,
@@ -24,7 +26,7 @@ from sentibench import (
     save_vectorizer,
 )
 from sentibench.models import check_vectors
-from sentibench.vectorize import VECTORIZER_CLASSES
+from sentibench.vectorize import VECTORIZER_CLASSES, TermCounts
 from helpers import (
     EXAMPLE_TOKENS_1, EXAMPLE_TOKENS_2, brute_counts, count_tokens, counts_of, csr,
 )
@@ -382,6 +384,52 @@ class TestTransformRows:
     def test_index_may_fall_between_rows(self):
         matrix = CsrMatrix([1.0, 2.0, 3.0], [2, 0, 1], [0, 1, 1, 3], (3, 3))
         assert entries(matrix) == [((2,), (1.0,)), ((), ()), ((0, 1), (2.0, 3.0))]
+
+
+def traced_peak(call, *args):
+    """``call(*args)`` and how far the traced allocations peaked during it
+    above where they started, in bytes."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        return call(*args), tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def matrix_bytes(matrix) -> int:
+    return matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+
+
+class TestMemoryBudget:
+    """Traced peaks of the counted path on 20,000 seeded docs of 0-19 tokens
+    whose ids are drawn by Zipf over 5,000 names (189,703 tokens and 140,237
+    entries with NumPy 2.4). Each bound leaves room for the arrays a step
+    needs, not for a spare int64 copy of the tokens or the entries."""
+
+    @pytest.fixture(scope="class")
+    def counted(self):
+        rng = np.random.default_rng(0)
+        lengths = rng.integers(0, 20, 20_000).astype(np.int32)
+        ids = ((rng.zipf(1.3, int(lengths.sum())) - 1) % 5_000).astype(np.int32)
+        return ids, lengths, [f"t{i}" for i in range(5_000)]
+
+    def test_count_peaks_under_twice_its_result(self, counted):
+        corpus, peak = traced_peak(TermCounts.count, *counted)
+        assert peak <= 2.0 * matrix_bytes(corpus.counts)
+
+    def test_tfidf_transform_peaks_under_1_8_times_its_result(self, counted):
+        corpus = TermCounts.count(*counted)
+        vectors, peak = traced_peak(TfidfVectorizer().fit(corpus).transform, corpus)
+        assert peak <= 1.8 * matrix_bytes(vectors)
+
+    def test_naive_bayes_fit_peaks_under_1_75_int64_per_entry(self, counted):
+        corpus = TermCounts.count(*counted)
+        vectors = TfidfVectorizer().fit(corpus).transform(corpus)
+        labels = [("negative", "neutral", "positive")[i % 3] for i in range(len(corpus))]
+        _, peak = traced_peak(MultinomialNaiveBayes().fit, vectors, labels)
+        assert peak <= 1.75 * vectors.nnz * 8
 
 
 class TestSerialization:
