@@ -27,11 +27,13 @@ from ..vectorize import CsrMatrix
 
 def check_vectors(X, dims: int | None = None) -> CsrMatrix:
     """Model input as a canonical CsrMatrix, ``dims`` wide if given; unsorted
-    columns or duplicates (summed) are canonicalized in a copy, never in place."""
+    columns or duplicates (summed) are canonicalized in a copy, never in place.
+    Column ids must be integers in range: a float or bool id is refused."""
     if not isinstance(X, CsrMatrix):
         raise TypeError(f"expected a CsrMatrix, got {type(X).__name__}")
     (n, width), ptr, idx = X.shape, X.indptr, X.indices
-    if not (ptr.shape == (n + 1,) and ptr[0] == 0 and ptr[-1] == idx.size == X.nnz
+    if not (idx.dtype.kind in "iu" and ptr.shape == (n + 1,) and ptr[0] == 0
+            and ptr[-1] == idx.size == X.nnz
             and (ptr[1:] >= ptr[:-1]).all() and ((idx >= 0) & (idx < width)).all()):
         raise ValueError(f"malformed {n} x {width} CsrMatrix")
     if dims is not None and width != dims:

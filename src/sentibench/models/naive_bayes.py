@@ -21,6 +21,8 @@ from ..errors import TrainingError
 from .base import BaseClassifier
 from .logistic import softmax
 
+_BLOCK_ROWS = 8_192
+
 
 class MultinomialNaiveBayes(BaseClassifier):
     variant = "mnb"
@@ -40,12 +42,16 @@ class MultinomialNaiveBayes(BaseClassifier):
         n_samples, n_features = csr.shape
         class_counts = np.bincount(y_idx, minlength=n_classes).astype(np.float64)
 
-        # Each (class, term) total adds its entries in row order, from zero.
-        key = np.repeat(y_idx * n_features, np.diff(csr.indptr))
-        key += csr.indices
-        term_totals = np.bincount(
-            key, weights=csr.data, minlength=n_classes * n_features
-        ).reshape(n_classes, n_features)
+        # Each (class, term) total adds its entries in row order, from zero,
+        # a block of rows at a time, so no key array spans every entry.
+        term_totals = np.zeros(n_classes * n_features)
+        indptr = csr.indptr
+        for start in range(0, n_samples, _BLOCK_ROWS):
+            rows = indptr[start : start + _BLOCK_ROWS + 1]
+            key = np.repeat(y_idx[start : start + _BLOCK_ROWS] * n_features, np.diff(rows))
+            key += csr.indices[rows[0] : rows[-1]]
+            np.add.at(term_totals, key, csr.data[rows[0] : rows[-1]])
+        term_totals = term_totals.reshape(n_classes, n_features)
 
         with np.errstate(divide="ignore"):
             self.class_log_prior_ = np.log(class_counts / n_samples)

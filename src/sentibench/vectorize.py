@@ -44,7 +44,10 @@ class CsrMatrix:
     indptr[i + 1]]``, strictly increasing in a canonical matrix such as
     ``transform`` builds, and the values at the same positions of ``data``;
     iterating yields one-row matrices. Products and ``toarray`` build each
-    output value from zero, adding the entries one at a time in stored order."""
+    output value from zero, adding the entries one at a time in stored order.
+    The vectorizers' column ids are int32, to halve their memory; NumPy
+    converts them to intp on each indexing call, so a consumer that indexes
+    by one row at a time (the svm's steps) converts them once up front."""
 
     __array_ufunc__ = None  # ``ndarray @ CsrMatrix`` calls __rmatmul__
 

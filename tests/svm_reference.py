@@ -7,7 +7,10 @@ step w <- w - eta_t * subgradient on dense vectors. The trainer in
 a sample's nonzeros, so it must agree with this loop up to rounding.
 
 ``pegasos_sparse`` is the scale * direction loop written with plain
-NumPy indexing. The trainer must return exactly its weights, bit for bit.
+NumPy indexing, row by row in each epoch's permutation, on whatever
+integer column ids it is given. The trainer, which gathers and scatters
+by intp ids, must return exactly its weights, bit for bit, for int32 and
+int64 ids alike.
 """
 
 from __future__ import annotations

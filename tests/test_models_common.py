@@ -225,6 +225,16 @@ class TestValidationHelpers:
             with pytest.raises(DimensionMismatchError):
                 model.predict(csr(DIMS + 1, [[(0, 1.0)]]))
 
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("ids", [[0.5, 1.0, 0.0], [False, True, False]], ids=["float", "bool"])
+    def test_non_integer_column_ids_are_refused(self, fitted_models, kind, ids):
+        X = CsrMatrix([1.0, 2.0, 3.0], np.array(ids), [0, 2, 3], (2, DIMS))
+        malformed = f"malformed 2 x {DIMS} CsrMatrix"
+        with pytest.raises(ValueError, match=malformed):
+            MODEL_CLASSES[kind](**small_hyperparams(kind)).fit(X, ["negative", "positive"])
+        with pytest.raises(ValueError, match=malformed):
+            fitted_models[kind].predict(X)
+
     def test_check_x_y_contract(self):
         X, y = training_set(10)
         matrix, y_idx = check_X_y(X, y)

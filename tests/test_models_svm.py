@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import svm_reference
-from sentibench import LinearSvm, TrainingError
-from sentibench.models import check_vectors
+from sentibench import CsrMatrix, LinearSvm, TrainingError
+from sentibench.models import check_vectors, svm
 from sentibench.models.svm import _pegasos_binary
 from svm_reference import hinge_sample_objective, hinge_sample_subgradient
 from helpers import LONG_ROW, canonical_csr, csr, from_dense, random_csr
@@ -134,6 +134,46 @@ class TestMatchesSparseReference:
         got = _pegasos_binary(X, y_pm, lam, epochs, np.random.default_rng(seed))
         want = svm_reference.pegasos_sparse(X, y_pm, lam, epochs, np.random.default_rng(seed))
         assert np.array_equal(got, want)
+
+
+def with_ids(X, dtype) -> CsrMatrix:
+    """``X`` with its column ids stored as ``dtype``."""
+    return CsrMatrix(X.data, X.indices.astype(dtype), X.indptr, X.shape)
+
+
+class TestColumnIdDtype:
+    """The trainer gathers and scatters by intp ids; the vectorizers' ids
+    are int32. Either dtype must give the same bits."""
+
+    @pytest.mark.parametrize("unit", [True, False], ids=["bow-like", "fractional"])
+    def test_fit_is_bit_identical_for_int32_and_int64_ids(self, unit):
+        X = random_csr(np.random.default_rng(6).integers(1, 16, 90), unit, seed=7)
+        y = [("negative", "neutral", "positive")[i % 3] for i in range(90)]
+        a = LinearSvm(epochs=3, seed=2).fit(with_ids(X, np.int32), y)
+        b = LinearSvm(epochs=3, seed=2).fit(with_ids(X, np.int64), y)
+        assert a.weights_.tobytes() == b.weights_.tobytes()
+        assert a.bias_.tobytes() == b.bias_.tobytes()
+
+    @pytest.mark.parametrize("unit", [True, False], ids=["bow-like", "fractional"])
+    def test_pegasos_binary_is_bit_identical_for_int32_and_intp_ids(self, unit):
+        X, y_pm, lam, epochs, seed = every_row_length(unit, lam=1e-4)
+        a, b = (
+            _pegasos_binary(with_ids(X, dtype), y_pm, lam, epochs, np.random.default_rng(seed))
+            for dtype in (np.int32, np.intp)
+        )
+        assert a.tobytes() == b.tobytes()
+
+    def test_fit_passes_intp_ids_to_the_steps(self, monkeypatch):
+        seen = []
+
+        def spy(csr, *args):
+            seen.append(csr.indices.dtype)
+            return _pegasos_binary(csr, *args)
+
+        monkeypatch.setattr(svm, "_pegasos_binary", spy)
+        assert SEPARABLE_X.indices.dtype == np.int32
+        LinearSvm(epochs=1).fit(SEPARABLE_X, SEPARABLE_Y)
+        assert seen == [np.dtype(np.intp)] * 3
 
 
 class TestErrorsAndValidation:
