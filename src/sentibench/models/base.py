@@ -28,12 +28,13 @@ from ..vectorize import CsrMatrix
 def check_vectors(X, dims: int | None = None) -> CsrMatrix:
     """Model input as a canonical CsrMatrix, ``dims`` wide if given; unsorted
     columns or duplicates (summed) are canonicalized in a copy, never in place.
-    Column ids must be integers in range: a float or bool id is refused."""
+    Column ids must be integers in range, and row pointers signed integers,
+    as the models' int64 arithmetic on them needs; others are refused."""
     if not isinstance(X, CsrMatrix):
         raise TypeError(f"expected a CsrMatrix, got {type(X).__name__}")
     (n, width), ptr, idx = X.shape, X.indptr, X.indices
-    if not (idx.dtype.kind in "iu" and ptr.shape == (n + 1,) and ptr[0] == 0
-            and ptr[-1] == idx.size == X.nnz
+    if not (idx.dtype.kind in "iu" and ptr.dtype.kind == "i" and ptr.shape == (n + 1,)
+            and ptr[0] == 0 and ptr[-1] == idx.size == X.nnz
             and (ptr[1:] >= ptr[:-1]).all() and ((idx >= 0) & (idx < width)).all()):
         raise ValueError(f"malformed {n} x {width} CsrMatrix")
     if dims is not None and width != dims:

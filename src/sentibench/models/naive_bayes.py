@@ -21,8 +21,6 @@ from ..errors import TrainingError
 from .base import BaseClassifier
 from .logistic import softmax
 
-_BLOCK_ROWS = 8_192
-
 
 class MultinomialNaiveBayes(BaseClassifier):
     variant = "mnb"
@@ -38,20 +36,14 @@ class MultinomialNaiveBayes(BaseClassifier):
         if csr.nnz and csr.data.min() < 0:
             raise TrainingError("multinomial naive bayes requires non-negative weights")
 
-        n_classes = 3
         n_samples, n_features = csr.shape
-        class_counts = np.bincount(y_idx, minlength=n_classes).astype(np.float64)
+        class_counts = np.bincount(y_idx, minlength=3).astype(np.float64)
 
-        # Each (class, term) total adds its entries in row order, from zero,
-        # a block of rows at a time, so no key array spans every entry.
-        term_totals = np.zeros(n_classes * n_features)
-        indptr = csr.indptr
-        for start in range(0, n_samples, _BLOCK_ROWS):
-            rows = indptr[start : start + _BLOCK_ROWS + 1]
-            key = np.repeat(y_idx[start : start + _BLOCK_ROWS] * n_features, np.diff(rows))
-            key += csr.indices[rows[0] : rows[-1]]
-            np.add.at(term_totals, key, csr.data[rows[0] : rows[-1]])
-        term_totals = term_totals.reshape(n_classes, n_features)
+        # ufunc.at adds the entries one at a time in stored (row) order from zero, so each
+        # total is a row-order sum; an int8 class per entry costs one byte, not an int64's 8
+        classes = np.repeat(y_idx.astype(np.int8), np.diff(csr.indptr))
+        term_totals = np.zeros((3, n_features))
+        np.add.at(term_totals, (classes, csr.indices), csr.data)
 
         with np.errstate(divide="ignore"):
             self.class_log_prior_ = np.log(class_counts / n_samples)
@@ -75,6 +67,8 @@ class MultinomialNaiveBayes(BaseClassifier):
 
     def load_state(self, params, dims: int) -> None:
         prior = params["class_log_prior"]
+        if all(x is None for x in prior):  # a fit sees one class at least
+            raise ValueError("class_log_prior has no finite entry")
         # null is the -inf log-prior of a class absent from training
         self.class_log_prior_ = decode_array(
             "class_log_prior", [0.0 if x is None else x for x in prior], (3,)

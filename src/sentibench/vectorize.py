@@ -47,14 +47,16 @@ class CsrMatrix:
     output value from zero, adding the entries one at a time in stored order.
     The vectorizers' column ids are int32, to halve their memory; NumPy
     converts them to intp on each indexing call, so a consumer that indexes
-    by one row at a time (the svm's steps) converts them once up front."""
+    by one row at a time (the svm's steps) converts them once up front.
+    ``indices`` and ``indptr`` keep the dtype they are given (an empty list
+    is int64, not float), so that ``check_vectors`` can refuse float ids."""
 
     __array_ufunc__ = None  # ``ndarray @ CsrMatrix`` calls __rmatmul__
 
     def __init__(self, data, indices, indptr, shape: tuple[int, int]):
         self.data = np.asarray(data, dtype=np.float64)
-        self.indices = indices if isinstance(indices, np.ndarray) else np.array(indices, np.int64)
-        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.indices = np.asarray(indices, None if len(indices) else np.int64)
+        self.indptr = np.asarray(indptr, None if len(indptr) else np.int64)
         self.shape = (int(shape[0]), int(shape[1]))
         self.nnz = self.data.size
 

@@ -336,6 +336,9 @@ NON_FINITE_CORRUPTIONS = {
         "model_mnb_bow.json", first_weight("feature_log_likelihood", math.nan), "mnb", "bow"),
     "mnb prior -Infinity": (
         "model_mnb_bow.json", first_weight("class_log_prior", -math.inf), "mnb", "bow"),
+    "mnb prior all null": (
+        "model_mnb_bow.json", lambda d: d["params"].update(class_log_prior=[None] * 3),
+        "mnb", "bow"),
     "svm weight Infinity": (
         "model_svm_bow.json", first_weight("weights", math.inf), "svm", "bow"),
     "logreg bias NaN": ("model_logreg_bow.json", first_weight("bias", math.nan), "logreg", "bow"),

@@ -226,9 +226,14 @@ class TestValidationHelpers:
                 model.predict(csr(DIMS + 1, [[(0, 1.0)]]))
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
-    @pytest.mark.parametrize("ids", [[0.5, 1.0, 0.0], [False, True, False]], ids=["float", "bool"])
-    def test_non_integer_column_ids_are_refused(self, fitted_models, kind, ids):
-        X = CsrMatrix([1.0, 2.0, 3.0], np.array(ids), [0, 2, 3], (2, DIMS))
+    @pytest.mark.parametrize("ids, indptr", [
+        (np.array([0.5, 1.0, 0.0]), [0, 2, 3]),
+        (np.array([False, True, False]), [0, 2, 3]),
+        ([0.5, 1.0, 0.0], [0, 2, 3]),
+        ([0, 1, 2], [0, 1.5, 3]),
+    ], ids=["float", "bool", "float list", "float indptr"])
+    def test_non_integer_column_ids_are_refused(self, fitted_models, kind, ids, indptr):
+        X = CsrMatrix([1.0, 2.0, 3.0], ids, indptr, (2, DIMS))
         malformed = f"malformed 2 x {DIMS} CsrMatrix"
         with pytest.raises(ValueError, match=malformed):
             MODEL_CLASSES[kind](**small_hyperparams(kind)).fit(X, ["negative", "positive"])

@@ -7,10 +7,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sentibench import MultinomialNaiveBayes, TrainingError, model_from_dict, model_to_dict
-from sentibench.corpus import POLARITIES
+from sentibench import (
+    BowVectorizer, MultinomialNaiveBayes, TfidfVectorizer, TrainingError, model_from_dict,
+    model_to_dict,
+)
+from sentibench.corpus import POLARITIES, POLARITY_INDEX
 from sentibench.models import check_vectors
-from helpers import csr
+from sentibench.vectorize import TermCounts
+from helpers import csr, zipf_tokens
 
 # 4 docs over 3 terms, one per line, with alpha = 1:
 #   negative: [1,1,0], [1,0,0]   neutral: [0,1,1]   positive: [0,0,1]
@@ -127,6 +131,29 @@ class TestDuplicationScaling:
         # smoothed-away terms vanish in probability space on both sides
         assert np.exp(once.feature_log_likelihood_[~seen]).max() < 1e-8
         assert np.exp(twice.feature_log_likelihood_[~seen]).max() < 1e-8
+
+
+class TestSummationOrder:
+    @pytest.mark.parametrize("vectorizer", [BowVectorizer, TfidfVectorizer])
+    def test_totals_are_row_order_sums_bit_for_bit(self, vectorizer):
+        # 20,000 rows, and no neutral row: each (class, term) total must be
+        # its entries added one at a time in row order, starting from 0.0
+        corpus = TermCounts.count(*zipf_tokens())
+        X = vectorizer().fit(corpus).transform(corpus)
+        draws = np.random.default_rng(1).integers(0, 2, len(corpus)).tolist()
+        labels = [("negative", "positive")[d] for d in draws]
+        model = MultinomialNaiveBayes().fit(X, labels)
+
+        totals = [[0.0] * X.shape[1] for _ in POLARITIES]
+        indptr, indices, data = X.indptr.tolist(), X.indices.tolist(), X.data.tolist()
+        for row, label in enumerate(labels):
+            class_totals = totals[POLARITY_INDEX[label]]
+            for k in range(indptr[row], indptr[row + 1]):
+                class_totals[indices[k]] += data[k]
+        smoothed = np.array(totals) + model.alpha
+        expected = np.log(smoothed / smoothed.sum(axis=1, keepdims=True))
+        assert model.feature_log_likelihood_.tobytes() == expected.tobytes()
+        assert model.class_log_prior_[POLARITY_INDEX["neutral"]] == -math.inf
 
 
 class TestBruteForceEquivalence:

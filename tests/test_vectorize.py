@@ -28,7 +28,7 @@ from sentibench import (
 from sentibench.models import check_vectors
 from sentibench.vectorize import VECTORIZER_CLASSES, TermCounts
 from helpers import (
-    EXAMPLE_TOKENS_1, EXAMPLE_TOKENS_2, brute_counts, count_tokens, counts_of, csr,
+    EXAMPLE_TOKENS_1, EXAMPLE_TOKENS_2, brute_counts, count_tokens, counts_of, csr, zipf_tokens,
 )
 from vectorize_reference import term_frequency
 
@@ -93,6 +93,7 @@ class TestCsrMatrix:
         pytest.param([1.0], [0], [0, 1], id="indptr one short"),
         pytest.param([1.0], [0], [1, 0, 1], id="decreasing indptr"),
         pytest.param([1.0, 2.0], [0], [0, 1, 1], id="data longer than indices"),
+        pytest.param([1.0], [0], np.array([0, 1, 1], np.uint64), id="unsigned indptr"),
     ])
     def test_malformed_arrays_are_refused(self, data, indices, indptr):
         with pytest.raises(ValueError, match="malformed 2 x 3 CsrMatrix"):
@@ -403,17 +404,13 @@ def matrix_bytes(matrix) -> int:
 
 
 class TestMemoryBudget:
-    """Traced peaks of the counted path on 20,000 seeded docs of 0-19 tokens
-    whose ids are drawn by Zipf over 5,000 names (189,703 tokens and 140,237
-    entries with NumPy 2.4). Each bound leaves room for the arrays a step
-    needs, not for a spare int64 copy of the tokens or the entries."""
+    """Traced peaks of the counted path on ``zipf_tokens``' 20,000 seeded
+    docs. Each bound leaves room for the arrays a step needs, not for a
+    spare int64 copy of the tokens or the entries."""
 
     @pytest.fixture(scope="class")
     def counted(self):
-        rng = np.random.default_rng(0)
-        lengths = rng.integers(0, 20, 20_000).astype(np.int32)
-        ids = ((rng.zipf(1.3, int(lengths.sum())) - 1) % 5_000).astype(np.int32)
-        return ids, lengths, [f"t{i}" for i in range(5_000)]
+        return zipf_tokens()
 
     def test_count_peaks_under_twice_its_result(self, counted):
         corpus, peak = traced_peak(TermCounts.count, *counted)
