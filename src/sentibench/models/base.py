@@ -2,7 +2,8 @@
 
 Classifiers are fitted once and immutable afterwards: predict is a pure
 function of (fitted state, input matrix). Every model takes one
-``CsrMatrix``, a row per sample, as the vectorizer builds. Score matrices
+canonical ``CsrMatrix``, a row per sample, as the vectorizer builds it,
+and ``check_vectors`` refuses any other input. Score matrices
 keep columns in the fixed polarity order, and argmax resolves ties toward
 the earlier class, which pins the documented tie-break [negative,
 neutral, positive].
@@ -26,25 +27,30 @@ from ..vectorize import CsrMatrix
 
 
 def check_vectors(X, dims: int | None = None) -> CsrMatrix:
-    """Model input as a canonical CsrMatrix, ``dims`` wide if given; unsorted
-    columns or duplicates (summed) are canonicalized in a copy, never in place.
-    Column ids must be integers in range, and row pointers signed integers,
-    as the models' int64 arithmetic on them needs; others are refused."""
+    """Model input, returned as is: a canonical CsrMatrix, each row's column
+    ids strictly increasing, ``dims`` wide if given. Column ids must be
+    integers in range, and row pointers signed integers, as the models'
+    int64 arithmetic on them needs. Any other input is refused, not repaired."""
     if not isinstance(X, CsrMatrix):
         raise TypeError(f"expected a CsrMatrix, got {type(X).__name__}")
     (n, width), ptr, idx = X.shape, X.indptr, X.indices
-    if not (idx.dtype.kind in "iu" and ptr.dtype.kind == "i" and ptr.shape == (n + 1,)
-            and ptr[0] == 0 and ptr[-1] == idx.size == X.nnz
-            and (ptr[1:] >= ptr[:-1]).all() and ((idx >= 0) & (idx < width)).all()):
+    ok = (idx.dtype.kind in "iu" and ptr.dtype.kind == "i" and ptr.shape == (n + 1,)
+          and idx.shape == X.data.shape == (X.nnz,) and ptr[0] == 0 and ptr[-1] == X.nnz
+          and (ptr[1:] >= ptr[:-1]).all() and ((idx >= 0) & (idx < width)).all())
+    if ok:  # each row's ids rise; a pair across a row start may fall or repeat
+        rising = idx[1:] > idx[:-1]
+        rising[ptr[(0 < ptr) & (ptr < X.nnz)] - 1] = True
+        ok = rising.all()
+    if not ok:
         raise ValueError(f"malformed {n} x {width} CsrMatrix")
     if dims is not None and width != dims:
         raise DimensionMismatchError(f"input has {width} dims, model expects {dims}")
-    return X.canonical()
+    return X
 
 
 def check_X_y(X, y):
     """Validate a training set (equal non-zero lengths, known labels);
-    returns (canonical CsrMatrix, int class indices)."""
+    returns (the CsrMatrix as given, int class indices)."""
     labels = list(y)
     if len(labels) == 0:
         raise TrainingError("training data is empty")

@@ -19,12 +19,12 @@ pops one node from every tree that has one left and searches them all
 in one batch.
 
 The batch reads one column-major copy of the training matrix, with the
-class label of every stored entry, shared by all trees. A tree holds its
-bootstrap sample as multiplicities: a node is a set of distinct rows,
-each weighted by how often the sample drew it. Copies of a row hold
-equal values and always go to the same child, so the weighted class
-histograms hold the counts that the resampled matrix would give, and
-the same splits follow.
+class label of every stored entry, which ``_grow_forest`` builds once
+and all trees share. A tree holds its bootstrap sample as
+multiplicities: a node is a set of distinct rows, each weighted by how
+often the sample drew it. Copies of a row hold equal values and always
+go to the same child, so the weighted class histograms hold the counts
+that the resampled matrix would give, and the same splits follow.
 
 The search gathers the entry ranges of each node's sampled columns and
 keeps the entries whose row is in the node, adding one virtual entry per
@@ -220,8 +220,11 @@ def _grow_forest(csr, y, weights, k, max_depth, rngs) -> list[_Tree]:
     lockstep; tree t draws each search's ``k`` features from ``rngs[t]``."""
     n_trees, n = weights.shape
     dims = csr.shape[1]
-    csc = csr.T
-    columns = (csc.indptr, csc.indices, csc.data, y[csc.indices])
+    order = np.argsort(csr.indices, kind="stable")
+    col_row, col_val = csr.entry_rows()[order], csr.data[order]
+    del order  # not held through the grow
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(csr.indices, minlength=dims))))
+    columns = (indptr, col_row, col_val, y[col_row])
     # Row r of tree t is key t * n + r in the flat weight and flag arrays.
     flat_w = weights.ravel()
     flags = np.zeros(n_trees * n, dtype=bool)

@@ -42,9 +42,9 @@ class CsrMatrix:
     """A sparse matrix in compressed sparse row form, the one matrix type
     from vectorizer to model. Row i holds the columns ``indices[indptr[i]:
     indptr[i + 1]]``, strictly increasing in a canonical matrix such as
-    ``transform`` builds, and the values at the same positions of ``data``;
-    iterating yields one-row matrices. Products and ``toarray`` build each
-    output value from zero, adding the entries one at a time in stored order.
+    ``transform`` builds (models refuse others), and the values at the same
+    positions of ``data``; iterating yields one-row matrices. Products and
+    ``toarray`` sum each output value from zero, entry by entry in stored order.
     The vectorizers' column ids are int32, to halve their memory; NumPy
     converts them to intp on each indexing call, so a consumer that indexes
     by one row at a time (the svm's steps) converts them once up front.
@@ -90,38 +90,17 @@ class CsrMatrix:
         return out
 
     def __rmatmul__(self, other: np.ndarray) -> np.ndarray:
-        """``other @ self`` for a dense (k, rows) array, without building ``self.T``."""
+        """``other @ self`` for a dense (k, rows) array, without a transposed copy."""
         row, dims = self.entry_rows(), self.shape[1]
         out = np.zeros((other.shape[0], dims))
         for c in range(len(out)):
             out[c] = np.bincount(self.indices, weights=self.data * other[c, row], minlength=dims)
         return out
 
-    @property
-    def T(self) -> "CsrMatrix":
-        """The transpose, a column-major copy: entries stably sorted by column."""
-        order = np.argsort(self.indices, kind="stable")
-        indptr = _indptr(np.bincount(self.indices, minlength=self.shape[1]))
-        return CsrMatrix(self.data[order], self.entry_rows()[order], indptr, self.shape[::-1])
-
     def toarray(self) -> np.ndarray:
         out = np.zeros(self.shape)
         np.add.at(out, (self.entry_rows(), self.indices), self.data)
         return out
-
-    def canonical(self) -> "CsrMatrix":
-        """This matrix if it is canonical, else a canonical copy: each row's
-        entries sorted by column, and duplicates summed in stored order."""
-        rising = self.indices[1:] > self.indices[:-1]
-        starts = self.indptr[(0 < self.indptr) & (self.indptr < self.nnz)]
-        rising[starts - 1] = True  # a pair across a row start is in order
-        if rising.all():
-            return self
-        key = self.entry_rows() * self.shape[1] + self.indices
-        key, inverse = np.unique(key, return_inverse=True)
-        row, col = np.divmod(key, self.shape[1])
-        indptr = _indptr(np.bincount(row, minlength=self.shape[0]))
-        return CsrMatrix(np.bincount(inverse, weights=self.data), col, indptr, self.shape)
 
 
 @dataclass(frozen=True, eq=False)  # eq would compare arrays elementwise

@@ -10,6 +10,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from sentibench import POLARITIES, Corpus, CsrMatrix
+from sentibench.models import check_vectors
 from sentibench.vectorize import TermCounts
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -74,8 +75,8 @@ def zipf_tokens() -> tuple[np.ndarray, np.ndarray, list[str]]:
 
 def counts_of(corpus) -> tuple[list, list, list]:
     """A counted corpus as ``brute_counts`` gives it; its count matrix must
-    be canonical."""
-    assert corpus.counts.canonical() is corpus.counts
+    be canonical, which ``check_vectors`` takes as it is."""
+    assert check_vectors(corpus.counts) is corpus.counts
     assert corpus.counts.shape == (len(corpus), len(corpus.terms))
     return corpus.terms, corpus.lengths.tolist(), corpus.counts.toarray().astype(int).tolist()
 

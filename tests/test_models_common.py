@@ -289,14 +289,13 @@ def messy_copy(csr):
 
 class TestNonCanonicalInput:
     @pytest.mark.parametrize("kind", MODEL_KINDS)
-    def test_duplicates_are_summed_and_input_is_untouched(self, kind):
+    def test_fit_and_predict_refuse_and_leave_the_input_untouched(self, kind, fitted_models):
         clean, y = training_set()
         messy = messy_copy(clean)
-        assert messy.canonical() is not messy
         before = [a.copy() for a in (messy.data, messy.indices, messy.indptr)]
-        hp = small_hyperparams(kind)
-        got = MODEL_CLASSES[kind](seed=3, **hp).fit(messy, y)
-        want = MODEL_CLASSES[kind](seed=3, **hp).fit(clean, y)
-        assert model_to_dict(got, "bow") == model_to_dict(want, "bow")
+        with pytest.raises(ValueError, match=f"malformed 40 x {DIMS} CsrMatrix"):
+            MODEL_CLASSES[kind](seed=3, **small_hyperparams(kind)).fit(messy, y)
+        with pytest.raises(ValueError, match=f"malformed 40 x {DIMS} CsrMatrix"):
+            fitted_models[kind].predict(messy)
         for after, original in zip((messy.data, messy.indices, messy.indptr), before):
             assert np.array_equal(after, original)

@@ -86,18 +86,28 @@ class TestCsrMatrix:
             with pytest.raises(TypeError):
                 check_vectors(other)
 
-    @pytest.mark.parametrize("data, indices, indptr", [
-        pytest.param([1.0], [3], [0, 1, 1], id="column index past the width"),
-        pytest.param([1.0], [-1], [0, 1, 1], id="negative column index"),
-        pytest.param([1.0, 2.0], [0, 1], [0, 1, 1], id="more entries than indptr holds"),
-        pytest.param([1.0], [0], [0, 1], id="indptr one short"),
-        pytest.param([1.0], [0], [1, 0, 1], id="decreasing indptr"),
-        pytest.param([1.0, 2.0], [0], [0, 1, 1], id="data longer than indices"),
-        pytest.param([1.0], [0], np.array([0, 1, 1], np.uint64), id="unsigned indptr"),
+    @pytest.mark.parametrize("data, indices, indptr, rows", [
+        pytest.param([1.0], [3], [0, 1, 1], 2, id="column index past the width"),
+        pytest.param([1.0], [-1], [0, 1, 1], 2, id="negative column index"),
+        pytest.param([1.0, 2.0], [0, 1], [0, 1, 1], 2, id="more entries than indptr holds"),
+        pytest.param([1.0], [0], [0, 1], 2, id="indptr one short"),
+        pytest.param([1.0], [0], [1, 0, 1], 2, id="decreasing indptr"),
+        pytest.param([1.0, 2.0], [0], [0, 1, 1], 2, id="data longer than indices"),
+        pytest.param([1.0], [0], np.array([0, 1, 1], np.uint64), 2, id="unsigned indptr"),
+        pytest.param([1.0], [[0]], [0, 1, 1], 2, id="2-d column ids"),
+        pytest.param([[1.0]], [0], [0, 1, 1], 2, id="2-d data"),
+        pytest.param([1.0, 2.0], [2, 0], [0, 2, 2], 2, id="a falling pair in a row"),
+        pytest.param([1.0, 2.0], [1, 1], [0, 0, 2], 2, id="a repeated column in a row"),
+        pytest.param([1.0, 2.0, 3.0, 1.0], np.array([2, 0, 1, 0], np.uint64), [0, 2, 3, 4], 3,
+                     id="falling uint64 column ids"),
     ])
-    def test_malformed_arrays_are_refused(self, data, indices, indptr):
-        with pytest.raises(ValueError, match="malformed 2 x 3 CsrMatrix"):
-            check_vectors(CsrMatrix(data, np.array(indices), indptr, (2, 3)))
+    def test_malformed_arrays_are_refused(self, data, indices, indptr, rows):
+        X = CsrMatrix(data, np.array(indices), indptr, (rows, 3))
+        before = [a.copy() for a in (X.data, X.indices, X.indptr)]
+        with pytest.raises(ValueError, match=f"malformed {rows} x 3 CsrMatrix"):
+            check_vectors(X)
+        for after, original in zip((X.data, X.indices, X.indptr), before):
+            assert np.array_equal(after, original)
 
 
 class TestBow:
