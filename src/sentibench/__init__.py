@@ -6,7 +6,16 @@ lemmatization; binary bag-of-words and tf-idf vectorizers; multinomial
 naive Bayes, softmax logistic regression, one-vs-rest linear SVM, and a
 random forest; weighted precision/recall/F1 evaluation; and a CLI that
 reproduces the full model-by-vectorizer comparison grid.
+
+Importing sentibench sets OPENBLAS_NUM_THREADS to 1, unless it is already
+set, for the whole process and its children: a BLAS loaded later (scipy's
+too) runs one thread, but a caller who imported NumPy first keeps its pool.
 """
+
+import os
+
+# before NumPy loads: OpenBLAS starts a thread pool then, and no sentibench call uses it
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .artifacts import (
     load_model,

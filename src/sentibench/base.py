@@ -32,7 +32,7 @@ def check_int(name: str, value, minimum: int) -> None:
 def decode_array(name: str, values, shape: tuple[int, ...], *, integer: bool = False,
                  minimum: int | None = None) -> np.ndarray:
     """Artifact JSON lists nested to exactly ``shape`` as a float64 array, or
-    int64 if ``integer``; a leaf that is not a finite JSON number (an integer
+    int64 if ``integer``; a leaf that is not a finite JSON number (an int64
     if ``integer``; never a bool) or is below ``minimum`` raises ValueError.
     Each level is checked, then flattened: numpy converts one flat list."""
     flat = [values]
@@ -42,7 +42,10 @@ def decode_array(name: str, values, shape: tuple[int, ...], *, integer: bool = F
         flat = flat[0] if len(flat) == 1 else list(chain.from_iterable(flat))
     if not set(map(type, flat)) <= ({int} if integer else {int, float}):
         raise ValueError(f"{name} must hold {'integers' if integer else 'finite numbers'} only")
-    array = np.array(flat, dtype=np.int64 if integer else np.float64).reshape(shape)
+    try:
+        array = np.array(flat, dtype=np.int64 if integer else np.float64).reshape(shape)
+    except OverflowError:  # an int beyond int64, or beyond float64's range
+        raise ValueError(f"{name} holds a number out of range") from None
     if not (integer or np.isfinite(array).all()):
         raise ValueError(f"{name} holds a value that is not finite")
     if minimum is not None and array.size and array.min() < minimum:

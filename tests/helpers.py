@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 from array import array
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
+import sentibench
 from sentibench import POLARITIES, Corpus, CsrMatrix
 from sentibench.models import check_vectors
 from sentibench.vectorize import TermCounts
@@ -174,3 +178,38 @@ EXAMPLE_VOCAB = (
     "delicious", "beef", "cheese", "burger", "mcdonald", "taste",
     "cheeseburger", "hamburger", "late", "service", "slow",
 )
+
+
+def child_env() -> dict:
+    """This process's environment, with the directory ``sentibench`` was
+    imported from first on the child's PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(Path(sentibench.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_with_blas_threads(code: str, openblas_threads: str | None) -> str:
+    """The stdout of ``python -c code`` in a child whose environment sets no
+    BLAS thread count, besides OPENBLAS_NUM_THREADS if ``openblas_threads``
+    is given. This process may have the variable set: it imported sentibench."""
+    env = {key: value for key, value in child_env().items()
+           if key not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def _openblas_would_thread() -> bool:
+    """On Linux with 2 or more CPUs, NumPy's OpenBLAS starts a thread pool
+    unless told otherwise."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # NumPy before 1.26 has no mode="dicts"
+        return False
+    return sys.platform == "linux" and (os.cpu_count() or 1) >= 2 and "openblas" in blas.lower()
+
+
+needs_openblas_threads = pytest.mark.skipif(
+    not _openblas_would_thread(), reason="needs Linux, 2+ CPUs and NumPy on OpenBLAS")

@@ -4,7 +4,6 @@ import csv
 import gc
 import json
 import math
-import os
 import shutil
 import subprocess
 import sys
@@ -13,7 +12,6 @@ from pathlib import Path
 
 import pytest
 
-import sentibench
 from sentibench import cli
 from sentibench import (
     BowVectorizer,
@@ -26,7 +24,8 @@ from sentibench import (
 )
 from sentibench.cli import main
 from sentibench.vectorize import TermCounts, _Vectorizer
-from helpers import FIXTURE_COUNTS, FIXTURE_CSV, SHORT_RUN, V1_ARTIFACTS
+from helpers import (FIXTURE_COUNTS, FIXTURE_CSV, SHORT_RUN, V1_ARTIFACTS, child_env,
+                     needs_openblas_threads, run_with_blas_threads)
 
 SEPARABLE_TEXTS = {
     "negative": "awful awful delay",
@@ -1211,15 +1210,6 @@ class TestConfigHandling:
         assert capsys.readouterr().err == "error[internal]: RuntimeError: boom\n"
 
 
-def child_env() -> dict:
-    """This process's environment, with the directory ``sentibench`` was
-    imported from first on the child's PYTHONPATH."""
-    env = dict(os.environ)
-    src = str(Path(sentibench.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
-
-
 class TestSubprocessInterface:
     def test_module_invocation_success_and_failure(self, tmp_path):
         ok = subprocess.run(
@@ -1285,3 +1275,18 @@ class TestSubprocessInterface:
         assert {p.name for p in tmp_path.iterdir()} == set(expected)
         for name, files in expected.items():
             assert {p.name for p in (tmp_path / name).iterdir()} == files, name
+
+
+@needs_openblas_threads
+class TestOneBlasThread:
+    """Importing sentibench sets OPENBLAS_NUM_THREADS to 1 before NumPy loads,
+    so OpenBLAS starts no thread pool, unless the caller set the variable."""
+
+    PROBE = ("import sentibench, numpy\n"
+             "print(next(line.split()[1] for line in open('/proc/self/status')\n"
+             "           if line.startswith('Threads:')))")
+
+    @pytest.mark.parametrize("openblas_threads, threads", [(None, "1"), ("2", "2")],
+                             ids=["unset", "set-to-2"])
+    def test_thread_count_after_import(self, openblas_threads, threads):
+        assert run_with_blas_threads(self.PROBE, openblas_threads).strip() == threads

@@ -208,6 +208,23 @@ class TestPersistence:
         with pytest.raises(ArtifactError, match=f"{key} holds a value that is not finite"):
             load_model(str(path))
 
+    @pytest.mark.parametrize("kind, key, bad", [
+        ("rf", "feature", 2**63), ("rf", "left", -2**63 - 1), ("rf", "threshold", 10**400),
+        ("svm", "weights", 10**400), ("mnb", "class_log_prior", -10**400),
+    ])
+    def test_out_of_range_params_are_artifact_errors_naming_the_field(
+            self, fitted_models, tmp_path, kind, key, bad):
+        # an int past int64, or past float64's range, as numpy would overflow on it
+        doc = model_to_dict(fitted_models[kind], "bow")
+        params = doc["params"]["trees"][0] if kind == "rf" else doc["params"]
+        values = params[key]
+        (values[0] if isinstance(values[0], list) else values)[0] = bad
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        message = f"ValueError: (tree )?{key} holds a number out of range"
+        with pytest.raises(ArtifactError, match=message):
+            load_model(str(path))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ArtifactError):
             load_model(str(tmp_path / "none.json"))

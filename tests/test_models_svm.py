@@ -10,7 +10,8 @@ from sentibench import CsrMatrix, LinearSvm, TrainingError
 from sentibench.models import check_vectors, svm
 from sentibench.models.svm import _pegasos_binary
 from svm_reference import hinge_sample_objective, hinge_sample_subgradient
-from helpers import LONG_ROW, canonical_csr, csr, from_dense, random_csr
+from helpers import (LONG_ROW, canonical_csr, csr, from_dense, needs_openblas_threads,
+                     random_csr, run_with_blas_threads)
 
 SEPARABLE_X = csr(3, [[(c, 1.0)] for c in (0, 0, 1, 1, 2, 2)])
 SEPARABLE_Y = ["negative", "negative", "neutral", "neutral", "positive", "positive"]
@@ -174,6 +175,34 @@ class TestColumnIdDtype:
         assert SEPARABLE_X.indices.dtype == np.int32
         LinearSvm(epochs=1).fit(SEPARABLE_X, SEPARABLE_Y)
         assert seen == [np.dtype(np.intp)] * 3
+
+
+# Row 0 is 12,000 ones and row 1's entries sum to 0 up to rounding. Both rows
+# are -1 to the neutral machine, whose second step sees the margin sum(row 1)
+# plus the bias's 1.0: whether that step updates hangs on the last bits of one
+# ddot over 12,001 entries. OpenBLAS splits a ddot over more than 10,000
+# entries across its threads, and so sums it in another order.
+FIT_ON_A_LONG_ROW = """
+from sentibench import CsrMatrix, LinearSvm  # first: NumPy imported before keeps its pool
+import hashlib, math
+import numpy as np
+n = 12_000
+row = np.random.default_rng(0).uniform(-1000, 1000, n)
+row[0] -= math.fsum(row)
+X = CsrMatrix(np.concatenate([np.ones(n), row]), np.tile(np.arange(n), 2),
+              np.array([0, n, 2 * n]), (2, n))
+model = LinearSvm(lam=1.0, epochs=1).fit(X, ["negative", "positive"])
+print(hashlib.sha256(model.weights_.tobytes() + model.bias_.tobytes()).hexdigest())
+"""
+
+
+@needs_openblas_threads
+class TestOneBlasThread:
+    def test_long_row_fit_is_the_one_thread_fit(self):
+        # unset, the variable is 1 once sentibench is imported; with the 2
+        # threads OpenBLAS picks on a 2-CPU machine, this fit's weights differ
+        assert (run_with_blas_threads(FIT_ON_A_LONG_ROW, None)
+                == run_with_blas_threads(FIT_ON_A_LONG_ROW, "1"))
 
 
 class TestErrorsAndValidation:
