@@ -1,7 +1,9 @@
 """Versioned JSON artifacts of fitted models and vectorizers.
 
 ``train`` writes one artifact of each kind and ``evaluate`` reads them
-back. Each is an envelope (format, version, and the model variant or the
+back through ``save_model``, ``load_model``, ``save_vectorizer`` and
+``load_vectorizer``, which take file paths (the package exports nothing).
+Each is an envelope (format, version, and the model variant or the
 vectorizer kind) around the fitted state. A model artifact (version 2)
 adds the vectorizer kind it was fitted behind, the class order, dims,
 hyperparameters and a ``params`` section that the model class encodes and
@@ -60,19 +62,6 @@ def _decode(doc, fmt: str, versions, kind_key: str, classes: Mapping, decode: Ca
         raise ArtifactError(f"malformed {what} artifact: {type(exc).__name__}: {exc}") from exc
 
 
-def model_to_dict(model: BaseClassifier, vectorizer: str) -> dict:
-    return {
-        "format": _MODEL_FORMAT,
-        "version": _MODEL_VERSION,
-        "variant": model.variant,
-        "vectorizer": vectorizer,
-        "class_order": list(POLARITIES),
-        "dims": model.dims,
-        "hyperparameters": model.get_params(),
-        "params": model.state_to_dict(),
-    }
-
-
 def _upgrade_tree(record) -> dict:
     """Version 1's nested tree record as version 2's lists, nodes numbered as
     fit numbers them; a leaf's class must be the first majority of its counts."""
@@ -118,19 +107,26 @@ def _decode_model(cls: type, doc: Mapping, vectorizer: str | None) -> BaseClassi
     return model
 
 
-def model_from_dict(doc: Mapping, vectorizer: str | None = None) -> BaseClassifier:
-    """Rebuild a model; a malformed document, or a version 2 one trained
-    behind another ``vectorizer`` kind, raises ArtifactError."""
-    return _decode(doc, _MODEL_FORMAT, (1, _MODEL_VERSION), "variant", MODEL_CLASSES,
-                   lambda cls, doc: _decode_model(cls, doc, vectorizer))
-
-
 def save_model(model: BaseClassifier, path: str, vectorizer: str) -> None:
-    write_json(path, model_to_dict(model, vectorizer), compact=True)
+    """Write the model artifact, with the ``vectorizer`` kind it was fitted behind."""
+    write_json(path, {
+        "format": _MODEL_FORMAT,
+        "version": _MODEL_VERSION,
+        "variant": model.variant,
+        "vectorizer": vectorizer,
+        "class_order": list(POLARITIES),
+        "dims": model.dims,
+        "hyperparameters": model.get_params(),
+        "params": model.state_to_dict(),
+    }, compact=True)
 
 
 def load_model(path: str, vectorizer: str | None = None) -> BaseClassifier:
-    return model_from_dict(read_json(path, "model artifact", ArtifactError), vectorizer)
+    """Rebuild a model; a malformed artifact, or a version 2 one trained
+    behind another ``vectorizer`` kind, raises ArtifactError."""
+    doc = read_json(path, "model artifact", ArtifactError)
+    return _decode(doc, _MODEL_FORMAT, (1, _MODEL_VERSION), "variant", MODEL_CLASSES,
+                   lambda cls, doc: _decode_model(cls, doc, vectorizer))
 
 
 def save_vectorizer(

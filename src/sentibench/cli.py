@@ -89,8 +89,8 @@ class ExperimentConfig:
         ratio = self.split_ratio
         if isinstance(ratio, bool) or not isinstance(ratio, Real) or not 0.0 < ratio < 1.0:
             raise ConfigError(f"split ratio must be a number in (0, 1), got {ratio!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if type(self.seed) is not int or not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         for name, known, noun in (("vectorizers", VECTORIZER_KINDS, "vectorizer"),
                                   ("models", MODEL_KINDS, "model"),
                                   ("formats", FORMATS, "output format")):

@@ -184,12 +184,14 @@ def train_test_split(
     two sides hold every tweet exactly once. Identical (corpus,
     train_ratio, seed) inputs always produce the identical partition.
     Raises ValueError unless train_ratio is in (0, 1] and seed is an
-    integer >= 0.
+    integer in [0, 2**64), the seeds SplitMix64 tells apart.
     """
     check_float("train_ratio", train_ratio, 0)
     if train_ratio > 1:
         raise ValueError(f"train_ratio must be in (0, 1], got {train_ratio!r}")
     check_int("seed", seed, 0)
+    if seed > _MASK64:
+        raise ValueError(f"seed must be below 2**64, got {seed!r}")
     n = len(corpus)
     if n == 0:
         raise DatasetError("cannot split an empty corpus")

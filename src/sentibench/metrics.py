@@ -19,13 +19,17 @@ from .errors import DatasetError, DimensionMismatchError
 
 
 def confusion_matrix(truth: Sequence[str], pred: Sequence[str]) -> np.ndarray:
-    """3x3 int64 counts: entry (i, j) = samples of true class i predicted as j."""
+    """3x3 int64 counts: entry (i, j) = samples of true class i predicted as j.
+    A label that is not one of POLARITIES raises ValueError."""
     if len(truth) != len(pred):
         raise DimensionMismatchError(
             f"truth has {len(truth)} labels, predictions have {len(pred)}"
         )
     n = len(POLARITIES)
-    cells = [n * POLARITY_INDEX[t] + POLARITY_INDEX[p] for t, p in zip(truth, pred)]
+    try:
+        cells = [n * POLARITY_INDEX[t] + POLARITY_INDEX[p] for t, p in zip(truth, pred)]
+    except KeyError as exc:
+        raise ValueError(f"not a polarity: {exc.args[0]!r}") from None
     return np.bincount(cells, minlength=n * n).astype(np.int64).reshape(n, n)
 
 

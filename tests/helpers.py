@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
+import tempfile
 from array import array
 from pathlib import Path
 
@@ -13,9 +15,10 @@ import pytest
 from hypothesis import strategies as st
 
 import sentibench
-from sentibench import POLARITIES, Corpus, CsrMatrix
+from sentibench.artifacts import load_model, save_model
+from sentibench.corpus import POLARITIES, Corpus
 from sentibench.models import check_vectors
-from sentibench.vectorize import TermCounts
+from sentibench.vectorize import CsrMatrix, TermCounts
 
 DATA_DIR = Path(__file__).parent / "data"
 FIXTURE_CSV = str(DATA_DIR / "fixture_tweets.csv")
@@ -112,6 +115,25 @@ def canonical_csr(draw, n: int, unit: bool) -> CsrMatrix:
     """``random_csr`` with n rows of 1-LONG_ROW stored entries each."""
     lengths = draw(st.lists(st.integers(1, LONG_ROW), min_size=n, max_size=n))
     return random_csr(lengths, unit, draw(st.integers(0, 2**32 - 1)))
+
+
+def model_doc(model, vectorizer: str = "bow") -> dict:
+    """The JSON document ``save_model`` writes for ``model``, read back."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        save_model(model, path, vectorizer)
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+
+
+def load_doc(doc, vectorizer: str | None = None):
+    """``load_model`` of a file holding ``doc`` as JSON, which writes a
+    non-finite float as NaN, Infinity or -Infinity."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        return load_model(path, vectorizer)
 
 
 def as_version_1(doc: dict) -> dict:

@@ -12,8 +12,9 @@ from typing import Mapping
 
 import numpy as np
 
-from sentibench import ClassMetrics, DatasetError
 from sentibench.corpus import POLARITIES, POLARITY_INDEX
+from sentibench.errors import DatasetError
+from sentibench.metrics import ClassMetrics
 
 
 def support(counts) -> dict[str, int]:

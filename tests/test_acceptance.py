@@ -13,23 +13,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sentibench import (
-    BowVectorizer,
-    LinearSvm,
-    MultinomialNaiveBayes,
-    RandomForest,
-    SoftmaxRegression,
-    TfidfVectorizer,
-    TweetPreprocessor,
-    load_lemma_exceptions,
-    load_stopwords,
-    train_test_split,
-)
-from sentibench.preprocess import lemmatize
 from sentibench.cli import main as cli_main
+from sentibench.corpus import train_test_split
 from sentibench.metrics import MetricsReport
-from sentibench.models import check_vectors
+from sentibench.models import (
+    LinearSvm, MultinomialNaiveBayes, RandomForest, SoftmaxRegression, check_vectors,
+)
 from sentibench.models.logistic import softmax_loss_and_grad
+from sentibench.preprocess import (
+    TweetPreprocessor, lemmatize, load_lemma_exceptions, load_stopwords,
+)
+from sentibench.vectorize import BowVectorizer, TfidfVectorizer
 from helpers import (
     DATA_DIR,
     EXAMPLE_TOKENS_1,
@@ -157,7 +151,7 @@ class TestCriterion2FullScaleGrid:
 )
 class TestFullDatasetFacts:
     def test_record_count_and_class_imbalance(self):
-        from sentibench import label_frequencies, load_dataset
+        from sentibench.corpus import label_frequencies, load_dataset
 
         corpus = load_dataset(DATASET)
         assert len(corpus) == 14640
@@ -289,7 +283,7 @@ class TestCriterion4OfflinePropertySuites:
 
     def test_preprocessing_idempotence(self):
         from preprocess_reference import clean_text
-        from sentibench import load_dataset
+        from sentibench.corpus import load_dataset
 
         preprocessor = TweetPreprocessor(load_stopwords())
         for text in load_dataset(FIXTURE_CSV).texts:

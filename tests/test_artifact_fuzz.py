@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sentibench import load_model, load_vectorizer
+from sentibench.artifacts import load_model, load_vectorizer
 from sentibench.base import decode_array
 from sentibench.cli import main
 from sentibench.errors import SentibenchError

@@ -13,17 +13,11 @@ from pathlib import Path
 import pytest
 
 from sentibench import cli
-from sentibench import (
-    BowVectorizer,
-    Corpus,
-    TfidfVectorizer,
-    TweetPreprocessor,
-    load_model,
-    load_stopwords,
-    load_vectorizer,
-)
+from sentibench.artifacts import load_model, load_vectorizer
 from sentibench.cli import main
-from sentibench.vectorize import TermCounts, _Vectorizer
+from sentibench.corpus import Corpus
+from sentibench.preprocess import TweetPreprocessor, load_stopwords
+from sentibench.vectorize import BowVectorizer, TfidfVectorizer, TermCounts, _Vectorizer
 from helpers import (FIXTURE_COUNTS, FIXTURE_CSV, SHORT_RUN, V1_ARTIFACTS, child_env,
                      needs_openblas_threads, run_with_blas_threads)
 
@@ -1195,6 +1189,16 @@ class TestConfigHandling:
         assert len(captured.err.splitlines()) == 1
         assert captured.out == ""
 
+    def test_seed_of_2_to_the_64_is_one_config_line(self, tmp_path, capsys):
+        # SplitMix64 holds a uint64 state, so this seed would repeat seed 0's split
+        out = tmp_path / "out"
+        assert run(["compare", "--data", FIXTURE_CSV, "--seed", str(2**64),
+                    "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]: seed must be") and "18446744073709551616" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_help_prints_usage_and_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             run(["train", "--help"])
@@ -1290,3 +1294,10 @@ class TestOneBlasThread:
                              ids=["unset", "set-to-2"])
     def test_thread_count_after_import(self, openblas_threads, threads):
         assert run_with_blas_threads(self.PROBE, openblas_threads).strip() == threads
+
+    @pytest.mark.parametrize("openblas_threads, threads", [(None, "1"), ("2", "2")],
+                             ids=["unset", "set-to-2"])
+    def test_thread_count_after_cli_import(self, openblas_threads, threads):
+        # the console script's chain, which loads NumPy through sentibench.artifacts
+        probe = self.PROBE.replace("import sentibench, numpy", "import sentibench.cli")
+        assert run_with_blas_threads(probe, openblas_threads).strip() == threads

@@ -10,16 +10,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sentibench import (
-    Corpus,
-    DatasetError,
-    label_frequencies,
-    load_dataset,
-    POLARITIES,
-    parse_polarity,
-    seeded_permutation,
+from sentibench.corpus import (
+    Corpus, label_frequencies, load_dataset, POLARITIES, parse_polarity, seeded_permutation,
     train_test_split,
 )
+from sentibench.errors import DatasetError
 from helpers import FIXTURE_CSV, FIXTURE_COUNTS, FIXTURE_LABELS, make_corpus
 
 
@@ -335,3 +330,11 @@ class TestTrainTestSplit:
         ):
             with pytest.raises(ValueError):
                 train_test_split(corpus, **kwargs)
+
+    def test_seed_must_be_below_2_to_the_64(self):
+        # SplitMix64 holds a uint64 state, so 2**64 would repeat seed 0's split
+        corpus = synthetic_corpus(10)
+        with pytest.raises(ValueError, match="below 2\\*\\*64"):
+            train_test_split(corpus, seed=2**64)
+        train, test = train_test_split(corpus, seed=2**64 - 1)
+        assert sorted(train.ids + test.ids) == list(range(1, 11))

@@ -14,8 +14,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from sentibench import CsrMatrix, MultinomialNaiveBayes
-from sentibench.models import check_vectors
+from sentibench.models import MultinomialNaiveBayes, check_vectors
+from sentibench.vectorize import CsrMatrix
 from helpers import LONG_ROW, canonical_csr, csr, random_csr
 
 SEEDS = st.integers(0, 2**32 - 1)

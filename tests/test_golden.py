@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from sentibench import load_model, save_model
+from sentibench.artifacts import load_model, save_model
 from sentibench.cli import main
 from helpers import FIXTURE_CSV, V1_ARTIFACTS, as_version_1
 

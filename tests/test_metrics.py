@@ -6,17 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import metrics_reference as ref
-from sentibench import (
-    BowVectorizer,
-    ClassMetrics,
-    DatasetError,
-    DimensionMismatchError,
-    MetricsReport,
-    MultinomialNaiveBayes,
-    TweetPreprocessor,
-    confusion_matrix,
-    evaluate,
-)
+from sentibench.errors import DatasetError, DimensionMismatchError
+from sentibench.metrics import ClassMetrics, MetricsReport, confusion_matrix, evaluate
+from sentibench.models import MultinomialNaiveBayes
+from sentibench.preprocess import TweetPreprocessor
+from sentibench.vectorize import BowVectorizer
 from helpers import count_tokens, make_corpus
 
 
@@ -50,6 +44,11 @@ class TestConfusionMatrix:
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             confusion_matrix(["negative"], ["negative", "positive"])
+
+    def test_label_that_is_not_a_polarity(self):
+        for truth, pred in ((["negative"], ["bogus"]), (["Positive"], ["positive"])):
+            with pytest.raises(ValueError, match="not a polarity: '(bogus|Positive)'"):
+                confusion_matrix(truth, pred)
 
     def test_empty_inputs(self):
         cm = confusion_matrix([], [])
@@ -298,7 +297,7 @@ class TestReportAndEvaluate:
         assert report.metadata["test_size"] == 2
 
     def test_majority_predictor_scores_majority_share(self):
-        from sentibench import load_dataset, train_test_split
+        from sentibench.corpus import load_dataset, train_test_split
         from helpers import FIXTURE_CSV
 
         corpus = load_dataset(FIXTURE_CSV)

@@ -1,27 +1,19 @@
 """Contracts every classifier variant honors."""
 
-import json
 import math
 
 import numpy as np
 import pytest
 
-from sentibench import (
-    ArtifactError,
-    CsrMatrix,
-    DimensionMismatchError,
-    MODEL_KINDS,
-    MultinomialNaiveBayes,
-    POLARITIES,
-    SoftmaxRegression,
-    TrainingError,
-    load_model,
-    model_from_dict,
-    model_to_dict,
-    save_model,
+from sentibench.artifacts import load_model, save_model
+from sentibench.corpus import POLARITIES
+from sentibench.errors import ArtifactError, DimensionMismatchError, TrainingError
+from sentibench.models import (
+    MODEL_CLASSES, MODEL_KINDS, MultinomialNaiveBayes, SoftmaxRegression, check_vectors,
+    check_X_y,
 )
-from sentibench.models import MODEL_CLASSES, check_vectors, check_X_y
-from helpers import as_version_1, csr
+from sentibench.vectorize import CsrMatrix
+from helpers import as_version_1, csr, load_doc, model_doc
 
 DIMS = 6
 
@@ -113,10 +105,10 @@ class TestPersistence:
         ("svm", "weights"), ("logreg", "bias"), ("mnb", "class_log_prior"), ("rf", "trees"),
     ])
     def test_missing_params_key_is_artifact_error(self, fitted_models, kind, key):
-        doc = model_to_dict(fitted_models[kind], "bow")
+        doc = model_doc(fitted_models[kind])
         del doc["params"][key]
         with pytest.raises(ArtifactError, match=key):
-            model_from_dict(doc)
+            load_doc(doc)
 
     def test_wrong_field_types_are_artifact_errors(self, fitted_models):
         for kind, corrupt in (
@@ -126,22 +118,22 @@ class TestPersistence:
             ("logreg", lambda d: d.update(hyperparameters=[1, 2])),
             ("mnb", lambda d: d["params"].update(class_log_prior=[[0.5], 1.0])),
         ):
-            doc = model_to_dict(fitted_models[kind], "bow")
+            doc = model_doc(fitted_models[kind])
             corrupt(doc)
             with pytest.raises(ArtifactError):
-                model_from_dict(doc)
+                load_doc(doc)
         with pytest.raises(ArtifactError):
-            model_from_dict(["not", "a", "mapping"])
+            load_doc(["not", "a", "mapping"])
 
     def test_unknown_hyperparameter_is_artifact_error(self, fitted_models):
-        doc = model_to_dict(fitted_models["logreg"], "bow")
+        doc = model_doc(fitted_models["logreg"])
         doc["hyperparameters"]["bogus"] = 1
         with pytest.raises(ArtifactError, match="bogus"):
-            model_from_dict(doc)
+            load_doc(doc)
 
-    def test_bad_artifacts_rejected(self, fitted_models, tmp_path):
+    def test_bad_artifacts_rejected(self, fitted_models):
         model = fitted_models["mnb"]
-        doc = model_to_dict(model, "bow")
+        doc = model_doc(model)
         for corruption in (
             {"format": "other"},
             {"version": 99},
@@ -152,7 +144,7 @@ class TestPersistence:
         ):
             bad = {**doc, **corruption}
             with pytest.raises(ArtifactError):
-                model_from_dict(bad)
+                load_doc(bad)
 
     def test_forest_tree_count_and_leaf_counts_are_checked(self, fitted_models):
         # Each case as version 2 lists and as a version 1 nested record.
@@ -169,61 +161,56 @@ class TestPersistence:
                 doc = self.forest_doc(fitted_models, version)
                 corrupt(doc)
                 with pytest.raises(ArtifactError):
-                    model_from_dict(doc)
+                    load_doc(doc)
             doc = self.forest_doc(fitted_models, version)
             doc["params"]["trees"][0] = one_leaf
-            assert model_from_dict(doc).trees_[0].counts.tolist() == [[1, 2, 0]]
+            assert load_doc(doc).trees_[0].counts.tolist() == [[1, 2, 0]]
 
     @staticmethod
     def forest_doc(fitted_models, version: int) -> dict:
-        doc = json.loads(json.dumps(model_to_dict(fitted_models["rf"], "bow")))
+        doc = model_doc(fitted_models["rf"])
         return as_version_1(doc) if version == 1 else doc
 
     def test_vectorizer_kind_is_checked(self, fitted_models):
-        doc = model_to_dict(fitted_models["svm"], "bow")
-        assert model_from_dict(doc, "bow").dims == DIMS
+        doc = model_doc(fitted_models["svm"])
+        assert load_doc(doc, "bow").dims == DIMS
         with pytest.raises(ArtifactError, match="trained on bow vectors.*is tfidf"):
-            model_from_dict(doc, "tfidf")
+            load_doc(doc, "tfidf")
         for bad in ({"vectorizer": "word2vec"}, {"vectorizer": ["bow"]}):
             with pytest.raises(ArtifactError, match="vectorizer"):
-                model_from_dict({**doc, **bad})
+                load_doc({**doc, **bad})
         del doc["vectorizer"]
         with pytest.raises(ArtifactError, match="vectorizer"):
-            model_from_dict(doc)
+            load_doc(doc)
         # Version 1 recorded no vectorizer kind: only the dims check remains.
-        assert model_from_dict(as_version_1(doc), "tfidf").dims == DIMS
+        assert load_doc(as_version_1(doc), "tfidf").dims == DIMS
 
     @pytest.mark.parametrize("kind, key", [
         ("svm", "weights"), ("svm", "bias"), ("logreg", "weights"), ("logreg", "bias"),
         ("mnb", "class_log_prior"), ("mnb", "feature_log_likelihood"), ("logreg", "epoch_losses"),
     ])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_params_are_artifact_errors(self, fitted_models, tmp_path, kind,
-                                                   key, bad):
-        doc = model_to_dict(fitted_models[kind], "bow")
+    def test_non_finite_params_are_artifact_errors(self, fitted_models, kind, key, bad):
+        doc = model_doc(fitted_models[kind])
         values = doc["params"][key]
         (values[0] if isinstance(values[0], list) else values)[0] = bad
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(doc))  # json writes NaN, Infinity, -Infinity
         with pytest.raises(ArtifactError, match=f"{key} holds a value that is not finite"):
-            load_model(str(path))
+            load_doc(doc)
 
     @pytest.mark.parametrize("kind, key, bad", [
         ("rf", "feature", 2**63), ("rf", "left", -2**63 - 1), ("rf", "threshold", 10**400),
         ("svm", "weights", 10**400), ("mnb", "class_log_prior", -10**400),
     ])
     def test_out_of_range_params_are_artifact_errors_naming_the_field(
-            self, fitted_models, tmp_path, kind, key, bad):
+            self, fitted_models, kind, key, bad):
         # an int past int64, or past float64's range, as numpy would overflow on it
-        doc = model_to_dict(fitted_models[kind], "bow")
+        doc = model_doc(fitted_models[kind])
         params = doc["params"]["trees"][0] if kind == "rf" else doc["params"]
         values = params[key]
         (values[0] if isinstance(values[0], list) else values)[0] = bad
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(doc))
         message = f"ValueError: (tree )?{key} holds a number out of range"
         with pytest.raises(ArtifactError, match=message):
-            load_model(str(path))
+            load_doc(doc)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ArtifactError):

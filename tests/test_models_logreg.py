@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import logreg_reference
-from sentibench import SoftmaxRegression, TrainingError
 from sentibench.corpus import POLARITIES
-from sentibench.models import check_vectors
+from sentibench.errors import TrainingError
+from sentibench.models import SoftmaxRegression, check_vectors
 from sentibench.models.logistic import softmax, softmax_loss_and_grad
 from helpers import canonical_csr, csr
 

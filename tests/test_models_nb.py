@@ -7,14 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sentibench import (
-    BowVectorizer, MultinomialNaiveBayes, TfidfVectorizer, TrainingError, model_from_dict,
-    model_to_dict,
-)
 from sentibench.corpus import POLARITIES, POLARITY_INDEX
-from sentibench.models import check_vectors
-from sentibench.vectorize import TermCounts
-from helpers import csr, zipf_tokens
+from sentibench.errors import TrainingError
+from sentibench.models import MultinomialNaiveBayes, check_vectors
+from sentibench.vectorize import BowVectorizer, TfidfVectorizer, TermCounts
+from helpers import csr, load_doc, model_doc, zipf_tokens
 
 # 4 docs over 3 terms, one per line, with alpha = 1:
 #   negative: [1,1,0], [1,0,0]   neutral: [0,1,1]   positive: [0,0,1]
@@ -86,9 +83,9 @@ class TestDegenerateAndErrors:
 
     def test_absent_class_prior_round_trips_as_null(self):
         model = MultinomialNaiveBayes().fit(TOY_X[:3], TOY_Y[:3])
-        doc = model_to_dict(model, "bow")
+        doc = model_doc(model)
         assert doc["params"]["class_log_prior"][2] is None
-        assert model_from_dict(doc).class_log_prior_[2] == -math.inf
+        assert load_doc(doc).class_log_prior_[2] == -math.inf
 
     def test_negative_weights_rejected(self):
         with pytest.raises(TrainingError, match="non-negative"):

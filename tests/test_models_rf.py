@@ -13,19 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import forest_reference
-from sentibench import (
-    CsrMatrix, RandomForest, load_model, model_from_dict, model_to_dict, save_model,
-)
-from sentibench.models import forest
+from sentibench.artifacts import load_model, save_model
+from sentibench.models import RandomForest, forest
 from sentibench.models.base import check_X_y, check_vectors
-from helpers import as_version_1, csr, from_dense
+from sentibench.vectorize import CsrMatrix
+from helpers import as_version_1, csr, from_dense, load_doc, model_doc
 
 
 def forms(model) -> list:
     """The fitted model, and the model loaded back from its version 2
     artifact and from the same forest as a version 1 artifact."""
-    doc = json.loads(json.dumps(model_to_dict(model, "bow")))
-    return [model, model_from_dict(doc), model_from_dict(as_version_1(doc))]
+    doc = model_doc(model)
+    return [model, load_doc(doc), load_doc(as_version_1(doc))]
 
 
 def tree_depth(tree) -> int:
@@ -175,7 +174,7 @@ class TestDeterminism:
         y = [("negative", "neutral", "positive")[i] for i in rng.integers(0, 3, 50)]
         a = RandomForest(n_trees=8, seed=21).fit(X, y)
         b = RandomForest(n_trees=8, seed=21).fit(X, y)
-        assert model_to_dict(a, "bow") == model_to_dict(b, "bow")
+        assert model_doc(a) == model_doc(b)
         probe = csr(8, [[(j, 1.0) for j in range(8)]])
         assert a.predict(probe) == b.predict(probe)
 

@@ -6,9 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import svm_reference
-from sentibench import CsrMatrix, LinearSvm, TrainingError
-from sentibench.models import check_vectors, svm
+from sentibench.errors import TrainingError
+from sentibench.models import LinearSvm, check_vectors, svm
 from sentibench.models.svm import _pegasos_binary
+from sentibench.vectorize import CsrMatrix
 from svm_reference import hinge_sample_objective, hinge_sample_subgradient
 from helpers import (LONG_ROW, canonical_csr, csr, from_dense, needs_openblas_threads,
                      random_csr, run_with_blas_threads)
@@ -183,7 +184,8 @@ class TestColumnIdDtype:
 # ddot over 12,001 entries. OpenBLAS splits a ddot over more than 10,000
 # entries across its threads, and so sums it in another order.
 FIT_ON_A_LONG_ROW = """
-from sentibench import CsrMatrix, LinearSvm  # first: NumPy imported before keeps its pool
+from sentibench.models import LinearSvm  # first: NumPy imported before keeps its pool
+from sentibench.vectorize import CsrMatrix
 import hashlib, math
 import numpy as np
 n = 12_000

@@ -10,18 +10,14 @@ from hypothesis import strategies as st
 
 import preprocess_reference as reference
 from preprocess_reference import clean_text
-from sentibench import (
-    BowVectorizer,
-    ConfigError,
-    TweetPreprocessor,
-    VECTORIZER_KINDS,
-    load_dataset,
-    load_lemma_exceptions,
+from sentibench.artifacts import save_vectorizer
+from sentibench.corpus import load_dataset
+from sentibench.errors import ConfigError
+from sentibench.preprocess import (
+    _REQUIRED_STOPWORDS, TweetPreprocessor, _words, lemmatize, load_lemma_exceptions,
     load_stopwords,
-    save_vectorizer,
 )
-from sentibench.preprocess import _REQUIRED_STOPWORDS, _words, lemmatize
-from sentibench.vectorize import VECTORIZER_CLASSES
+from sentibench.vectorize import BowVectorizer, VECTORIZER_KINDS, VECTORIZER_CLASSES
 from helpers import (
     EXAMPLE_TOKENS_1,
     EXAMPLE_TOKENS_2,

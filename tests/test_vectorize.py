@@ -12,21 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vectorize_reference
-from sentibench import (
-    ArtifactError,
-    BowVectorizer,
-    CsrMatrix,
-    DimensionMismatchError,
-    MultinomialNaiveBayes,
-    TfidfVectorizer,
-    TrainingError,
-    TweetPreprocessor,
-    VECTORIZER_KINDS,
-    load_vectorizer,
-    save_vectorizer,
+from sentibench.artifacts import load_vectorizer, save_vectorizer
+from sentibench.errors import ArtifactError, DimensionMismatchError, TrainingError
+from sentibench.models import MultinomialNaiveBayes, check_vectors
+from sentibench.preprocess import TweetPreprocessor
+from sentibench.vectorize import (
+    VECTORIZER_CLASSES, VECTORIZER_KINDS, BowVectorizer, CsrMatrix, TermCounts, TfidfVectorizer,
 )
-from sentibench.models import check_vectors
-from sentibench.vectorize import VECTORIZER_CLASSES, TermCounts
 from helpers import (
     EXAMPLE_TOKENS_1, EXAMPLE_TOKENS_2, brute_counts, count_tokens, counts_of, csr, zipf_tokens,
 )
