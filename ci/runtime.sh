@@ -1,7 +1,7 @@
 #!/bin/sh
 # The runtime job's sentibench commands, run on the fixture CSV.
 #
-# Writes out/, out-pre/, out-half/, out-fmt/ and out-v1/ under the current directory
+# Writes out/, out-rf/, out-pre/, out-half/, out-fmt/ and out-v1/ under the current directory
 # and reads its inputs from the repository this script sits in. Runs the installed
 # `sentibench` unless SENTIBENCH names another command, for example
 #   SENTIBENCH="python -m sentibench.cli" sh ci/runtime.sh
@@ -22,6 +22,14 @@ $SENTIBENCH compare --data "$DATA" --out-dir out --svm-epochs 2 --logreg-epochs 
 $SENTIBENCH train --data "$DATA" --out-dir out --model rf --vectorizer tfidf --rf-trees 2
 $SENTIBENCH evaluate --data "$DATA" --out-dir out \
   --model-artifact out/model_rf_tfidf.json --vectorizer-artifact out/vectorizer_tfidf.json
+
+echo "== rf at the defaults: 100 trees of depth up to 40"
+# 100 roots of up to 7 training rows each exceed a fit step's 8 x 7 row keys, so
+# the roots are searched over several steps; evaluate reads the 100 trees back
+$SENTIBENCH train --data "$DATA" --out-dir out-rf --model rf --vectorizer tfidf
+$SENTIBENCH evaluate --data "$DATA" --out-dir out-rf \
+  --model-artifact out-rf/model_rf_tfidf.json --vectorizer-artifact out-rf/vectorizer_tfidf.json
+${PYTHON:-python} -c "import json, sys; doc = json.load(open('out-rf/model_rf_tfidf.json')); sys.exit(len(doc['params']['trees']) != 100)"
 
 echo "== train and evaluate with stop-word and lemma-exception files"
 # the files' contents reach the vectorizer artifact, and evaluate reads them back

@@ -77,7 +77,7 @@ def write_json(path, payload, compact: bool = False) -> None:
     text = json.dumps(payload, sort_keys=True, indent=None if compact else 1,
                       separators=(",", ":") if compact else None)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text + "\n")
+        handle.writelines((text, "\n"))  # no copy of text with its newline
 
 
 def read_json(path, what: str, error: type[SentibenchError]):

@@ -15,16 +15,18 @@ feature subset of each node it searches, in depth-first order. It keeps
 its own stack of nodes still to search, so no tree depends on another.
 A child goes on the stack only if it is impure and above the depth
 limit; any other child is a leaf as soon as its parent splits. Each step
-pops one node from every tree that has one left and searches them all
-in one batch.
+pops the top node of tree after tree, in tree order, at least one node
+and more while they hold at most ``_STEP_KEYS`` * n row keys (n training
+rows), and searches them in one batch; the root level takes a few steps.
+Trees grow into flat ``array`` buffers of feature, threshold, left, counts.
 
 The batch reads one column-major copy of the training matrix, with the
-class label of every stored entry, which ``_grow_forest`` builds once
-and all trees share. A tree holds its bootstrap sample as
-multiplicities: a node is a set of distinct rows, each weighted by how
-often the sample drew it. Copies of a row hold equal values and always
-go to the same child, so the weighted class histograms hold the counts
-that the resampled matrix would give, and the same splits follow.
+int32 row and int8 class label of every stored entry, which all trees
+share. A tree holds its bootstrap sample as multiplicities: a node is a
+set of distinct rows, each weighted by how often the sample drew it.
+Copies of a row hold equal values and always go to the same child, so
+the weighted class histograms hold the resampled matrix's counts, and
+the same splits follow.
 
 The search gathers the entry ranges of each node's sampled columns and
 keeps the entries whose row is in the node, adding one virtual entry per
@@ -45,6 +47,7 @@ lists, checked on load by array operations, so any depth saves and loads.
 from __future__ import annotations
 
 import math
+from array import array
 
 import numpy as np
 
@@ -54,6 +57,7 @@ from .base import BaseClassifier
 
 _STREAM = 3
 _BLOCK = 500_000
+_STEP_KEYS = 8  # a fit step searches nodes of at most _STEP_KEYS * n row keys
 
 
 class _Tree:
@@ -67,7 +71,7 @@ class _Tree:
         self.threshold = np.asarray(threshold, dtype=np.float64)
         self.left = np.asarray(left, dtype=np.int32)
         self.right = np.where(self.left < 0, -1, self.left + 1).astype(np.int32)
-        self.counts = np.asarray(counts, dtype=np.int64)
+        self.counts = np.asarray(counts, dtype=np.int64).reshape(-1, 3)
         self.label = self.counts.argmax(axis=1).astype(np.int8)
 
     @classmethod
@@ -221,31 +225,38 @@ def _grow_forest(csr, y, weights, k, max_depth, rngs) -> list[_Tree]:
     n_trees, n = weights.shape
     dims = csr.shape[1]
     order = np.argsort(csr.indices, kind="stable")
-    col_row, col_val = csr.entry_rows()[order], csr.data[order]
-    del order  # not held through the grow
+    row_len = np.diff(csr.indptr)
+    col_row = np.repeat(np.arange(n, dtype=np.int32), row_len)[order]
+    col_lab, col_val = np.repeat(y.astype(np.int8), row_len)[order], csr.data[order]
+    del order, row_len  # not held through the grow
     indptr = np.concatenate(([0], np.cumsum(np.bincount(csr.indices, minlength=dims))))
-    columns = (indptr, col_row, col_val, y[col_row])
+    columns = (indptr, col_row, col_val, col_lab)
     # Row r of tree t is key t * n + r in the flat weight and flag arrays.
     flat_w = weights.ravel()
     flags = np.zeros(n_trees * n, dtype=bool)
 
-    # Tree t grows as the lists _Tree takes, one entry per node, and a
-    # depth-first stack of the nodes still to search: (row keys, depth, node id).
+    # Tree t grows as flat buffers of _Tree's columns, three counts a node, and
+    # a depth-first stack of the nodes still to search: (row keys, depth, node id).
     grown = []
     stacks = []
     for t in range(n_trees):
         rows = np.flatnonzero(weights[t])
         hist = np.bincount(y[rows], weights=weights[t, rows], minlength=3)
-        grown.append(([-1], [0.0], [-1], [hist]))
+        grown.append((array("i", [-1]), array("d", [0.0]), array("i", [-1]), array("d", hist)))
         stacks.append([(t * n + rows, 0, 0)] if _splittable(hist[None], 0, max_depth)[0] else [])
 
     while True:
-        batch = [(t, stack.pop()) for t, stack in enumerate(stacks) if stack]
+        batch, held = [], 0
+        for t, stack in ((t, stack) for t, stack in enumerate(stacks) if stack):
+            held += stack[-1][0].size
+            if batch and held > _STEP_KEYS * n:
+                break
+            batch.append((t, stack.pop()))
         if not batch:
             break
         trees = np.array([t for t, _ in batch])
         rows = [keys for _, (keys, _, _) in batch]
-        hist = np.array([grown[t][3][at] for t, (_, _, at) in batch])
+        hist = np.array([grown[t][3][3 * at : 3 * at + 3] for t, (_, _, at) in batch])
         sampled = [_sample_features(rngs[t], dims, k) for t, _ in batch]
         found = _best_splits(columns, flat_w, flags, n, trees, rows, hist, sampled)
         if found is None:
@@ -255,16 +266,17 @@ def _grow_forest(csr, y, weights, k, max_depth, rngs) -> list[_Tree]:
         depth = np.array([batch[b][1][1] for b in nodes]) + 1
         push_left = _splittable(left_hist, depth, max_depth).tolist()
         push_right = _splittable(right_hist, depth, max_depth).tolist()
+        child_counts = np.hstack([left_hist, right_hist]).tolist()
         flags[crossed] = True
         for j, b in enumerate(nodes.tolist()):
             t, (keys, _, at) = batch[b]
             feature, threshold, left, counts = grown[t]
             lid = len(left)
             feature[at], threshold[at], left[at] = features[j], thresholds[j], lid
-            feature += -1, -1
-            threshold += 0.0, 0.0
-            left += -1, -1
-            counts += left_hist[j], right_hist[j]
+            feature.extend((-1, -1))
+            threshold.extend((0.0, 0.0))
+            left.extend((-1, -1))
+            counts.extend(child_counts[j])
             if push_left[j] or push_right[j]:
                 goes_right = flags[keys] != (thresholds[j] < 0.0)
                 if push_right[j]:

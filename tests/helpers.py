@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from array import array
 from pathlib import Path
 
@@ -78,6 +79,18 @@ def zipf_tokens() -> tuple[np.ndarray, np.ndarray, list[str]]:
     lengths = rng.integers(0, 20, 20_000).astype(np.int32)
     ids = ((rng.zipf(1.3, int(lengths.sum())) - 1) % 5_000).astype(np.int32)
     return ids, lengths, [f"t{i}" for i in range(5_000)]
+
+
+def traced_peak(call, *args):
+    """``call(*args)`` and how far the traced allocations peaked during it
+    above where they started, in bytes."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        return call(*args), tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 def counts_of(corpus) -> tuple[list, list, list]:

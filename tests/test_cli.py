@@ -1270,6 +1270,8 @@ class TestSubprocessInterface:
             | {f"report_{cell}.json" for cell in cells}
             | {"model_rf_tfidf.json", "vectorizer_tfidf.json", "report_rf_tfidf.csv",
                "report_rf_tfidf.txt"},
+            "out-rf": {"model_rf_tfidf.json", "vectorizer_tfidf.json"}
+            | {f"report_rf_tfidf.{ext}" for ext in report},
             "out-pre": {"model_mnb_bow.json", "vectorizer_bow.json"}
             | {f"report_mnb_bow.{ext}" for ext in report},
             "out-half": {"model_mnb_bow.json"},

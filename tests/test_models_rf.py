@@ -16,8 +16,8 @@ import forest_reference
 from sentibench.artifacts import load_model, save_model
 from sentibench.models import RandomForest, forest
 from sentibench.models.base import check_X_y, check_vectors
-from sentibench.vectorize import CsrMatrix
-from helpers import as_version_1, csr, from_dense, load_doc, model_doc
+from sentibench.vectorize import CsrMatrix, TermCounts, TfidfVectorizer
+from helpers import as_version_1, csr, from_dense, load_doc, model_doc, traced_peak, zipf_tokens
 
 
 def forms(model) -> list:
@@ -227,11 +227,15 @@ class TestMatchesRowGatherReference:
     @given(sparse_problems())
     def test_fit_builds_the_reference_trees(self, problem):
         X, _, y, hp = problem
-        new = RandomForest(**hp).fit(X, y)
         ref = forest_reference.fit_trees(X, y, **hp)
-        assert len(new.trees_) == len(ref) == hp["n_trees"]
-        for a, b in zip(new.trees_, ref):
-            assert_same_tree(a, b)
+        # The default step bound, one node per search, and no bound.
+        for bound in (forest._STEP_KEYS, 0, math.inf):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(forest, "_STEP_KEYS", bound)
+                new = RandomForest(**hp).fit(X, y)
+            assert len(new.trees_) == len(ref) == hp["n_trees"]
+            for a, b in zip(new.trees_, ref):
+                assert_same_tree(a, b)
 
     @settings(max_examples=150, deadline=None)
     @given(sparse_problems())
@@ -305,6 +309,28 @@ class TestLockstep:
         for a, b in zip(many.trees_[:5], few.trees_):
             assert_same_tree(a, b)
 
+    def test_the_step_bound_splits_the_root_level(self, monkeypatch):
+        X, y = golden_matrix()
+        hp = {"n_trees": 20, "max_depth": None, "bootstrap": False, "seed": 9}
+        searched = []
+        best_splits = forest._best_splits
+
+        def spy(columns, flat_w, flags, n, trees, *rest):
+            searched.append(trees.tolist())
+            return best_splits(columns, flat_w, flags, n, trees, *rest)
+
+        monkeypatch.setattr(forest, "_best_splits", spy)
+        model = RandomForest(**hp).fit(X, y)
+        # Every root holds all 90 rows, so the first search takes 8 roots.
+        assert searched[0] == list(range(forest._STEP_KEYS))
+        seen, root_batches = set(), 0
+        for trees in searched:
+            root_batches += not seen.issuperset(trees)
+            seen.update(trees)
+        assert root_batches > 1 and seen == set(range(20))
+        for a, b in zip(model.trees_, forest_reference.fit_trees(X, y, **hp)):
+            assert_same_tree(a, b)
+
     @pytest.mark.parametrize("bootstrap", [False, True])
     def test_no_features_gives_single_leaf_majority_trees(self, bootstrap):
         # An empty vocabulary: 0 dims, as all-stop-word training text gives.
@@ -318,6 +344,18 @@ class TestLockstep:
             assert_same_tree(tree, want)
         if not bootstrap:
             assert model.predict(csr(0, [[], []])) == ["positive", "positive"]
+
+
+class TestMemoryBudget:
+    def test_fit_peaks_under_14_int64_per_entry(self):
+        """The traced peak of a 20-tree fit on the tf-idf of ``zipf_tokens``:
+        about 11.7 int64 per stored entry, 16.1 with an int64 column copy,
+        per-node lists and every root searched in one step."""
+        corpus = TermCounts.count(*zipf_tokens())
+        vectors = TfidfVectorizer().fit(corpus).transform(corpus)
+        labels = [LABELS[i % 3] for i in range(len(corpus))]
+        _, peak = traced_peak(RandomForest(n_trees=20, max_depth=12, seed=0).fit, vectors, labels)
+        assert peak <= 14 * vectors.nnz * 8
 
 
 def golden_matrix():

@@ -3,7 +3,6 @@
 import json
 import math
 import random
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +19,8 @@ from sentibench.vectorize import (
     VECTORIZER_CLASSES, VECTORIZER_KINDS, BowVectorizer, CsrMatrix, TermCounts, TfidfVectorizer,
 )
 from helpers import (
-    EXAMPLE_TOKENS_1, EXAMPLE_TOKENS_2, brute_counts, count_tokens, counts_of, csr, zipf_tokens,
+    EXAMPLE_TOKENS_1, EXAMPLE_TOKENS_2, brute_counts, count_tokens, counts_of, csr, traced_peak,
+    zipf_tokens,
 )
 from vectorize_reference import term_frequency
 
@@ -387,18 +387,6 @@ class TestTransformRows:
     def test_index_may_fall_between_rows(self):
         matrix = CsrMatrix([1.0, 2.0, 3.0], [2, 0, 1], [0, 1, 1, 3], (3, 3))
         assert entries(matrix) == [((2,), (1.0,)), ((), ()), ((0, 1), (2.0, 3.0))]
-
-
-def traced_peak(call, *args):
-    """``call(*args)`` and how far the traced allocations peaked during it
-    above where they started, in bytes."""
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        start = tracemalloc.get_traced_memory()[0]
-        return call(*args), tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
 
 
 def matrix_bytes(matrix) -> int:
